@@ -1,10 +1,14 @@
 """Offline minimization of realized loss sequences.
 
-The regret comparator is computed with the same linear-optimization oracle
-the learners use: a conditional-gradient loop with the classic 2/(s+2) step,
-whose suboptimality after s iterations is at most 8 * beta * D^2 / (s+2).
-When every round was a squared-distance loss the exact minimizer is the
-projection of the mean center, and the better of the two candidates wins.
+The regret comparator takes exactly one route:
+
+- squared-distance streams on a set with a Euclidean projection (ball, box,
+  simplex, l1 ball): the projection of the mean center, which is exact;
+- linear streams: one oracle answer at the negated gradient sum, also exact;
+- otherwise (vertex polytopes, generic or mixed losses): a conditional-gradient
+  loop with the classic 2/(s+2) step, stopped at the first iterate whose
+  duality gap <grad F(x), x - v> certifies the a-priori accuracy
+  8 * beta * D^2 / (budget+2) (Jaggi 2013). ``budget`` caps its iterations.
 """
 
 from __future__ import annotations
@@ -12,9 +16,9 @@ from __future__ import annotations
 import numpy as np
 
 from .losses import LossFunction, block_sum
-from .sets import FeasibleSet
+from .sets import FeasibleSet, linear_argmax
 
-__all__ = ["offline_frank_wolfe", "best_in_hindsight", "frank_wolfe_gap_bound"]
+__all__ = ["offline_frank_wolfe", "best_in_hindsight", "frank_wolfe_gap_bound", "has_projection"]
 
 
 def frank_wolfe_gap_bound(smoothness: float, norm_bound: float, iterations: int) -> float:
@@ -22,12 +26,23 @@ def frank_wolfe_gap_bound(smoothness: float, norm_bound: float, iterations: int)
     return 8.0 * smoothness * norm_bound * norm_bound / (iterations + 2.0)
 
 
-def offline_frank_wolfe(objective: LossFunction, set_: FeasibleSet,
-                        iterations: int) -> tuple[np.ndarray, float]:
+def has_projection(set_) -> bool:
+    """Whether the set (or an instrumented proxy of one) has an exact Euclidean projection."""
+    try:
+        set_.project(np.zeros(set_.dim))
+    except NotImplementedError:
+        return False
+    return True
+
+
+def offline_frank_wolfe(objective: LossFunction, set_: FeasibleSet, iterations: int,
+                        gap_tol: float = 0.0) -> tuple[np.ndarray, float]:
     """Minimize a smooth convex objective over the set with oracle calls only.
 
-    Returns (final iterate, objective value there). Starts from the oracle's
-    zero-objective answer so the whole run is deterministic.
+    Returns (iterate, objective value there): the first iterate whose duality
+    gap <g, x - v> is at most ``gap_tol``, or the last one after
+    ``iterations`` steps. The gap bounds the iterate's suboptimality. Starts
+    from the oracle's zero-objective answer so the whole run is deterministic.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -37,31 +52,33 @@ def offline_frank_wolfe(objective: LossFunction, set_: FeasibleSet,
         if not np.all(np.isfinite(g)):
             raise FloatingPointError("non-finite gradient inside Frank-Wolfe")
         v = set_.support_argmax(-g)
+        if float(np.dot(g, x - v)) <= gap_tol:
+            break
         step = 2.0 / (s + 2.0)
         x = (1.0 - step) * x + step * v
     return x, float(objective.evaluate(x))
 
 
 def best_in_hindsight(losses, set_: FeasibleSet, budget: int) -> tuple[np.ndarray, float]:
-    """Best fixed action against the realized losses, via oracle-only solving.
+    """Best fixed action against the realized losses, and its total loss.
 
-    Runs Frank-Wolfe on the summed loss for ``budget`` iterations; for pure
-    quadratic streams also evaluates the projected mean center and returns
-    whichever candidate achieves the lower total loss.
+    Exact for squared-distance streams on a set with a projection and for
+    linear streams; otherwise Frank-Wolfe on the summed loss, capped at
+    ``budget`` iterations and stopped once its duality gap certifies
+    ``frank_wolfe_gap_bound(total smoothness, D, budget)``.
     """
     losses = list(losses)
     if not losses:
         raise ValueError("best_in_hindsight needs at least one loss")
+    if all(loss.center is not None for loss in losses) and has_projection(set_):
+        centers = np.stack([loss.center for loss in losses])
+        point = set_.project(np.mean(centers, axis=0))
+        diffs = centers - point
+        return point, 0.5 * float(np.einsum("ij,ij->", diffs, diffs))
+    if all(loss.direction is not None for loss in losses):
+        direction_sum = np.sum([loss.direction for loss in losses], axis=0)
+        point = linear_argmax(set_, -direction_sum)
+        return point, float(np.dot(direction_sum, point))
     total = block_sum(losses)
-    point, value = offline_frank_wolfe(total, set_, budget)
-    if all(loss.center is not None for loss in losses):
-        mean_center = np.mean(np.stack([loss.center for loss in losses]), axis=0)
-        try:
-            candidate = set_.project(mean_center)
-        except NotImplementedError:
-            candidate = None
-        if candidate is not None:
-            cand_value = float(total.evaluate(candidate))
-            if cand_value < value:
-                point, value = candidate, cand_value
-    return point, value
+    tol = frank_wolfe_gap_bound(total.smoothness, set_.norm_bound, budget)
+    return offline_frank_wolfe(total, set_, budget, gap_tol=tol)

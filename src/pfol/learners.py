@@ -170,8 +170,9 @@ class OSPF(OnlineLearner):
     Off-boundary rounds replay the previous action with zero oracle calls; at
     rounds divisible by k the learner draws k perturbations and plays the
     average of the k oracle answers, so oracle cost is amortized one call per
-    round (k * floor(T/k) <= T total). The starting action is the oracle
-    answer on the first basis direction, fixed for determinism.
+    round. Before the first boundary it plays the oracle answer on the first
+    basis direction, fixed for determinism and asked for on the first round;
+    a game thus makes k * floor(T/k) calls, plus one for k > 1.
     """
 
     name = "ospf"
@@ -187,15 +188,15 @@ class OSPF(OnlineLearner):
         self.seed = int(seed)
         self._rounds = RoundStream(self.seed, LEARNER_STREAM)
         self._cum_grad = np.zeros(set_.dim)
-        e1 = np.zeros(set_.dim)
-        e1[0] = 1.0
-        self._current = linear_argmax(set_, e1)
+        self._current: np.ndarray | None = None
 
     def _act(self, set_):
         if self.round % self.block == 0:
             rng = self._rounds.at(self.round)
             points = perturbed_leader_points(set_, self._cum_grad, self.delta, self.block, rng)
             self._current = points.mean(axis=0)
+        elif self._current is None:
+            self._current = linear_argmax(set_, np.eye(set_.dim)[0])
         return self._current
 
     def _observe(self, loss):
@@ -234,8 +235,9 @@ class OFW(OnlineLearner):
     sigma_t = min(1, 2/sqrt(t)), where v is the oracle answer on the negated
     gradient of a running surrogate: the averaged observed gradients plus a
     quadratic pull toward the starting point with weight ``reg_scale``
-    (default G / (2D)). Baseline-only internals; nothing downstream asserts
-    a bound for it.
+    (default G / (2D)). The starting point is the oracle answer on the first
+    basis direction, asked for on the first round, so a game makes T + 1
+    calls. Baseline-only internals; nothing downstream asserts a bound for it.
     """
 
     name = "ofw"
@@ -249,13 +251,12 @@ class OFW(OnlineLearner):
         if reg_scale is None:
             reg_scale = grad_bound / (2.0 * set_.norm_bound)
         self.reg_scale = float(reg_scale)
-        e1 = np.zeros(set_.dim)
-        e1[0] = 1.0
-        self._anchor = linear_argmax(set_, e1)
-        self._x = self._anchor.copy()
+        self._anchor: np.ndarray | None = None
         self._cum_grad = np.zeros(set_.dim)
 
     def _act(self, set_):
+        if self._anchor is None:
+            self._anchor = self._x = linear_argmax(set_, np.eye(set_.dim)[0])
         t = self.round
         surrogate_grad = self._cum_grad / t + 2.0 * self.reg_scale * (self._x - self._anchor)
         v = set_.support_argmax(-surrogate_grad)

@@ -127,4 +127,4 @@ def test_bound_check_passes(config_file, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["pass"] is True
-    assert payload["mean_regret"] <= payload["bound"] + payload["correction_band"]
+    assert payload["mean_regret"] <= payload["bound"]

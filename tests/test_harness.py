@@ -22,12 +22,13 @@ from pfol import (
     theoretical_bound,
     trace_to_csv,
 )
-from pfol.harness import CSV_HEADER, config_hash, expected_budgets, resolve_block
+from pfol.harness import CSV_HEADER, RunSummary, config_hash, expected_budgets, resolve_block
 
 BALL5 = {"kind": "ball", "dim": 5, "radius": 1.0}
 BALL1 = {"kind": "ball", "dim": 1, "radius": 1.0}
 QUAD_ADAPTIVE = {"kind": "quadratic_adaptive", "center_scale": 1.0}
 LIN_STOCH = {"kind": "linear_stochastic", "direction_norm": 1.0}
+DIAMOND = {"kind": "polytope", "vertices": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]}
 
 
 def cfg(**overrides):
@@ -89,10 +90,13 @@ class TestTheoreticalBound:
             high_probability_bound(cfg(learner="ospf", k=4), 0.05)
 
     def test_correction_band_formula(self):
-        config = cfg(T=100, fw_budget=1000,
-                     adversary={"kind": "quadratic_stochastic", "center_scale": 1.0})
+        # Frank-Wolfe runs only on vertex polytopes; the other comparators are exact
+        quad = {"kind": "quadratic_stochastic", "center_scale": 1.0}
+        config = cfg(set=DIAMOND, T=100, fw_budget=1000, adversary=quad)
         assert comparator_correction(config) == pytest.approx(8.0 * 100 / 1002, rel=1e-12)
+        assert comparator_correction(cfg(T=100, fw_budget=1000, adversary=quad)) == 0.0
         assert comparator_correction(cfg(adversary=LIN_STOCH)) == 0.0
+        assert comparator_correction(cfg(set=DIAMOND, adversary=LIN_STOCH)) == 0.0
 
 
 class TestFitExponent:
@@ -160,7 +164,7 @@ class TestRunGame:
         assert resolve_block(config, beta=1.0) == 10
         assert resolve_block(config, beta=0.0) == 32
         trace = run_game(config, 0)
-        assert trace.oracle_calls[-1] == 10 * (1000 // 10)
+        assert trace.oracle_calls[-1] == 10 * (1000 // 10) + 1
 
     def test_regret_per_round_shrinks_on_constant_linear_stream(self):
         # fixed direction: the leader locks on and regret/T must decay
@@ -239,8 +243,9 @@ class TestRunExperimentAndSweep:
     def test_bound_check_passes_at_moderate_scale(self):
         config = cfg(T=256, m=8, seeds=tuple(range(5)), fw_budget=2560)
         report = bound_check(config, jobs=1)
-        assert report["pass"]
-        assert report["mean_regret"] <= report["bound"] + report["correction_band"]
+        assert report["pass"] and report["certified"]
+        assert report["correction_band"] == 0.0
+        assert report["mean_regret"] <= report["bound"]
 
 
 class TestQuantileCheck:
@@ -274,6 +279,27 @@ class TestQuantileCheck:
             warnings.simplefilter("ignore")
             report = quantile_check(summary, 0.25, config)
         assert report["pass"]
+
+    def test_verdict_puts_the_correction_on_the_strict_side(self):
+        # the comparator is at least the true minimum, so R^ <= R <= R^ + eps:
+        # R^ above the bound fails even when R^ - eps lies below it
+        config = cfg(set=DIAMOND, adversary={"kind": "quadratic_stochastic"},
+                     T=64, m=4, seeds=(0, 1, 2, 3), fw_budget=8)
+        bound = high_probability_bound(config, 0.25)
+        eps = comparator_correction(config)
+        assert eps > 0
+
+        def check(regret):
+            summary = RunSummary(config_hash=config_hash(config), learner=config.learner,
+                                 T=config.T, delta=None, seeds=config.seeds,
+                                 final_regrets=(regret,) * len(config.seeds))
+            report = quantile_check(summary, 0.25, config)
+            return report["pass"], report["certified"]
+
+        assert check(bound + eps / 2) == (False, False)
+        assert check(bound + eps) == (False, False)
+        assert check(bound - eps / 2) == (True, False)
+        assert check(bound - 2 * eps) == (True, True)
 
     def test_sigma_validation(self):
         config = cfg(T=8)

@@ -124,7 +124,7 @@ class TestOSPF:
             learner.observe(linear_loss([0.1, 0.0, 0.0]))
 
     def test_updates_at_multiples_of_k_with_k_calls_each(self):
-        # T=9, k=3: refreshes at t in {3, 6, 9}; 9 oracle calls in total
+        # T=9, k=3: the start point at t=1, refreshes at t in {3, 6, 9}; 10 calls
         inst = InstrumentedSet(BALL)
         learner = OSPF(BALL, delta=0.5, block=3, seed=2)
         calls_before = []
@@ -133,8 +133,8 @@ class TestOSPF:
             learner.act(inst)
             calls_before.append(inst.oracle_calls - before)
             learner.observe(linear_loss([0.2, -0.1, 0.0]))
-        assert calls_before == [0, 0, 3, 0, 0, 3, 0, 0, 3]
-        assert inst.oracle_calls == 9
+        assert calls_before == [1, 0, 3, 0, 0, 3, 0, 0, 3]
+        assert inst.oracle_calls == 10
 
     def test_k1_equals_sampled_fpl_m1_bitwise(self):
         losses = [quadratic_loss(np.array([0.3, -0.2, 0.1]) * (i % 3), 3.0) for i in range(100)]
@@ -217,12 +217,13 @@ class TestOFW:
             assert max(set_.feasibility_gap(a) for a in actions) <= 1e-9
 
     def test_one_oracle_call_per_round(self):
+        # plus the start point, asked for on the first round
         inst = InstrumentedSet(BALL)
         learner = OFW(BALL, grad_bound=1.0)
         for t in range(1, 8):
             learner.act(inst)
             learner.observe(linear_loss([0.3, 0.0, 0.0]))
-            assert inst.oracle_calls == t
+            assert inst.oracle_calls == t + 1
 
 
 class TestParameterSchedules:

@@ -7,6 +7,8 @@ from pfol import (
     Ball,
     Box,
     ConfigError,
+    InstrumentedSet,
+    L1Ball,
     Polytope,
     ProtocolError,
     Simplex,
@@ -28,6 +30,17 @@ BALL = Ball(dim=2, radius=1.0)
 def adv(kind, T=16, seed=0, set_=BALL, **params):
     return make_adversary({"kind": kind, **params}, horizon=T, seed=seed,
                           norm_bound=set_.norm_bound, dim=set_.dim)
+
+
+def realized(kind, set_, T, seed=0):
+    """Losses an adversary emits against T random feasible actions."""
+    a = adv(kind, T=T, seed=seed, set_=set_)
+    rng = np.random.default_rng(seed)
+    losses, history = [], []
+    for _ in range(T):
+        losses.append(a.next_loss(history))
+        history.append(set_.sample_points(rng, 1)[0])
+    return losses
 
 
 class TestLossConstructors:
@@ -129,6 +142,19 @@ class TestOfflineFrankWolfe:
         np.testing.assert_allclose(point, [1.0, 0.0], atol=2e-3)
         assert value == pytest.approx(0.5, abs=frank_wolfe_gap_bound(1.0, 1.0, 4000))
 
+    def test_runs_to_the_cap_unless_a_gap_tolerance_is_given(self):
+        # exterior center: every iterate is interior, so the gap never reaches 0
+        loss = quadratic_loss([2.0, 0.5], grad_bound=4.0)
+        inst = InstrumentedSet(BALL)
+        offline_frank_wolfe(loss, inst, 500)
+        assert inst.oracle_calls == 501
+        inst = InstrumentedSet(BALL)
+        point, value = offline_frank_wolfe(loss, inst, 500, gap_tol=0.01)
+        assert inst.oracle_calls < 501
+        g = loss.gradient(point)
+        assert float(np.dot(g, point - linear_argmax(BALL, -g))) <= 0.01
+        assert value == loss.evaluate(point)
+
     def test_requires_at_least_one_iteration(self):
         with pytest.raises(ValueError):
             offline_frank_wolfe(linear_loss([1.0, 0.0]), BALL, 0)
@@ -179,6 +205,43 @@ class TestBestInHindsight:
             probes = set_.sample_points(rng, 100)
             tol = frank_wolfe_gap_bound(total.smoothness, set_.norm_bound, 2000)
             assert all(value <= total.evaluate(p) + tol for p in probes)
+
+    def test_projectable_quadratic_streams_return_the_projected_mean_center(self):
+        for set_ in (Box(lower=[-1.0, 0.0], upper=[1.0, 2.0]), Simplex(dim=3, scale=1.0),
+                     L1Ball(dim=3, radius=0.5)):
+            losses = realized("quadratic_stochastic", set_, T=40)
+            inst = InstrumentedSet(set_)
+            point, value = best_in_hindsight(losses, inst, budget=400)
+            want = set_.project(np.mean(np.stack([loss.center for loss in losses]), axis=0))
+            np.testing.assert_array_equal(point, want)
+            assert inst.oracle_calls == 0
+            assert value == pytest.approx(block_sum(losses).evaluate(want), rel=1e-9)
+
+    def test_linear_stream_is_one_oracle_answer(self):
+        square = Polytope(vertices=[[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+        for set_ in (BALL, Simplex(dim=3, scale=1.0), square):
+            losses = realized("linear_stochastic", set_, T=40)
+            inst = InstrumentedSet(set_)
+            point, value = best_in_hindsight(losses, inst, budget=400)
+            direction_sum = np.sum([loss.direction for loss in losses], axis=0)
+            np.testing.assert_array_equal(point, linear_argmax(set_, -direction_sum))
+            assert inst.oracle_calls == 1
+            assert value == pytest.approx(block_sum(losses).evaluate(point), rel=1e-12)
+
+    def test_polytope_stops_on_the_certified_duality_gap(self):
+        rng = np.random.default_rng(8)
+        vertices = rng.standard_normal((32, 8))
+        poly = Polytope(vertices=vertices / np.linalg.norm(vertices, axis=1, keepdims=True))
+        T = 200
+        losses = realized("quadratic_stochastic", poly, T=T)
+        total = block_sum(losses)
+        inst = InstrumentedSet(poly)
+        point, value = best_in_hindsight(losses, inst, budget=10 * T)
+        assert inst.oracle_calls < 10 * T
+        grad = total.gradient(point)
+        gap = float(np.dot(grad, point - linear_argmax(poly, -grad)))
+        assert gap <= frank_wolfe_gap_bound(total.smoothness, poly.norm_bound, 10 * T)
+        assert value == total.evaluate(point)
 
     def test_polytope_stream_skips_projection_shortcut(self):
         # the shared center (0.2, 0.2) lies inside the triangle, so the
