@@ -1,14 +1,15 @@
 """Offline minimization of realized loss sequences.
 
-The regret comparator takes exactly one route:
+The regret comparator is exact wherever it can be:
 
 - squared-distance streams on a set with a Euclidean projection (ball, box,
-  simplex, l1 ball): the projection of the mean center, which is exact;
-- linear streams: one oracle answer at the negated gradient sum, also exact;
-- otherwise (vertex polytopes, generic or mixed losses): a conditional-gradient
-  loop with the classic 2/(s+2) step, stopped at the first iterate whose
-  duality gap <grad F(x), x - v> certifies the a-priori accuracy
-  8 * beta * D^2 / (budget+2) (Jaggi 2013). ``budget`` caps its iterations.
+  simplex, l1 ball): the projection of the mean center;
+- everything else (vertex polytopes, linear, generic or mixed losses): a
+  conditional-gradient loop with the classic 2/(s+2) step, stopped at the
+  first iterate whose duality gap <grad F(x), x - v> certifies the a-priori
+  accuracy 8 * beta * D^2 / (budget+2) (Jaggi 2013). ``budget`` caps its
+  iterations. A linear stream has beta = 0, so the loop stops, exactly, at
+  the oracle answer on the negated gradient sum after one step.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .losses import LossFunction, block_sum
-from .sets import FeasibleSet, linear_argmax
+from .sets import FeasibleSet
 
 __all__ = ["offline_frank_wolfe", "best_in_hindsight", "frank_wolfe_gap_bound", "has_projection"]
 
@@ -35,17 +36,19 @@ def has_projection(set_) -> bool:
     return True
 
 
-def offline_frank_wolfe(objective: LossFunction, set_: FeasibleSet, iterations: int,
-                        gap_tol: float = 0.0) -> tuple[np.ndarray, float]:
+def offline_frank_wolfe(objective: LossFunction, set_: FeasibleSet,
+                        iterations: int) -> tuple[np.ndarray, float]:
     """Minimize a smooth convex objective over the set with oracle calls only.
 
     Returns (iterate, objective value there): the first iterate whose duality
-    gap <g, x - v> is at most ``gap_tol``, or the last one after
-    ``iterations`` steps. The gap bounds the iterate's suboptimality. Starts
-    from the oracle's zero-objective answer so the whole run is deterministic.
+    gap <g, x - v> is at most ``frank_wolfe_gap_bound(smoothness, D,
+    iterations)``, or the last one after ``iterations`` steps. The gap bounds
+    the iterate's suboptimality. Starts from the oracle's zero-objective
+    answer so the whole run is deterministic.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
+    gap_tol = frank_wolfe_gap_bound(objective.smoothness, set_.norm_bound, iterations)
     x = set_.support_argmax(np.zeros(set_.dim))
     for s in range(int(iterations)):
         g = np.asarray(objective.gradient(x), dtype=float)
@@ -63,22 +66,12 @@ def best_in_hindsight(losses, set_: FeasibleSet, budget: int) -> tuple[np.ndarra
     """Best fixed action against the realized losses, and its total loss.
 
     Exact for squared-distance streams on a set with a projection and for
-    linear streams; otherwise Frank-Wolfe on the summed loss, capped at
-    ``budget`` iterations and stopped once its duality gap certifies
-    ``frank_wolfe_gap_bound(total smoothness, D, budget)``.
+    linear streams; otherwise within ``frank_wolfe_gap_bound(total
+    smoothness, D, budget)`` of the minimum (see ``offline_frank_wolfe``).
     """
     losses = list(losses)
-    if not losses:
-        raise ValueError("best_in_hindsight needs at least one loss")
-    if all(loss.center is not None for loss in losses) and has_projection(set_):
-        centers = np.stack([loss.center for loss in losses])
-        point = set_.project(np.mean(centers, axis=0))
-        diffs = centers - point
-        return point, 0.5 * float(np.einsum("ij,ij->", diffs, diffs))
-    if all(loss.direction is not None for loss in losses):
-        direction_sum = np.sum([loss.direction for loss in losses], axis=0)
-        point = linear_argmax(set_, -direction_sum)
-        return point, float(np.dot(direction_sum, point))
     total = block_sum(losses)
-    tol = frank_wolfe_gap_bound(total.smoothness, set_.norm_bound, budget)
-    return offline_frank_wolfe(total, set_, budget, gap_tol=tol)
+    if all(loss.center is not None for loss in losses) and has_projection(set_):
+        point = set_.project(np.mean(np.stack([loss.center for loss in losses]), axis=0))
+        return point, float(total.evaluate(point))
+    return offline_frank_wolfe(total, set_, budget)

@@ -100,8 +100,9 @@ def block_sum(losses: Sequence[LossFunction]) -> LossFunction:
 
     if all(loss.center is not None for loss in losses):
         k = float(len(losses))
-        center_sum = _frozen(np.sum([loss.center for loss in losses], axis=0))
-        sq_sum = float(sum(np.dot(loss.center, loss.center) for loss in losses))
+        centers = np.stack([loss.center for loss in losses])
+        center_sum = _frozen(centers.sum(axis=0))
+        sq_sum = float(np.einsum("ij,ij->", centers, centers))
 
         def evaluate(x):
             return 0.5 * (k * float(np.dot(x, x)) - 2.0 * float(np.dot(center_sum, x)) + sq_sum)
