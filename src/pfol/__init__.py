@@ -12,7 +12,6 @@ from .adversaries import (
     LinearStochastic,
     QuadraticAdaptive,
     QuadraticStochastic,
-    dump_loss_params_csv,
     make_adversary,
 )
 from .errors import ConfigError, ProtocolError
@@ -38,8 +37,6 @@ from .learners import (
     OGD,
     OSPF,
     ExpectedFPLMC,
-    GradientCounter,
-    InstrumentedLoss,
     InstrumentedSet,
     OnlineLearner,
     SampledFPL,

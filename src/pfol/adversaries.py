@@ -1,25 +1,31 @@
 """Loss-stream generators for the online game.
 
+An adversary emits round t's loss as its parameter vector: the centre c_t of
+f_t(x) = 0.5 ||x - c_t||^2 (quadratic families) or the direction g_t of
+f_t(x) = <g_t, x> (linear ones). The game engine calls ``emit(t)`` and then
+``observe(action)``, which keeps the running action sum the adaptive
+families read; ``next_loss(history)`` wraps the same row as a LossFunction
+for callers that replay a game from its actions.
+
 Two stochastic families draw i.i.d. loss parameters from per-round seed
-substreams, so a stream replays bitwise from (seed, t) alone. Two adaptive
-families react to the player's past actions, and only those: the protocol is
-simultaneous play, so the current action and current-round randomness are
-never visible to the adversary. Every emitted loss declares the exact
-gradient-norm bound of its family over the given action-set norm bound and
-its smoothness constant.
+substreams, so a stream replays bitwise from (seed, t) alone; they draw the
+whole (T, d) table on the first emit. Two adaptive families react to the
+player's past actions, and only those: the protocol is simultaneous play, so
+the current action and current-round randomness are never visible to the
+adversary. Every emitted loss declares the exact gradient-norm bound of its
+family over the given action-set norm bound and its smoothness constant.
 """
 
 from __future__ import annotations
 
 import abc
-import csv
 
 import numpy as np
 
 from .errors import ConfigError, ProtocolError
 from .losses import LossFunction, linear_loss, quadratic_loss
 from .rng import ADVERSARY_STREAM, RoundStream
-from .sets import sample_unit_ball, sample_unit_sphere
+from .sets import unit_ball_rows, unit_sphere_rows
 
 __all__ = [
     "Adversary",
@@ -28,14 +34,18 @@ __all__ = [
     "LinearStochastic",
     "LinearAdaptive",
     "make_adversary",
-    "dump_loss_params_csv",
 ]
 
 
 class Adversary(abc.ABC):
-    """Produces round-t losses given the player's past actions."""
+    """Emits round-t loss parameters given the player's past actions.
+
+    ``quadratic``: the rows are centres (drawn on a ball), else directions (drawn on a sphere).
+    """
 
     kind: str
+    quadratic: bool
+    dim: int
 
     def __init__(self, horizon: int, seed: int, norm_bound: float):
         if horizon < 1:
@@ -44,39 +54,64 @@ class Adversary(abc.ABC):
         self.seed = int(seed)
         self.norm_bound = float(norm_bound)
         self._stream = RoundStream(self.seed, ADVERSARY_STREAM)
-        # incremental mean cache so long games stay O(d) per round
         self._seen = 0
         self._action_sum: np.ndarray | None = None
+        self._table: np.ndarray | None = None
+
+    @abc.abstractmethod
+    def emit(self, t: int) -> np.ndarray:
+        """Round t's centre or direction, 1 <= t <= horizon; adaptive families read the observed actions."""
+
+    def observe(self, action: np.ndarray) -> None:
+        """Add a played action to the running sum."""
+        if self._action_sum is None:
+            self._action_sum = np.array(action, dtype=float)
+        else:
+            self._action_sum += action
+        self._seen += 1
 
     def next_loss(self, history) -> LossFunction:
-        """Loss for round t = len(history) + 1; sees only past actions."""
+        """Loss for round t = len(history) + 1; sees only past actions.
+
+        Incremental on an appended history: only actions not yet observed are
+        added, and a shorter history starts the running sum again.
+        """
+        if len(history) < self._seen:
+            self._seen, self._action_sum = 0, None
         t = len(history) + 1
         if t > self.horizon:
             raise ProtocolError(f"round {t} exceeds the declared horizon {self.horizon}")
-        return self._emit(t, history)
-
-    @abc.abstractmethod
-    def _emit(self, t: int, history) -> LossFunction:
-        ...
+        for action in history[self._seen:]:
+            self.observe(action)
+        params = self.emit(t)
+        return quadratic_loss(params, self.constants()[0]) if self.quadratic else linear_loss(params)
 
     @abc.abstractmethod
     def constants(self) -> tuple[float, float]:
         """(G, beta) certified for every loss this adversary emits."""
 
-    def _rng(self, t: int) -> np.random.Generator:
-        return self._stream.at(t)
+    def _draws(self, first: int, last: int) -> np.ndarray:
+        """Unit-ball (quadratic) or unit-sphere (linear) rows of rounds first..last, one substream each.
 
-    def _mean_action(self, history) -> np.ndarray | None:
-        n = len(history)
-        if n == 0:
-            return None
-        if self._action_sum is None or n < self._seen:
-            self._action_sum = np.sum(np.asarray(history[:1]), axis=0)
-            self._seen = 1
-        for i in range(self._seen, n):
-            self._action_sum = self._action_sum + history[i]
-        self._seen = n
-        return self._action_sum / n
+        Row by row this equals ``sample_unit_ball(round rng, d)`` or
+        ``sample_unit_sphere(round rng, d)`` bit for bit.
+        """
+        z = np.empty((last - first + 1, self.dim))
+        u = np.empty(len(z))
+        for i, t in enumerate(range(first, last + 1)):
+            rng = self._stream.at(t)
+            rng.standard_normal(out=z[i])
+            if self.quadratic:
+                u[i] = rng.random()
+        return unit_ball_rows(z, u) if self.quadratic else unit_sphere_rows(z)
+
+    def _table_row(self, t: int, scale: float) -> np.ndarray:
+        if self._table is None:
+            self._table = scale * self._draws(1, self.horizon)
+        return self._table[t - 1]
+
+    def _mean_action(self) -> np.ndarray | None:
+        return None if self._action_sum is None else self._action_sum / self._seen
 
     def to_json(self) -> dict:
         out = {"kind": self.kind, "horizon": self.horizon, "seed": self.seed}
@@ -92,6 +127,7 @@ class QuadraticStochastic(Adversary):
     """f_t(x) = 0.5 ||x - c_t||^2 with c_t uniform on a ball of given radius."""
 
     kind = "quadratic_stochastic"
+    quadratic = True
 
     def __init__(self, horizon, seed, norm_bound, *, dim: int, center_scale: float = 1.0):
         super().__init__(horizon, seed, norm_bound)
@@ -103,9 +139,8 @@ class QuadraticStochastic(Adversary):
     def constants(self):
         return self.norm_bound + self.center_scale, 1.0
 
-    def _emit(self, t, history):
-        center = self.center_scale * sample_unit_ball(self._rng(t), self.dim)
-        return quadratic_loss(center, self.constants()[0])
+    def emit(self, t):
+        return self._table_row(t, self.center_scale)
 
     def _params(self):
         return {"dim": self.dim, "center_scale": self.center_scale}
@@ -121,18 +156,18 @@ class QuadraticAdaptive(QuadraticStochastic):
 
     kind = "quadratic_adaptive"
 
-    def _emit(self, t, history):
-        mean = self._mean_action(history)
+    def emit(self, t):
+        mean = self._mean_action()
         if mean is None:
-            return super()._emit(t, history)
-        center = -self.center_scale * np.sign(mean) / np.sqrt(self.dim)
-        return quadratic_loss(center, self.constants()[0])
+            return self.center_scale * self._draws(t, t)[0]
+        return -self.center_scale * np.sign(mean) / np.sqrt(self.dim)
 
 
 class LinearStochastic(Adversary):
     """f_t(x) = <g_t, x>; g_t i.i.d. uniform on a sphere, or one fixed vector."""
 
     kind = "linear_stochastic"
+    quadratic = False
 
     def __init__(self, horizon, seed, norm_bound, *, dim: int,
                  direction_norm: float = 1.0, direction=None):
@@ -152,11 +187,8 @@ class LinearStochastic(Adversary):
     def constants(self):
         return self.direction_norm, 0.0
 
-    def _emit(self, t, history):
-        if self.direction is not None:
-            return linear_loss(self.direction)
-        g = self.direction_norm * sample_unit_sphere(self._rng(t), self.dim)
-        return linear_loss(g)
+    def emit(self, t):
+        return self.direction if self.direction is not None else self._table_row(t, self.direction_norm)
 
     def _params(self):
         out = {"dim": self.dim, "direction_norm": self.direction_norm}
@@ -173,6 +205,7 @@ class LinearAdaptive(Adversary):
     """
 
     kind = "linear_adaptive"
+    quadratic = False
 
     def __init__(self, horizon, seed, norm_bound, *, dim: int, direction_norm: float = 1.0):
         super().__init__(horizon, seed, norm_bound)
@@ -184,14 +217,13 @@ class LinearAdaptive(Adversary):
     def constants(self):
         return self.direction_norm, 0.0
 
-    def _emit(self, t, history):
-        mean = self._mean_action(history)
+    def emit(self, t):
+        mean = self._mean_action()
         if mean is not None:
             n = float(np.linalg.norm(mean))
             if n > 0:
-                return linear_loss(self.direction_norm * mean / n)
-        g = self.direction_norm * sample_unit_sphere(self._rng(t), self.dim)
-        return linear_loss(g)
+                return self.direction_norm * mean / n
+        return self.direction_norm * self._draws(t, t)[0]
 
     def _params(self):
         return {"dim": self.dim, "direction_norm": self.direction_norm}
@@ -218,17 +250,3 @@ def make_adversary(spec: dict, *, horizon: int, seed: int, norm_bound: float, di
     except TypeError as exc:
         raise ConfigError(f"invalid parameters for adversary {kind!r}: {exc}") from exc
 
-
-def dump_loss_params_csv(losses, path) -> None:
-    """Write per-round loss parameters (centers/directions) for replay audits."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "loss_kind", "params"])
-        for t, loss in enumerate(losses, start=1):
-            if loss.center is not None:
-                kind, vec = "quadratic", loss.center
-            elif loss.direction is not None:
-                kind, vec = "linear", loss.direction
-            else:
-                kind, vec = "generic", ()
-            writer.writerow([t, kind, " ".join(f"{v:.17g}" for v in vec)])

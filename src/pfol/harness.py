@@ -1,11 +1,14 @@
 """Experiment orchestration: game loop, regret accounting, sweeps, bounds.
 
 A run is fully described by (ExperimentConfig, seed) and replays to identical
-CSV bytes. The game loop drives learner and adversary simultaneously: the
-adversary sees only past actions, the learner only revealed losses. After T
-rounds the realized losses are handed to the hindsight solver and the trace
-gains its comparator column; the final cumulative regret equals the summed
-losses minus the comparator value by construction.
+CSV bytes. One game loop serves every learner and adversary. Each round the
+learner acts, the adversary emits the round's loss parameters (a centre or a
+direction) having seen only past actions, and the loop evaluates the loss and
+its one gradient at the action and feeds the gradient back. The (T, d)
+parameter array then goes to the hindsight solver and the trace gains its
+comparator column; the final cumulative regret equals the summed losses
+minus the comparator value by construction. Sweeps and multi-seed runs play
+all their (cell, seed) games in one process pool.
 
 Expected-regret bounds and their high-probability counterparts are evaluated
 from the config (never fitted). The comparator is exact wherever a closed
@@ -18,11 +21,14 @@ R^ exceeds the bound, and is ``certified`` when R^ + epsilon stays below it.
 
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 import itertools
 import json
 import logging
 import math
+import multiprocessing
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -38,8 +44,6 @@ from .learners import (
     OGD,
     OSPF,
     ExpectedFPLMC,
-    GradientCounter,
-    InstrumentedLoss,
     InstrumentedSet,
     SampledFPL,
     blocking_delta,
@@ -75,6 +79,17 @@ LEARNER_NAMES = ("sampled_fpl", "ospf", "expected_fpl_mc", "ogd", "ofw")
 CSV_HEADER = "run_id,algorithm,seed,t,loss,cum_loss,cum_regret,oracle_calls,grad_evals"
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_count(name: str, value) -> None:
+    if not _is_int(value):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ConfigError(f"{name} must be >= 1")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One benchmark cell: learner, set, adversary, horizon, and knobs.
@@ -100,26 +115,19 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.learner not in LEARNER_NAMES:
             raise ConfigError(f"unknown learner {self.learner!r}; supported: {LEARNER_NAMES}")
-        if self.T < 1:
-            raise ConfigError("T must be >= 1")
-        if self.m < 1:
-            raise ConfigError("m must be >= 1")
-        if self.eval_samples < 1:
-            raise ConfigError("eval_samples must be >= 1")
-        if isinstance(self.k, str):
-            if self.k != "auto":
-                raise ConfigError(f"k must be an integer or 'auto', got {self.k!r}")
-        elif self.k < 1:
-            raise ConfigError("k must be >= 1")
+        for name in ("T", "m", "eval_samples") + (() if self.k == "auto" else ("k",)):
+            _check_count(name, getattr(self, name))
+        if self.fw_budget is not None:
+            _check_count("fw_budget", self.fw_budget)
         if isinstance(self.delta, str):
             if self.delta != "auto":
                 raise ConfigError(f"delta must be a positive number or 'auto', got {self.delta!r}")
-        elif not self.delta > 0:
-            raise ConfigError("delta must be positive")
+        elif isinstance(self.delta, bool) or not isinstance(self.delta, numbers.Real) or not self.delta > 0:
+            raise ConfigError(f"delta must be a positive number or 'auto', got {self.delta!r}")
+        if not isinstance(self.seeds, (tuple, list)) or not all(_is_int(s) for s in self.seeds):
+            raise ConfigError(f"seeds must be a list of integers, got {self.seeds!r}")
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
-        if self.fw_budget is not None and self.fw_budget < 1:
-            raise ConfigError("fw_budget must be >= 1")
 
     @staticmethod
     def from_json(spec: dict) -> "ExperimentConfig":
@@ -133,15 +141,8 @@ class ExperimentConfig:
         if missing:
             raise ConfigError(f"config is missing required fields: {sorted(missing)}")
         kwargs = {k: v for k, v in spec.items() if k in known}
-        if "seeds" in kwargs:
-            kwargs["seeds"] = tuple(int(s) for s in kwargs["seeds"])
-        if "T" in kwargs:
-            kwargs["T"] = int(kwargs["T"])
-        for int_field in ("m", "eval_samples", "fw_budget"):
-            if kwargs.get(int_field) is not None:
-                kwargs[int_field] = int(kwargs[int_field])
-        if "k" in kwargs and not isinstance(kwargs["k"], str):
-            kwargs["k"] = int(kwargs["k"])
+        if isinstance(kwargs.get("seeds"), list):
+            kwargs["seeds"] = tuple(kwargs["seeds"])
         cfg = ExperimentConfig(**kwargs)
         cfg.validate()
         return cfg
@@ -286,32 +287,33 @@ def run_game(config: ExperimentConfig, seed: int) -> RegretTrace:
     learner = _make_learner(config, set_, delta, k, seed, G)
 
     oracle = InstrumentedSet(set_)
-    grads = GradientCounter()
+    quadratic = adversary.quadratic
     T, d = config.T, set_.dim
     actions = np.empty((T, d))
+    params = np.empty((T, d))
     losses = np.empty(T)
     grad_norms = np.empty(T)
     oracle_calls = np.empty(T, dtype=np.int64)
-    grad_evals = np.empty(T, dtype=np.int64)
-    realized = []
-    history: list[np.ndarray] = []
 
     for i in range(T):
         action = learner.act(oracle)
-        loss = adversary.next_loss(history)
-        observed = InstrumentedLoss(loss, grads)
-        learner.observe(observed)
-        g = observed.last_gradient
+        p = adversary.emit(i + 1)
+        # the round's one gradient evaluation, at the action played
+        g = action - p if quadratic else p
+        learner.observe(g)
+        adversary.observe(action)
+        gg = float(np.dot(g, g))
         actions[i] = action
-        losses[i] = loss.evaluate(action)
-        grad_norms[i] = math.sqrt(float(np.dot(g, g)))
+        params[i] = p
+        losses[i] = 0.5 * gg if quadratic else float(np.dot(p, action))
+        grad_norms[i] = math.sqrt(gg)
         oracle_calls[i] = oracle.oracle_calls
-        grad_evals[i] = grads.count
-        history.append(action)
-        realized.append(loss)
 
-    comparator_point, _ = best_in_hindsight(realized, set_, _fw_budget(config))
-    comparator_losses = np.array([loss.evaluate(comparator_point) for loss in realized])
+    comparator_point, _ = best_in_hindsight(params, set_, _fw_budget(config), quadratic)
+    if quadratic:
+        comparator_losses = [0.5 * float(np.dot(diff, diff)) for diff in comparator_point - params]
+    else:
+        comparator_losses = [float(np.dot(row, comparator_point)) for row in params]
     cum_loss = np.cumsum(losses)
     cum_comparator = np.cumsum(comparator_losses)
     return RegretTrace(
@@ -326,7 +328,7 @@ def run_game(config: ExperimentConfig, seed: int) -> RegretTrace:
         comparator_value=float(cum_comparator[-1]),
         cum_regret=cum_loss - cum_comparator,
         oracle_calls=oracle_calls,
-        grad_evals=grad_evals,
+        grad_evals=np.arange(1, T + 1, dtype=np.int64),
     )
 
 
@@ -432,7 +434,11 @@ def _verdict(regret: float, bound: float, correction: float) -> dict:
 
 @dataclass
 class RunSummary:
-    """Aggregate of one config across its seeds."""
+    """Aggregate of one config across its seeds.
+
+    ``wall_clock_s`` is the seconds spent in the config's games, summed over
+    its seeds; games played in parallel overlap in time.
+    """
 
     config_hash: str
     learner: str
@@ -475,53 +481,40 @@ class RunSummary:
 _QUANTS = {"q05": 0.05, "q25": 0.25, "q50": 0.50, "q75": 0.75, "q95": 0.95}
 
 
-def _seed_payload(config: ExperimentConfig, seed: int) -> tuple[float, int, int]:
-    trace = run_game(config, seed)
-    return trace.final_regret, int(trace.oracle_calls[-1]), int(trace.grad_evals[-1])
-
-
-def _pool_worker(args):  # pragma: no cover - exercised via process pools
-    spec, seed = args
-    config = ExperimentConfig.from_json(spec)
-    try:
-        return seed, _seed_payload(config, seed), None
-    except Exception as exc:  # noqa: BLE001 - reported per cell
-        return seed, None, f"{type(exc).__name__}: {exc}"
-
-
-def run_experiment(config: ExperimentConfig, jobs: int = 1,
-                   overrides: dict | None = None) -> RunSummary:
-    """Run every seed of a config and aggregate; failures recorded, not raised."""
-    config.validate()
+def _play(config: ExperimentConfig, seed: int) -> tuple[tuple | None, str | None, float]:
+    """(final regret, oracle calls, gradient evaluations) or None, the error or None, and seconds."""
     start = time.perf_counter()
-    results: dict[int, tuple[float, int, int]] = {}
-    errors: list[str] = []
+    try:
+        trace = run_game(config, seed)
+        payload = (trace.final_regret, int(trace.oracle_calls[-1]), int(trace.grad_evals[-1]))
+        return payload, None, time.perf_counter() - start
+    except Exception as exc:  # noqa: BLE001 - reported per (cell, seed)
+        return None, f"seed {seed}: {type(exc).__name__}: {exc}", time.perf_counter() - start
 
-    if jobs > 1 and len(config.seeds) > 1:
-        import concurrent.futures
-        import multiprocessing
 
-        spec = config.to_json()
-        try:
-            ctx = multiprocessing.get_context("fork")
-            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
-                for seed, payload, err in pool.map(_pool_worker, [(spec, s) for s in config.seeds]):
-                    if err is None:
-                        results[seed] = payload
-                    else:
-                        errors.append(f"seed {seed}: {err}")
-        except (ValueError, OSError):  # fork unavailable: fall back to serial
-            jobs = 1
-    if jobs <= 1 or (not results and not errors):
-        results.clear()
-        errors.clear()
-        for seed in config.seeds:
-            try:
-                results[seed] = _seed_payload(config, seed)
-            except Exception as exc:  # noqa: BLE001
-                errors.append(f"seed {seed}: {type(exc).__name__}: {exc}")
+def _play_all(configs: Sequence[ExperimentConfig], jobs: int) -> list[dict]:
+    """Outcomes of every seed of every config, as one {seed: outcome} per config.
 
-    wall = time.perf_counter() - start
+    With jobs > 1 one process pool plays all (config, seed) games, longest T
+    first, so that no long game starts last. Each game is a pure function of
+    (config, seed), so the outcomes do not depend on jobs or on the order.
+    """
+    tasks = sorted(((i, seed) for i, config in enumerate(configs) for seed in config.seeds),
+                   key=lambda task: -configs[task[0]].T)
+    args = ([configs[i] for i, _ in tasks], [seed for _, seed in tasks])
+    if jobs > 1 and len(tasks) > 1 and "fork" in multiprocessing.get_all_start_methods():
+        ctx = multiprocessing.get_context("fork")
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks)), mp_context=ctx) as pool:
+            outcomes = list(pool.map(_play, *args))
+    else:
+        outcomes = list(map(_play, *args))
+    per_config = [{} for _ in configs]
+    for (i, seed), outcome in zip(tasks, outcomes):
+        per_config[i][seed] = outcome
+    return per_config
+
+
+def _summarize(config: ExperimentConfig, outcomes: dict, overrides: dict | None) -> RunSummary:
     set_, G, beta = _problem_constants(config)
     k = resolve_block(config, beta)
     delta = resolve_delta(config, G, set_.dim, k)
@@ -531,13 +524,14 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
         T=config.T,
         delta=delta,
         overrides=dict(overrides or {}),
-        wall_clock_s=wall,
-        errors=tuple(errors),
+        wall_clock_s=sum(seconds for _, _, seconds in outcomes.values()),
+        errors=tuple(outcomes[s][1] for s in config.seeds if outcomes[s][1] is not None),
     )
-    ordered = [s for s in config.seeds if s in results]
+    ordered = [s for s in config.seeds if outcomes[s][0] is not None]
     if not ordered:
         return summary
 
+    results = {s: outcomes[s][0] for s in ordered}
     regrets = np.array([results[s][0] for s in ordered])
     oracle_counts = {results[s][1] for s in ordered}
     grad_counts = {results[s][2] for s in ordered}
@@ -566,24 +560,42 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
     return summary
 
 
+def run_experiment(config: ExperimentConfig, jobs: int = 1,
+                   overrides: dict | None = None) -> RunSummary:
+    """Run every seed of a config and aggregate; failures recorded, not raised."""
+    config.validate()
+    return _summarize(config, _play_all([config], jobs)[0], overrides)
+
+
 def sweep(template: ExperimentConfig, vary: dict[str, Sequence], jobs: int = 1) -> list[RunSummary]:
     """Cartesian product of ``vary`` values applied to the template.
 
-    Cells run independently; a failing cell contributes a summary whose
-    ``errors`` field explains what happened, and the sweep continues.
-    Aggregation order is the grid order regardless of execution order.
+    Every (cell, seed) game runs in one pool (see ``_play_all``). A failing
+    cell contributes a summary whose ``errors`` field explains what happened,
+    and the sweep continues. Aggregation order is the grid order regardless
+    of execution order.
     """
     template.validate()
     if not vary:
         return []
     keys = list(vary.keys())
-    grids = [list(vary[key]) for key in keys]
-    summaries: list[RunSummary] = []
-    for combo in itertools.product(*grids):
+    cells: list[tuple[dict, ExperimentConfig | Exception]] = []
+    for combo in itertools.product(*(list(vary[key]) for key in keys)):
         overrides = dict(zip(keys, combo))
         try:
             cell = replace(template, **overrides)
-            summaries.append(run_experiment(cell, jobs=jobs, overrides=overrides))
+            cell.validate()
+        except Exception as exc:  # noqa: BLE001 - recorded per cell
+            cell = exc
+        cells.append((overrides, cell))
+    valid = [cell for _, cell in cells if isinstance(cell, ExperimentConfig)]
+    outcomes = iter(_play_all(valid, jobs))
+    summaries: list[RunSummary] = []
+    for overrides, cell in cells:
+        try:
+            if isinstance(cell, Exception):
+                raise cell
+            summaries.append(_summarize(cell, next(outcomes), overrides))
         except Exception as exc:  # noqa: BLE001 - recorded per cell
             summaries.append(RunSummary(
                 config_hash="invalid",

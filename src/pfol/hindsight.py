@@ -4,7 +4,7 @@ The regret comparator is exact wherever it can be:
 
 - squared-distance streams on a set with a Euclidean projection (ball, box,
   simplex, l1 ball): the projection of the mean center;
-- everything else (vertex polytopes, linear, generic or mixed losses): a
+- everything else (vertex polytopes, linear streams): a
   conditional-gradient loop with the classic 2/(s+2) step, stopped at the
   first iterate whose duality gap <grad F(x), x - v> certifies the a-priori
   accuracy 8 * beta * D^2 / (budget+2) (Jaggi 2013). ``budget`` caps its
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .losses import LossFunction, block_sum
+from .losses import LossFunction, linear_sum, quadratic_sum
 from .sets import FeasibleSet
 
 __all__ = ["offline_frank_wolfe", "best_in_hindsight", "frank_wolfe_gap_bound", "has_projection"]
@@ -62,16 +62,23 @@ def offline_frank_wolfe(objective: LossFunction, set_: FeasibleSet,
     return x, float(objective.evaluate(x))
 
 
-def best_in_hindsight(losses, set_: FeasibleSet, budget: int) -> tuple[np.ndarray, float]:
-    """Best fixed action against the realized losses, and its total loss.
+def best_in_hindsight(params: np.ndarray, set_: FeasibleSet, budget: int,
+                      quadratic: bool) -> tuple[np.ndarray, float]:
+    """Best fixed action against a realized loss stream, and its total loss.
 
-    Exact for squared-distance streams on a set with a projection and for
-    linear streams; otherwise within ``frank_wolfe_gap_bound(total
-    smoothness, D, budget)`` of the minimum (see ``offline_frank_wolfe``).
+    ``params`` holds the stream's (T, d) rows: the centres of squared-distance
+    losses when ``quadratic``, else the directions of linear ones. Exact for
+    quadratic streams on a set with a projection and for linear streams;
+    otherwise within ``frank_wolfe_gap_bound(T, D, budget)`` of the minimum
+    (see ``offline_frank_wolfe``). The sum's certified G is summed from the
+    rows: ||c|| + D per squared-distance loss, ||g|| per linear one.
     """
-    losses = list(losses)
-    total = block_sum(losses)
-    if all(loss.center is not None for loss in losses) and has_projection(set_):
-        point = set_.project(np.mean(np.stack([loss.center for loss in losses]), axis=0))
-        return point, float(total.evaluate(point))
+    norms = np.sqrt(np.einsum("ij,ij->i", params, params))
+    if quadratic:
+        total = quadratic_sum(params, float(np.sum(norms + set_.norm_bound)))
+        if has_projection(set_):
+            point = set_.project(params.mean(axis=0))
+            return point, float(total.evaluate(point))
+    else:
+        total = linear_sum(params, float(np.sum(norms)))
     return offline_frank_wolfe(total, set_, budget)

@@ -7,10 +7,10 @@ substream keyed by (seed, round), so trajectories replay bit-identically and
 the amount of randomness one round consumes never shifts any other round.
 
 Learners follow a strict act/observe protocol: ``act`` returns the action
-for the current round, ``observe`` feeds back the revealed loss (exactly one
-gradient evaluation) and advances the round. InstrumentedSet and
-InstrumentedLoss count oracle calls and gradient evaluations so the
-per-iteration budgets can be asserted exactly.
+for the current round, ``observe`` feeds back the gradient of the revealed
+loss at that action and advances the round. The game engine evaluates that
+gradient once per round and counts it; InstrumentedSet counts oracle calls,
+so the per-iteration budgets can be asserted exactly.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import math
 import numpy as np
 
 from .errors import ConfigError, ProtocolError
-from .losses import LossFunction
 from .rng import LEARNER_STREAM, RoundStream
 from .sets import FeasibleSet, euclidean_project, linear_argmax, sample_unit_ball_batch
 
@@ -33,8 +32,6 @@ __all__ = [
     "OGD",
     "OFW",
     "InstrumentedSet",
-    "InstrumentedLoss",
-    "GradientCounter",
     "perturbed_leader_points",
     "default_delta",
     "blocking_delta",
@@ -81,8 +78,16 @@ def perturbed_leader_points(set_, cum_grad: np.ndarray, delta: float,
     return set_.support_argmax_many(v / delta - cum_grad)
 
 
+def _mean_row(points: np.ndarray) -> np.ndarray:
+    # np.mean's own arithmetic (row sum, then one division), without its per-call overhead
+    return points.sum(axis=0) / len(points)
+
+
 class OnlineLearner(abc.ABC):
-    """Strictly alternating act/observe protocol over one game run."""
+    """Strictly alternating act/observe protocol over one game run.
+
+    By default a learner keeps the running sum of observed gradients.
+    """
 
     name: str
 
@@ -90,22 +95,21 @@ class OnlineLearner(abc.ABC):
         self._set = set_
         self.round = 1
         self._awaiting_loss = False
-        self._last_action: np.ndarray | None = None
+        self._cum_grad = np.zeros(set_.dim)
 
     def act(self, set_=None) -> np.ndarray:
         """Action for the current round; pass an instrumented set to count calls."""
         if self._awaiting_loss:
             raise ProtocolError(f"act called twice in round {self.round}")
         action = self._act(self._set if set_ is None else set_)
-        self._last_action = action
         self._awaiting_loss = True
         return action
 
-    def observe(self, loss: LossFunction) -> None:
-        """Reveal the round's loss; exactly one gradient evaluation."""
+    def observe(self, gradient: np.ndarray) -> None:
+        """Reveal the gradient of the round's loss at the action played."""
         if not self._awaiting_loss:
             raise ProtocolError(f"observe called before act in round {self.round}")
-        self._observe(loss)
+        self._observe(gradient)
         self.round += 1
         self._awaiting_loss = False
 
@@ -113,9 +117,8 @@ class OnlineLearner(abc.ABC):
     def _act(self, set_) -> np.ndarray:
         ...
 
-    @abc.abstractmethod
-    def _observe(self, loss: LossFunction) -> None:
-        ...
+    def _observe(self, gradient: np.ndarray) -> None:
+        self._cum_grad += gradient
 
 
 class SampledFPL(OnlineLearner):
@@ -138,15 +141,10 @@ class SampledFPL(OnlineLearner):
         self.samples = int(samples)
         self.seed = int(seed)
         self._rounds = RoundStream(self.seed, LEARNER_STREAM)
-        self._cum_grad = np.zeros(set_.dim)
 
     def _act(self, set_):
         rng = self._rounds.at(self.round)
-        points = perturbed_leader_points(set_, self._cum_grad, self.delta, self.samples, rng)
-        return points.mean(axis=0)
-
-    def _observe(self, loss):
-        self._cum_grad += loss.gradient(self._last_action)
+        return _mean_row(perturbed_leader_points(set_, self._cum_grad, self.delta, self.samples, rng))
 
 
 class ExpectedFPLMC(SampledFPL):
@@ -187,20 +185,16 @@ class OSPF(OnlineLearner):
         self.block = int(block)
         self.seed = int(seed)
         self._rounds = RoundStream(self.seed, LEARNER_STREAM)
-        self._cum_grad = np.zeros(set_.dim)
         self._current: np.ndarray | None = None
 
     def _act(self, set_):
         if self.round % self.block == 0:
             rng = self._rounds.at(self.round)
             points = perturbed_leader_points(set_, self._cum_grad, self.delta, self.block, rng)
-            self._current = points.mean(axis=0)
+            self._current = _mean_row(points)
         elif self._current is None:
             self._current = linear_argmax(set_, np.eye(set_.dim)[0])
         return self._current
-
-    def _observe(self, loss):
-        self._cum_grad += loss.gradient(self._last_action)
 
 
 class OGD(OnlineLearner):
@@ -222,10 +216,9 @@ class OGD(OnlineLearner):
     def _act(self, set_):
         return self._x
 
-    def _observe(self, loss):
-        g = loss.gradient(self._last_action)
+    def _observe(self, gradient):
         eta = self._set.norm_bound / (self.grad_bound * math.sqrt(self.round))
-        self._x = self._set.project(self._x - eta * g)
+        self._x = self._set.project(self._x - eta * gradient)
 
 
 class OFW(OnlineLearner):
@@ -252,7 +245,6 @@ class OFW(OnlineLearner):
             reg_scale = grad_bound / (2.0 * set_.norm_bound)
         self.reg_scale = float(reg_scale)
         self._anchor: np.ndarray | None = None
-        self._cum_grad = np.zeros(set_.dim)
 
     def _act(self, set_):
         if self._anchor is None:
@@ -263,9 +255,6 @@ class OFW(OnlineLearner):
         sigma = min(1.0, 2.0 / math.sqrt(t))
         self._x = self._x + sigma * (v - self._x)
         return self._x
-
-    def _observe(self, loss):
-        self._cum_grad += loss.gradient(self._last_action)
 
 
 # ---------------------------------------------------------------------------
@@ -300,37 +289,3 @@ class InstrumentedSet:
         # projections are not oracle calls in this accounting
         return self.inner.project(x)
 
-
-class GradientCounter:
-    __slots__ = ("count",)
-
-    def __init__(self):
-        self.count = 0
-
-
-class InstrumentedLoss:
-    """Loss proxy counting gradient evaluations and caching the last one."""
-
-    __slots__ = ("inner", "counter", "last_gradient")
-
-    def __init__(self, inner: LossFunction, counter: GradientCounter):
-        self.inner = inner
-        self.counter = counter
-        self.last_gradient: np.ndarray | None = None
-
-    def gradient(self, x):
-        self.counter.count += 1
-        g = self.inner.gradient(x)
-        self.last_gradient = g
-        return g
-
-    def evaluate(self, x):
-        return self.inner.evaluate(x)
-
-    @property
-    def grad_bound(self):
-        return self.inner.grad_bound
-
-    @property
-    def smoothness(self):
-        return self.inner.smoothness

@@ -17,7 +17,6 @@ LEARNER_STREAM = 0
 ADVERSARY_STREAM = 1
 
 _MASK64 = (1 << 64) - 1
-_TEMPLATE = np.random.Philox(key=np.zeros(2, dtype=np.uint64)).state
 
 
 def _key(seed: int, stream: int, t: int) -> np.ndarray:
@@ -35,10 +34,12 @@ class RoundStream:
     """Reusable per-round generator for hot loops.
 
     ``at(t)`` re-keys one shared Philox in place and returns a generator whose
-    output is bit-identical to ``round_rng(seed, stream, t)``. The returned
-    generator is only valid until the next ``at`` call, so a RoundStream must
-    never be shared between concurrent consumers; one instance per logical
-    stream, exactly like a plain generator.
+    output is bit-identical to ``round_rng(seed, stream, t)``. The stream keeps
+    one state dict whose key array it rewrites in its round word only; setting
+    the state copies it into the generator and resets the counter and buffer.
+    The returned generator is only valid until the next ``at`` call, so a
+    RoundStream must never be shared between concurrent consumers; one
+    instance per logical stream, exactly like a plain generator.
     """
 
     def __init__(self, seed: int, stream: int):
@@ -46,12 +47,13 @@ class RoundStream:
         self.stream = int(stream)
         self._bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
         self._gen = np.random.Generator(self._bitgen)
+        self._state = self._bitgen.state
+        self._key = self._state["state"]["key"] = _key(self.seed, self.stream, 0)
+        self._stream_word = int(self._key[1])
 
     def at(self, t: int) -> np.random.Generator:
-        state = dict(_TEMPLATE)
-        state["state"] = {
-            "counter": np.zeros(4, dtype=np.uint64),
-            "key": _key(self.seed, self.stream, t),
-        }
-        self._bitgen.state = state
+        if not 0 <= t < (1 << 48):
+            raise ValueError(f"round index {t} out of the supported range [0, 2^48)")
+        self._key[1] = self._stream_word | t
+        self._bitgen.state = self._state
         return self._gen

@@ -36,6 +36,8 @@ __all__ = [
     "sample_unit_ball_batch",
     "sample_unit_sphere",
     "sample_unit_sphere_batch",
+    "unit_ball_rows",
+    "unit_sphere_rows",
     "set_from_json",
 ]
 
@@ -385,13 +387,24 @@ def brute_force_argmax(vertices: Sequence, y) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def unit_ball_rows(z: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Uniform unit-ball points from standard normal rows z and uniforms u: z/||z|| x u^(1/d)."""
+    norms = np.sqrt(np.einsum("ij,ij->i", z, z))
+    norms[norms == 0.0] = 1.0
+    return z * (u ** (1.0 / z.shape[1]) / norms)[:, None]
+
+
+def unit_sphere_rows(z: np.ndarray) -> np.ndarray:
+    """Uniform unit-sphere points from standard normal rows z: z/||z||."""
+    norms = np.sqrt(np.einsum("ij,ij->i", z, z))
+    norms[norms == 0.0] = 1.0
+    return z / norms[:, None]
+
+
 def sample_unit_ball_batch(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     """count i.i.d. points uniform on {||v|| <= 1}: Gaussian direction x U^(1/d)."""
     z = rng.standard_normal((count, dim))
-    norms = np.sqrt(np.einsum("ij,ij->i", z, z))
-    norms[norms == 0.0] = 1.0
-    radial = rng.uniform(size=count) ** (1.0 / dim)
-    return z * (radial / norms)[:, None]
+    return unit_ball_rows(z, rng.random(count))
 
 
 def sample_unit_ball(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -403,10 +416,7 @@ def sample_unit_ball(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def sample_unit_sphere_batch(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     """count i.i.d. points uniform on {||v|| = 1}."""
-    z = rng.standard_normal((count, dim))
-    norms = np.sqrt(np.einsum("ij,ij->i", z, z))
-    norms[norms == 0.0] = 1.0
-    return z / norms[:, None]
+    return unit_sphere_rows(rng.standard_normal((count, dim)))
 
 
 def sample_unit_sphere(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -128,3 +128,15 @@ def test_bound_check_passes(config_file, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["pass"] is True
     assert payload["mean_regret"] <= payload["bound"]
+
+
+@pytest.mark.parametrize("field,value", [
+    ("T", "abc"), ("T", None), ("T", 2.5), ("m", "4"), ("k", None), ("eval_samples", True),
+    ("fw_budget", "many"), ("seeds", 5), ("seeds", ["a"]), ("delta", None),
+])
+def test_bad_field_types_are_config_errors(tmp_path, capsys, field, value):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(dict(CONFIG, **{field: value})))
+    assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "t.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err and "Traceback" not in err

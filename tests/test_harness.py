@@ -214,6 +214,15 @@ class TestRunExperimentAndSweep:
         parallel = run_experiment(config, jobs=2)
         assert serial.final_regrets == parallel.final_regrets
 
+    def test_sweep_is_the_same_for_any_jobs(self):
+        # one pool plays every (cell, seed) game, longest T first; summaries keep grid order
+        template = cfg(T=8, seeds=(0, 1, 2))
+        serial = sweep(template, {"T": [8, 24, 16]}, jobs=1)
+        pooled = sweep(template, {"T": [8, 24, 16]}, jobs=2)
+        assert [s.T for s in pooled] == [8, 24, 16]
+        assert [s.final_regrets for s in pooled] == [s.final_regrets for s in serial]
+        assert [s.oracle_calls for s in pooled] == [s.oracle_calls for s in serial]
+
     def test_sweep_counts_cells(self):
         template = cfg(T=16, seeds=(0, 1))
         out = sweep(template, {"T": [8, 16], "m": [1, 2]})

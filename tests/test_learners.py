@@ -11,8 +11,6 @@ from pfol import (
     Box,
     ConfigError,
     ExpectedFPLMC,
-    GradientCounter,
-    InstrumentedLoss,
     InstrumentedSet,
     LEARNER_STREAM,
     Polytope,
@@ -35,11 +33,12 @@ BALL = Ball(dim=3, radius=1.0)
 
 
 def drive(learner, losses, set_=None):
-    """Feed a fixed loss sequence; returns the played actions."""
+    """Feed a fixed loss sequence, each as its gradient at the played action; returns the actions."""
     actions = []
     for loss in losses:
-        actions.append(learner.act(set_))
-        learner.observe(loss)
+        action = learner.act(set_)
+        actions.append(action)
+        learner.observe(loss.gradient(action))
     return np.array(actions)
 
 
@@ -71,7 +70,7 @@ class TestSampledFPL:
         learner = SampledFPL(BALL, delta=1.0, samples=2, seed=1)
         a = learner.act()
         c = np.array([0.1, 0.2, 0.3])
-        learner.observe(quadratic_loss(c, 3.0))
+        learner.observe(quadratic_loss(c, 3.0).gradient(a))
         np.testing.assert_allclose(learner._cum_grad, a - c, atol=1e-15)
 
     def test_mean_action_matches_mc_reference(self):
@@ -98,7 +97,7 @@ class TestSampledFPL:
     def test_protocol_enforced(self):
         learner = SampledFPL(BALL, delta=0.5, samples=1, seed=0)
         with pytest.raises(ProtocolError):
-            learner.observe(linear_loss([1.0, 0.0, 0.0]))
+            learner.observe(np.array([1.0, 0.0, 0.0]))
         learner.act()
         with pytest.raises(ProtocolError):
             learner.act()
@@ -121,7 +120,7 @@ class TestOSPF:
         x0 = linear_argmax(BALL, [1.0, 0.0, 0.0])
         for _ in range(3):
             np.testing.assert_array_equal(learner.act(), x0)
-            learner.observe(linear_loss([0.1, 0.0, 0.0]))
+            learner.observe(np.array([0.1, 0.0, 0.0]))
 
     def test_updates_at_multiples_of_k_with_k_calls_each(self):
         # T=9, k=3: the start point at t=1, refreshes at t in {3, 6, 9}; 10 calls
@@ -132,7 +131,7 @@ class TestOSPF:
             before = inst.oracle_calls
             learner.act(inst)
             calls_before.append(inst.oracle_calls - before)
-            learner.observe(linear_loss([0.2, -0.1, 0.0]))
+            learner.observe(np.array([0.2, -0.1, 0.0]))
         assert calls_before == [1, 0, 3, 0, 0, 3, 0, 0, 3]
         assert inst.oracle_calls == 10
 
@@ -176,24 +175,23 @@ class TestOGD:
     def test_zero_gradient_keeps_action(self):
         learner = OGD(BALL, grad_bound=1.0)
         a0 = learner.act()
-        learner.observe(linear_loss(np.zeros(3)))
+        learner.observe(np.zeros(3))
         np.testing.assert_array_equal(learner.act(), a0)
 
     def test_interior_step_skips_projection(self):
         box = Box(lower=[-5.0, -5.0], upper=[5.0, 5.0])
         learner = OGD(box, grad_bound=10.0)
         learner.act()
-        learner.observe(linear_loss([1.0, -1.0]))
+        learner.observe(np.array([1.0, -1.0]))
         eta = box.norm_bound / (10.0 * 1.0)
         np.testing.assert_allclose(learner.act(), [-eta, eta], atol=1e-12)
 
     def test_converges_to_linear_minimizer(self):
         g = np.array([2.0, -1.0, 2.0])
         learner = OGD(BALL, grad_bound=3.0)
-        loss = linear_loss(g)
         for _ in range(10_000):
             learner.act()
-            learner.observe(loss)
+            learner.observe(g)
         target = -g / np.linalg.norm(g)
         assert np.linalg.norm(learner.act() - target) < 0.05
 
@@ -222,7 +220,7 @@ class TestOFW:
         learner = OFW(BALL, grad_bound=1.0)
         for t in range(1, 8):
             learner.act(inst)
-            learner.observe(linear_loss([0.3, 0.0, 0.0]))
+            learner.observe(np.array([0.3, 0.0, 0.0]))
             assert inst.oracle_calls == t + 1
 
 
@@ -271,16 +269,6 @@ class TestInstrumentation:
         inst = InstrumentedSet(BALL)
         inst.project(np.array([3.0, 0.0, 0.0]))
         assert inst.oracle_calls == 0
-
-    def test_gradient_counter_and_cache(self):
-        counter = GradientCounter()
-        loss = InstrumentedLoss(quadratic_loss([1.0, 0.0, 0.0], 2.0), counter)
-        x = np.array([0.5, 0.0, 0.0])
-        g = loss.gradient(x)
-        assert counter.count == 1
-        np.testing.assert_array_equal(loss.last_gradient, g)
-        assert loss.evaluate(x) == pytest.approx(0.125)
-        assert counter.count == 1
 
 
 def test_euclidean_projection_keeps_ogd_feasible_under_big_steps():

@@ -14,7 +14,6 @@ from pfol import (
     Simplex,
     best_in_hindsight,
     block_sum,
-    dump_loss_params_csv,
     frank_wolfe_gap_bound,
     linear_argmax,
     linear_loss,
@@ -30,6 +29,13 @@ BALL = Ball(dim=2, radius=1.0)
 def adv(kind, T=16, seed=0, set_=BALL, **params):
     return make_adversary({"kind": kind, **params}, horizon=T, seed=seed,
                           norm_bound=set_.norm_bound, dim=set_.dim)
+
+
+def hindsight(losses, set_, budget):
+    """best_in_hindsight on the parameter array of an all-quadratic or all-linear loss list."""
+    quadratic = losses[0].center is not None
+    rows = np.stack([loss.center if quadratic else loss.direction for loss in losses])
+    return best_in_hindsight(rows, set_, budget, quadratic)
 
 
 def realized(kind, set_, T, seed=0):
@@ -159,7 +165,7 @@ class TestBestInHindsight:
     def test_identical_linear_losses(self):
         g = np.array([1.0, -2.0])
         losses = [linear_loss(g)] * 4
-        point, value = best_in_hindsight(losses, BALL, budget=8)
+        point, value = hindsight(losses, BALL, budget=8)
         expect = 4.0 * float(np.dot(g, linear_argmax(BALL, -g)))
         assert value == pytest.approx(expect, rel=1e-12)
         assert value == pytest.approx(-4.0 * linear_max(BALL, -g), rel=1e-12)
@@ -167,14 +173,14 @@ class TestBestInHindsight:
     def test_interior_mean_center_is_exact(self):
         centers = [np.array([0.2, 0.1]), np.array([-0.1, 0.3]), np.array([0.2, -0.1])]
         losses = [quadratic_loss(c, 2.0) for c in centers]
-        point, _ = best_in_hindsight(losses, BALL, budget=50)
+        point, _ = hindsight(losses, BALL, budget=50)
         np.testing.assert_allclose(point, np.mean(centers, axis=0), atol=1e-12)
 
     def test_projected_mean_center_hand_computed(self):
         # centers (2,0),(0,2),(-2,0): mean (0, 2/3) interior, total value 16/3
         centers = [np.array([2.0, 0.0]), np.array([0.0, 2.0]), np.array([-2.0, 0.0])]
         losses = [quadratic_loss(c, 4.0) for c in centers]
-        point, value = best_in_hindsight(losses, BALL, budget=200)
+        point, value = hindsight(losses, BALL, budget=200)
         np.testing.assert_allclose(point, [0.0, 2.0 / 3.0], atol=1e-12)
         assert value == pytest.approx(16.0 / 3.0, rel=1e-12)
 
@@ -188,7 +194,7 @@ class TestBestInHindsight:
                 losses.append(a.next_loss(history))
                 history.append(set_.sample_points(rng, 1)[0])
             total = block_sum(losses)
-            _, value = best_in_hindsight(losses, set_, budget=2000)
+            _, value = hindsight(losses, set_, budget=2000)
             probes = set_.sample_points(rng, 100)
             tol = frank_wolfe_gap_bound(total.smoothness, set_.norm_bound, 2000)
             assert all(value <= total.evaluate(p) + tol for p in probes)
@@ -198,7 +204,7 @@ class TestBestInHindsight:
                      L1Ball(dim=3, radius=0.5)):
             losses = realized("quadratic_stochastic", set_, T=40)
             inst = InstrumentedSet(set_)
-            point, value = best_in_hindsight(losses, inst, budget=400)
+            point, value = hindsight(losses, inst, budget=400)
             want = set_.project(np.mean(np.stack([loss.center for loss in losses]), axis=0))
             np.testing.assert_array_equal(point, want)
             assert inst.oracle_calls == 0
@@ -209,7 +215,7 @@ class TestBestInHindsight:
         for set_ in (BALL, Simplex(dim=3, scale=1.0), square):
             losses = realized("linear_stochastic", set_, T=40)
             inst = InstrumentedSet(set_)
-            point, value = best_in_hindsight(losses, inst, budget=400)
+            point, value = hindsight(losses, inst, budget=400)
             direction_sum = np.sum([loss.direction for loss in losses], axis=0)
             np.testing.assert_array_equal(point, linear_argmax(set_, -direction_sum))
             assert inst.oracle_calls <= 3
@@ -223,7 +229,7 @@ class TestBestInHindsight:
         losses = realized("quadratic_stochastic", poly, T=T)
         total = block_sum(losses)
         inst = InstrumentedSet(poly)
-        point, value = best_in_hindsight(losses, inst, budget=10 * T)
+        point, value = hindsight(losses, inst, budget=10 * T)
         assert inst.oracle_calls < 10 * T
         grad = total.gradient(point)
         gap = float(np.dot(grad, point - linear_argmax(poly, -grad)))
@@ -235,7 +241,7 @@ class TestBestInHindsight:
         # minimum is 0 and only the oracle-driven route can find it
         poly = Polytope(vertices=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         losses = [quadratic_loss([0.2, 0.2], 2.0)] * 3
-        point, value = best_in_hindsight(losses, poly, budget=3000)
+        point, value = hindsight(losses, poly, budget=3000)
         assert poly.feasibility_gap(point) <= 1e-9
         assert 0.0 <= value <= frank_wolfe_gap_bound(3.0, poly.norm_bound, 3000)
 
@@ -314,23 +320,24 @@ class TestAdversaries:
             rhs = np.dot(loss.gradient(x), x - y) + loss.smoothness * np.dot(x - y, x - y)
             assert lhs <= rhs + 1e-9
 
+    def test_emit_and_observe_equal_next_loss(self):
+        rng = np.random.default_rng(4)
+        actions = BALL.sample_points(rng, 12)
+        for kind in ("quadratic_stochastic", "quadratic_adaptive", "linear_stochastic", "linear_adaptive"):
+            engine, replay = adv(kind, T=12, seed=2), adv(kind, T=12, seed=2)
+            for t, action in enumerate(actions, start=1):
+                loss = replay.next_loss(actions[:t - 1])
+                np.testing.assert_array_equal(engine.emit(t), loss.center if engine.quadratic else loss.direction)
+                engine.observe(action)
+
+    def test_constants_need_no_draws(self):
+        # the stochastic tables are drawn on the first emit, never for constants()
+        for kind, G in (("quadratic_stochastic", 2.0), ("linear_stochastic", 1.0)):
+            assert adv(kind, T=2**47).constants() == (G, float(kind.startswith("quadratic")))
+
     def test_json_round_trip(self):
         a = adv("quadratic_adaptive", T=8, seed=3, center_scale=0.5)
         spec = a.to_json()
         assert spec["kind"] == "quadratic_adaptive"
         clone = make_adversary(spec, horizon=8, seed=3, norm_bound=1.0, dim=2)
         np.testing.assert_array_equal(clone.next_loss([]).center, a.next_loss([]).center)
-
-    def test_loss_params_csv(self, tmp_path):
-        a = adv("quadratic_stochastic", T=4)
-        losses = []
-        history = []
-        for _ in range(4):
-            losses.append(a.next_loss(history))
-            history.append(np.zeros(2))
-        out = tmp_path / "losses.csv"
-        dump_loss_params_csv(losses, out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "t,loss_kind,params"
-        assert len(lines) == 5
-        assert lines[1].startswith("1,quadratic,")
