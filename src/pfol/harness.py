@@ -21,13 +21,11 @@ R^ exceeds the bound, and is ``certified`` when R^ + epsilon stays below it.
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import itertools
 import json
 import logging
 import math
-import multiprocessing
 import numbers
 import time
 import warnings
@@ -502,11 +500,16 @@ def _play_all(configs: Sequence[ExperimentConfig], jobs: int) -> list[dict]:
     tasks = sorted(((i, seed) for i, config in enumerate(configs) for seed in config.seeds),
                    key=lambda task: -configs[task[0]].T)
     args = ([configs[i] for i, _ in tasks], [seed for _, seed in tasks])
-    if jobs > 1 and len(tasks) > 1 and "fork" in multiprocessing.get_all_start_methods():
-        ctx = multiprocessing.get_context("fork")
-        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks)), mp_context=ctx) as pool:
-            outcomes = list(pool.map(_play, *args))
-    else:
+    outcomes = None
+    if jobs > 1 and len(tasks) > 1:
+        import concurrent.futures  # here, not at module level, so serial runs start without it
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            ctx = multiprocessing.get_context("fork")
+            with concurrent.futures.ProcessPoolExecutor(min(jobs, len(tasks)), mp_context=ctx) as pool:
+                outcomes = list(pool.map(_play, *args))
+    if outcomes is None:
         outcomes = list(map(_play, *args))
     per_config = [{} for _ in configs]
     for (i, seed), outcome in zip(tasks, outcomes):

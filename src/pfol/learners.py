@@ -78,11 +78,6 @@ def perturbed_leader_points(set_, cum_grad: np.ndarray, delta: float,
     return set_.support_argmax_many(v / delta - cum_grad)
 
 
-def _mean_row(points: np.ndarray) -> np.ndarray:
-    # np.mean's own arithmetic (row sum, then one division), without its per-call overhead
-    return points.sum(axis=0) / len(points)
-
-
 class OnlineLearner(abc.ABC):
     """Strictly alternating act/observe protocol over one game run.
 
@@ -144,7 +139,8 @@ class SampledFPL(OnlineLearner):
 
     def _act(self, set_):
         rng = self._rounds.at(self.round)
-        return _mean_row(perturbed_leader_points(set_, self._cum_grad, self.delta, self.samples, rng))
+        points = perturbed_leader_points(set_, self._cum_grad, self.delta, self.samples, rng)
+        return points.sum(axis=0) / len(points)  # np.mean's arithmetic, without its per-call overhead
 
 
 class ExpectedFPLMC(SampledFPL):
@@ -191,7 +187,7 @@ class OSPF(OnlineLearner):
         if self.round % self.block == 0:
             rng = self._rounds.at(self.round)
             points = perturbed_leader_points(set_, self._cum_grad, self.delta, self.block, rng)
-            self._current = _mean_row(points)
+            self._current = points.sum(axis=0) / len(points)
         elif self._current is None:
             self._current = linear_argmax(set_, np.eye(set_.dim)[0])
         return self._current
