@@ -58,9 +58,7 @@ from .sets import (
     euclidean_project,
     linear_argmax,
     linear_max,
-    sample_unit_ball,
     sample_unit_ball_batch,
-    sample_unit_sphere,
     sample_unit_sphere_batch,
     set_from_json,
 )

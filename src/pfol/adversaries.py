@@ -22,10 +22,10 @@ import abc
 
 import numpy as np
 
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError, ProtocolError, is_int
 from .losses import LossFunction, linear_loss, quadratic_loss
 from .rng import ADVERSARY_STREAM, RoundStream
-from .sets import unit_ball_rows, unit_sphere_rows
+from .sets import round_rows
 
 __all__ = [
     "Adversary",
@@ -90,20 +90,13 @@ class Adversary(abc.ABC):
     def constants(self) -> tuple[float, float]:
         """(G, beta) certified for every loss this adversary emits."""
 
-    def _draws(self, first: int, last: int) -> np.ndarray:
-        """Unit-ball (quadratic) or unit-sphere (linear) rows of rounds first..last, one substream each.
+    def _draws(self, first: int, rounds: int) -> np.ndarray:
+        """Unit-ball (quadratic) or unit-sphere (linear) rows of rounds first, first+1, ..., one substream each.
 
-        Row by row this equals ``sample_unit_ball(round rng, d)`` or
-        ``sample_unit_sphere(round rng, d)`` bit for bit.
+        Row by row this equals ``sample_unit_ball_batch(round rng, 1, d)`` or
+        ``sample_unit_sphere_batch(round rng, 1, d)`` bit for bit.
         """
-        z = np.empty((last - first + 1, self.dim))
-        u = np.empty(len(z))
-        for i, t in enumerate(range(first, last + 1)):
-            rng = self._stream.at(t)
-            rng.standard_normal(out=z[i])
-            if self.quadratic:
-                u[i] = rng.random()
-        return unit_ball_rows(z, u) if self.quadratic else unit_sphere_rows(z)
+        return round_rows(self._stream, first, rounds, 1, self.dim, ball=self.quadratic)[:, 0]
 
     def _table_row(self, t: int, scale: float) -> np.ndarray:
         if self._table is None:
@@ -159,7 +152,7 @@ class QuadraticAdaptive(QuadraticStochastic):
     def emit(self, t):
         mean = self._mean_action()
         if mean is None:
-            return self.center_scale * self._draws(t, t)[0]
+            return self.center_scale * self._draws(t, 1)[0]
         return -self.center_scale * np.sign(mean) / np.sqrt(self.dim)
 
 
@@ -223,7 +216,7 @@ class LinearAdaptive(Adversary):
             n = float(np.linalg.norm(mean))
             if n > 0:
                 return self.direction_norm * mean / n
-        return self.direction_norm * self._draws(t, t)[0]
+        return self.direction_norm * self._draws(t, 1)[0]
 
     def _params(self):
         return {"dim": self.dim, "direction_norm": self.direction_norm}
@@ -236,15 +229,21 @@ _KINDS = {
 
 
 def make_adversary(spec: dict, *, horizon: int, seed: int, norm_bound: float, dim: int) -> Adversary:
-    """Build an adversary from a JSON-style spec; horizon/seed/dim come from the run."""
+    """Build an adversary from a JSON-style spec; horizon/seed/dim come from the run.
+
+    A spec may override the seed with an integer and the horizon with an
+    integer of at least the run's; anything else is a ConfigError.
+    """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"adversary spec must be an object with a 'kind' field, got {spec!r}")
     kind = spec["kind"]
     if kind not in _KINDS:
         raise ConfigError(f"unknown adversary kind {kind!r}; supported: {sorted(_KINDS)}")
     params = {k: v for k, v in spec.items() if k not in ("kind", "horizon", "seed", "dim")}
-    horizon = int(spec.get("horizon", horizon))
-    seed = int(spec.get("seed", seed))
+    run_horizon, horizon, seed = horizon, spec.get("horizon", horizon), spec.get("seed", seed)
+    if not (is_int(horizon) and is_int(seed) and horizon >= run_horizon):
+        raise ConfigError(f"adversary horizon must be an integer >= the run's T={run_horizon} and seed "
+                          f"an integer, got horizon={horizon!r}, seed={seed!r}")
     try:
         return _KINDS[kind](horizon, seed, norm_bound, dim=dim, **params)
     except TypeError as exc:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and the integer check shared across the package."""
+
+import numbers
 
 
 class ConfigError(ValueError):
@@ -7,3 +9,8 @@ class ConfigError(ValueError):
 
 class ProtocolError(RuntimeError):
     """Online game protocol violated: wrong act/observe order or horizon overrun."""
+
+
+def is_int(value) -> bool:
+    """True for an integer config value; booleans and integral floats do not count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)

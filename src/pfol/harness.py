@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .adversaries import make_adversary
-from .errors import ConfigError
+from .errors import ConfigError, is_int
 from .hindsight import best_in_hindsight, frank_wolfe_gap_bound, has_projection
 from .learners import (
     OFW,
@@ -77,12 +77,8 @@ LEARNER_NAMES = ("sampled_fpl", "ospf", "expected_fpl_mc", "ogd", "ofw")
 CSV_HEADER = "run_id,algorithm,seed,t,loss,cum_loss,cum_regret,oracle_calls,grad_evals"
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def _check_count(name: str, value) -> None:
-    if not _is_int(value):
+    if not is_int(value):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise ConfigError(f"{name} must be >= 1")
@@ -122,7 +118,7 @@ class ExperimentConfig:
                 raise ConfigError(f"delta must be a positive number or 'auto', got {self.delta!r}")
         elif isinstance(self.delta, bool) or not isinstance(self.delta, numbers.Real) or not self.delta > 0:
             raise ConfigError(f"delta must be a positive number or 'auto', got {self.delta!r}")
-        if not isinstance(self.seeds, (tuple, list)) or not all(_is_int(s) for s in self.seeds):
+        if not isinstance(self.seeds, (tuple, list)) or not all(is_int(s) for s in self.seeds):
             raise ConfigError(f"seeds must be a list of integers, got {self.seeds!r}")
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
@@ -704,14 +700,13 @@ def trace_to_csv(trace: RegretTrace, path, run_id: str | None = None) -> None:
     """Write the fixed-schema per-round CSV; floats carry 17 significant digits."""
     if run_id is None:
         run_id = f"{trace.algorithm}-{trace.seed}"
+    prefix = f"{run_id},{trace.algorithm},{trace.seed}"
+    columns = (trace.losses, trace.cum_loss, trace.cum_regret, trace.oracle_calls, trace.grad_evals)
+    rows = zip(range(1, trace.horizon + 1), *(c.tolist() for c in columns))
     with open(path, "w", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
-        for i in range(trace.horizon):
-            fh.write(
-                f"{run_id},{trace.algorithm},{trace.seed},{i + 1},"
-                f"{trace.losses[i]:.17g},{trace.cum_loss[i]:.17g},{trace.cum_regret[i]:.17g},"
-                f"{trace.oracle_calls[i]},{trace.grad_evals[i]}\n"
-            )
+        fh.writelines(f"{prefix},{t},{loss:.17g},{cum:.17g},{regret:.17g},{calls},{grads}\n"
+                      for t, loss, cum, regret, calls, grads in rows)
 
 
 def summaries_to_json(summaries: Sequence[RunSummary], path) -> None:

@@ -6,6 +6,15 @@ perturbations v, scale them by 1/delta, and average the oracle answers at
 substream keyed by (seed, round), so trajectories replay bit-identically and
 the amount of randomness one round consumes never shifts any other round.
 
+Perturbations never depend on the losses, so SampledFPL draws them ahead in
+blocks: one ``round_rows`` call fills rounds t..t+r-1, each round's m rows
+from that round's own substream, with r = t - 1 (at least 1, at most
+BLOCK_ROWS // m rounds), so block lengths double up to the cap. Round t's
+perturbations are therefore the same bits whatever m, the block length or
+the rounds drawn before it, and every trace replays as if each round had
+been drawn alone. A game draws at most one block past T; for power-of-two m
+and T the last block ends exactly at T.
+
 Learners follow a strict act/observe protocol: ``act`` returns the action
 for the current round, ``observe`` feeds back the gradient of the revealed
 loss at that action and advances the round. The game engine evaluates that
@@ -22,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError, ProtocolError
 from .rng import LEARNER_STREAM, RoundStream
-from .sets import FeasibleSet, euclidean_project, linear_argmax, sample_unit_ball_batch
+from .sets import FeasibleSet, euclidean_project, linear_argmax, round_rows, sample_unit_ball_batch
 
 __all__ = [
     "OnlineLearner",
@@ -37,6 +46,8 @@ __all__ = [
     "blocking_delta",
     "blocking_params",
 ]
+
+BLOCK_ROWS = 4096  # cap on the perturbation rows SampledFPL draws ahead at once
 
 
 def default_delta(grad_bound: float, dim: int, horizon: int) -> float:
@@ -119,9 +130,11 @@ class OnlineLearner(abc.ABC):
 class SampledFPL(OnlineLearner):
     """Follow-the-perturbed-leader with an m-sample empirical average.
 
-    Each round draws m fresh ball perturbations, asks the oracle at
+    Each round takes m fresh ball perturbations, asks the oracle at
     (-cumulative_gradient + v/delta) for each, and plays their average
     (a convex combination, hence feasible). Exactly m oracle calls per round.
+    The perturbations are drawn ahead in blocks (see the module docstring);
+    round t's are ``perturbed_leader_points``' draws from round t's substream.
     """
 
     name = "sampled_fpl"
@@ -136,11 +149,17 @@ class SampledFPL(OnlineLearner):
         self.samples = int(samples)
         self.seed = int(seed)
         self._rounds = RoundStream(self.seed, LEARNER_STREAM)
+        self._block = np.empty((0, self.samples, set_.dim))  # v/delta rows of rounds _first.., m per round
+        self._first = 1
 
     def _act(self, set_):
-        rng = self._rounds.at(self.round)
-        points = perturbed_leader_points(set_, self._cum_grad, self.delta, self.samples, rng)
-        return points.sum(axis=0) / len(points)  # np.mean's arithmetic, without its per-call overhead
+        i = self.round - self._first
+        if i == len(self._block):  # block used up: draw one as long as all rounds so far, up to the cap
+            rounds = min(max(1, self.round - 1), max(1, BLOCK_ROWS // self.samples))
+            rows = round_rows(self._rounds, self.round, rounds, self.samples, set_.dim, ball=True)
+            self._block, self._first, i = rows / self.delta, self.round, 0
+        points = set_.support_argmax_many(self._block[i] - self._cum_grad)
+        return points.sum(axis=0) / self.samples  # np.mean's arithmetic, without its per-call overhead
 
 
 class ExpectedFPLMC(SampledFPL):

@@ -19,7 +19,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, is_int
 
 __all__ = [
     "FeasibleSet",
@@ -32,12 +32,11 @@ __all__ = [
     "linear_max",
     "euclidean_project",
     "brute_force_argmax",
-    "sample_unit_ball",
     "sample_unit_ball_batch",
-    "sample_unit_sphere",
     "sample_unit_sphere_batch",
     "unit_ball_rows",
     "unit_sphere_rows",
+    "round_rows",
     "set_from_json",
 ]
 
@@ -114,14 +113,13 @@ class Ball(FeasibleSet):
 
     def support_argmax_many(self, queries: np.ndarray) -> np.ndarray:
         norms = np.sqrt(np.einsum("ij,ij->i", queries, queries))
+        if norms.all():
+            return queries * (self.radius / norms)[:, None]
         zero = norms == 0.0
-        if zero.any():
-            norms = norms.copy()
-            norms[zero] = 1.0
+        norms[zero] = 1.0
         out = queries * (self.radius / norms)[:, None]
-        if zero.any():
-            out[zero] = 0.0
-            out[zero, 0] = self.radius
+        out[zero] = 0.0
+        out[zero, 0] = self.radius
         return out
 
     def project(self, x: np.ndarray) -> np.ndarray:
@@ -401,29 +399,34 @@ def unit_sphere_rows(z: np.ndarray) -> np.ndarray:
     return z / norms[:, None]
 
 
+def round_rows(stream, first: int, rounds: int, count: int, dim: int, *, ball: bool) -> np.ndarray:
+    """(rounds, count, dim) unit-ball (or unit-sphere) rows for rounds first, first+1, ... of a RoundStream.
+
+    Round t's rows come from ``stream.at(t)`` alone and equal
+    ``sample_unit_ball_batch`` (or ``sample_unit_sphere_batch``) on that
+    round's generator bit for bit: the same normals, then the same uniforms,
+    then one row-wise transform over the whole block.
+    """
+    z = np.empty((rounds, count, dim))
+    u = np.empty(z.shape[:2])
+    for i, t in enumerate(range(first, first + rounds)):
+        rng = stream.at(t)
+        rng.standard_normal(out=z[i])
+        if ball:
+            rng.random(out=u[i])
+    flat = z.reshape(-1, dim)
+    return (unit_ball_rows(flat, u.ravel()) if ball else unit_sphere_rows(flat)).reshape(z.shape)
+
+
 def sample_unit_ball_batch(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     """count i.i.d. points uniform on {||v|| <= 1}: Gaussian direction x U^(1/d)."""
     z = rng.standard_normal((count, dim))
     return unit_ball_rows(z, rng.random(count))
 
 
-def sample_unit_ball(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """One point uniform on the unit ball."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    return sample_unit_ball_batch(rng, 1, dim)[0]
-
-
 def sample_unit_sphere_batch(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     """count i.i.d. points uniform on {||v|| = 1}."""
     return unit_sphere_rows(rng.standard_normal((count, dim)))
-
-
-def sample_unit_sphere(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """One point uniform on the unit sphere."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    return sample_unit_sphere_batch(rng, 1, dim)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +457,6 @@ def set_from_json(spec: dict) -> FeasibleSet:
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {kind!r} set spec: {exc}") from exc
     declared = spec.get("dim")
-    if declared is not None and int(declared) != out.dim:
-        raise ConfigError(f"set spec declares dim={declared} but fields imply dim={out.dim}")
+    if declared is not None and not (is_int(declared) and declared == out.dim):
+        raise ConfigError(f"set spec declares dim={declared!r} but fields imply the integer dim={out.dim}")
     return out

@@ -133,6 +133,11 @@ def test_bound_check_passes(config_file, capsys):
 @pytest.mark.parametrize("field,value", [
     ("T", "abc"), ("T", None), ("T", 2.5), ("m", "4"), ("k", None), ("eval_samples", True),
     ("fw_budget", "many"), ("seeds", 5), ("seeds", ["a"]), ("delta", None),
+    ("adversary", {"kind": "quadratic_stochastic", "horizon": 31}),
+    ("adversary", {"kind": "linear_adaptive", "horizon": 8}),
+    ("adversary", {"kind": "linear_stochastic", "horizon": 40.5}),
+    ("adversary", {"kind": "quadratic_adaptive", "seed": "x"}),
+    ("set", {"kind": "polytope", "dim": 2.5, "vertices": [[1.0, 0.0], [0.0, 1.0]]}),
 ])
 def test_bad_field_types_are_config_errors(tmp_path, capsys, field, value):
     path = tmp_path / "c.json"

@@ -28,6 +28,7 @@ from pfol import (
     quadratic_loss,
     round_rng,
 )
+from pfol.learners import BLOCK_ROWS
 
 BALL = Ball(dim=3, radius=1.0)
 
@@ -103,15 +104,16 @@ class TestSampledFPL:
             learner.act()
 
     def test_round_randomness_independent_of_sample_count(self):
-        # round 2 sees identical perturbations whether round 1 drew 1 or 64
-        losses = [linear_loss([1.0, 0.0, 0.0])]
-        small = SampledFPL(BALL, delta=0.5, samples=1, seed=5)
-        big = SampledFPL(BALL, delta=0.5, samples=64, seed=5)
-        drive(small, losses)
-        drive(big, losses)
-        r_small = round_rng(5, LEARNER_STREAM, 2)
-        r_big = round_rng(5, LEARNER_STREAM, 2)
-        np.testing.assert_array_equal(r_small.standard_normal(6), r_big.standard_normal(6))
+        # with zero gradients the action at round t is the mean of round t's own
+        # perturbed-leader points, bit for bit, whatever m and however the rounds
+        # are grouped into pre-drawn blocks; each horizon runs past the block cap
+        zero = np.zeros(BALL.dim)
+        for m, T in ((1, 2 * BLOCK_ROWS + 8), (4, BLOCK_ROWS // 2 + 1100), (64, 200)):
+            learner = SampledFPL(BALL, delta=0.5, samples=m, seed=5)
+            for t in range(1, T + 1):
+                points = perturbed_leader_points(BALL, zero, 0.5, m, round_rng(5, LEARNER_STREAM, t))
+                np.testing.assert_array_equal(learner.act(), points.mean(axis=0))
+                learner.observe(zero)
 
 
 class TestOSPF:

@@ -16,9 +16,7 @@ from pfol import (
     euclidean_project,
     linear_argmax,
     linear_max,
-    sample_unit_ball,
     sample_unit_ball_batch,
-    sample_unit_sphere,
     sample_unit_sphere_batch,
     set_from_json,
 )
@@ -75,6 +73,14 @@ class TestLinearArgmax:
     def test_zero_objective_ball_returns_first_axis_point(self):
         out = linear_argmax(Ball(dim=3, radius=2.0), np.zeros(3))
         np.testing.assert_array_equal(out, [2.0, 0.0, 0.0])
+
+    def test_ball_batch_with_zero_rows(self):
+        ball = Ball(dim=3, radius=2.0)
+        ys = np.array([[0.0, 0.0, 0.0], [3.0, -4.0, 0.5], [0.0, 0.0, 0.0], [1e-300, 0.0, 0.0]])
+        batch = ball.support_argmax_many(ys)
+        np.testing.assert_array_equal(batch[[0, 2]], [[2.0, 0.0, 0.0]] * 2)
+        for y, row in zip(ys, batch):
+            np.testing.assert_array_equal(ball.support_argmax_many(y[None, :])[0], row)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
@@ -212,8 +218,8 @@ class TestSamplers:
         assert np.max(np.linalg.norm(v, axis=1)) <= 1.0 + 1e-12
 
     def test_ball_determinism(self):
-        a = sample_unit_ball(np.random.default_rng(123), 4)
-        b = sample_unit_ball(np.random.default_rng(123), 4)
+        a = sample_unit_ball_batch(np.random.default_rng(123), 3, 4)
+        b = sample_unit_ball_batch(np.random.default_rng(123), 3, 4)
         np.testing.assert_array_equal(a, b)
 
     def test_ball_mean_is_centered(self):
@@ -237,8 +243,8 @@ class TestSamplers:
         np.testing.assert_allclose(second, np.eye(2) / 2.0, atol=0.02)
 
     def test_sphere_determinism(self):
-        a = sample_unit_sphere(np.random.default_rng(77), 3)
-        b = sample_unit_sphere(np.random.default_rng(77), 3)
+        a = sample_unit_sphere_batch(np.random.default_rng(77), 3, 3)
+        b = sample_unit_sphere_batch(np.random.default_rng(77), 3, 3)
         np.testing.assert_array_equal(a, b)
 
     def test_ball_coordinate_variance(self):
