@@ -3,6 +3,10 @@
 ``golden_traces.json`` holds the sha256 of ``trace_to_csv`` output for every
 learner against every adversary kind on a 5-dimensional ball, and for the
 oracle learners also on a 12-vertex polytope, at seeds 0 and 1 and T = 200.
+Eight longer games at T = 8200 (sampled_fpl with m = 1 and ospf with k = 2,
+against linear_stochastic and quadratic_adaptive on the ball, seeds 0 and 1)
+run past the cap on pre-drawn perturbation blocks, 4096 rows, so that the
+switch from doubling blocks to capped ones is covered as well.
 A refactor of the game engine that changes any byte of any of these traces
 changes what the package computes, and must say so by updating this file.
 """
@@ -33,6 +37,9 @@ LEARNERS = {
 }
 ADVERSARIES = ("quadratic_stochastic", "quadratic_adaptive", "linear_stochastic", "linear_adaptive")
 SETS = {"ball": BALL, "polytope": POLYTOPE}
+LONG_T = 8200
+LONG_ADVERSARIES = ("linear_stochastic", "quadratic_adaptive")
+LEARNERS_LONG = {"sampled_fpl-m1": LEARNERS["sampled_fpl-m1"], "ospf-k2": {"learner": "ospf", "k": 2}}
 
 
 def cases():
@@ -45,6 +52,12 @@ def cases():
                     key = f"{set_name}/{learner_name}/{adversary}/{seed}"
                     config = ExperimentConfig(set=set_spec, adversary={"kind": adversary}, T=200, **knobs)
                     yield key, config, seed
+    for learner_name, knobs in LEARNERS_LONG.items():
+        for adversary in LONG_ADVERSARIES:
+            for seed in (0, 1):
+                key = f"ball/{learner_name}/{adversary}/{seed}/T{LONG_T}"
+                config = ExperimentConfig(set=BALL, adversary={"kind": adversary}, T=LONG_T, **knobs)
+                yield key, config, seed
 
 
 @pytest.mark.parametrize("key,config,seed", list(cases()), ids=lambda v: v if isinstance(v, str) else "")
