@@ -1,7 +1,7 @@
 """Projection-free online convex optimization toolkit.
 
-Feasible sets with exact linear-optimization oracles, perturbed-leader
-learners (sampled, blocked, and a Monte-Carlo expected-play reference),
+Feasible sets with exact linear-optimization oracles, one perturbed-leader
+learner (sampled, blocked, or a Monte-Carlo expected-play reference),
 projection-based baselines, stochastic-smoothing diagnostics, and a
 deterministic benchmark harness with regret bounds and power-law fits.
 """
@@ -35,11 +35,9 @@ from .hindsight import best_in_hindsight, frank_wolfe_gap_bound, offline_frank_w
 from .learners import (
     OFW,
     OGD,
-    OSPF,
-    ExpectedFPLMC,
     InstrumentedSet,
     OnlineLearner,
-    SampledFPL,
+    PerturbedLeader,
     blocking_delta,
     blocking_params,
     default_delta,

@@ -96,7 +96,7 @@ class Adversary(abc.ABC):
         Row by row this equals ``sample_unit_ball_batch(round rng, 1, d)`` or
         ``sample_unit_sphere_batch(round rng, 1, d)`` bit for bit.
         """
-        return round_rows(self._stream, first, rounds, 1, self.dim, ball=self.quadratic)[:, 0]
+        return round_rows(self._stream, range(first, first + rounds), 1, self.dim, ball=self.quadratic)[:, 0]
 
     def _table_row(self, t: int, scale: float) -> np.ndarray:
         if self._table is None:
@@ -232,7 +232,8 @@ def make_adversary(spec: dict, *, horizon: int, seed: int, norm_bound: float, di
     """Build an adversary from a JSON-style spec; horizon/seed/dim come from the run.
 
     A spec may override the seed with an integer and the horizon with an
-    integer of at least the run's; anything else is a ConfigError.
+    integer of at least the run's, and may repeat the set's dimension; anything
+    else is a ConfigError.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"adversary spec must be an object with a 'kind' field, got {spec!r}")
@@ -244,6 +245,8 @@ def make_adversary(spec: dict, *, horizon: int, seed: int, norm_bound: float, di
     if not (is_int(horizon) and is_int(seed) and horizon >= run_horizon):
         raise ConfigError(f"adversary horizon must be an integer >= the run's T={run_horizon} and seed "
                           f"an integer, got horizon={horizon!r}, seed={seed!r}")
+    if "dim" in spec and not (is_int(spec["dim"]) and spec["dim"] == dim):
+        raise ConfigError(f"adversary dim must equal the set's dim {dim}, got {spec['dim']!r}")
     try:
         return _KINDS[kind](horizon, seed, norm_bound, dim=dim, **params)
     except TypeError as exc:

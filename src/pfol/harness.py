@@ -40,10 +40,8 @@ from .hindsight import best_in_hindsight, frank_wolfe_gap_bound, has_projection
 from .learners import (
     OFW,
     OGD,
-    OSPF,
-    ExpectedFPLMC,
     InstrumentedSet,
-    SampledFPL,
+    PerturbedLeader,
     blocking_delta,
     blocking_params,
     default_delta,
@@ -185,9 +183,27 @@ def resolve_block(config: ExperimentConfig, beta: float) -> int:
     return int(config.k)
 
 
+def leader_shape(config: ExperimentConfig, k: int) -> tuple[int, int] | None:
+    """(samples, block) of the PerturbedLeader a config plays, None for a baseline.
+
+    ``k`` is the resolved block length; this is the one place that tells the
+    perturbed-leader config names apart.
+    """
+    return {
+        "sampled_fpl": (config.m, 1),
+        "expected_fpl_mc": (config.eval_samples, 1),
+        "ospf": (k, k),
+    }.get(config.learner)
+
+
 def resolve_delta(config: ExperimentConfig, G: float, dim: int, k: int) -> float | None:
-    """Concrete perturbation scale, or None for learners that take none."""
-    if config.learner in ("ogd", "ofw"):
+    """Concrete perturbation scale, or None for learners that take none.
+
+    The blocked learner's "auto" value is ``blocking_delta``; it equals
+    ``default_delta(G*k, d, n)`` up to the last bit, and keeps its own
+    arithmetic so that traces do not move.
+    """
+    if leader_shape(config, k) is None:
         return None
     if config.delta != "auto":
         return float(config.delta)
@@ -206,12 +222,10 @@ def _fw_budget(config: ExperimentConfig) -> int:
 
 def _make_learner(config: ExperimentConfig, set_, delta, k, seed, grad_bound):
     name = config.learner
-    if name == "sampled_fpl":
-        return SampledFPL(set_, delta=delta, samples=config.m, seed=seed)
-    if name == "expected_fpl_mc":
-        return ExpectedFPLMC(set_, delta=delta, eval_samples=config.eval_samples, seed=seed)
-    if name == "ospf":
-        return OSPF(set_, delta=delta, block=k, seed=seed)
+    shape = leader_shape(config, k)
+    if shape is not None:
+        samples, block = shape
+        return PerturbedLeader(set_, delta=delta, samples=samples, block=block, seed=seed)
     if name == "ogd":
         return OGD(set_, grad_bound=grad_bound, seed=seed)
     if name == "ofw":
@@ -222,16 +236,14 @@ def _make_learner(config: ExperimentConfig, set_, delta, k, seed, grad_bound):
 def expected_budgets(config: ExperimentConfig, k: int) -> tuple[int, int]:
     """(oracle calls, gradient evaluations) a full run must consume exactly.
 
-    ofw, and ospf with k > 1, make one extra call for their start point."""
+    ofw, and a perturbed leader with block > 1, make one extra call for
+    their start point."""
     T = config.T
-    oracle = {
-        "sampled_fpl": config.m * T,
-        "expected_fpl_mc": config.eval_samples * T,
-        "ospf": k * (T // k) + int(k > 1),
-        "ofw": T + 1,
-        "ogd": 0,
-    }[config.learner]
-    return oracle, T
+    shape = leader_shape(config, k)
+    if shape is not None:
+        samples, block = shape
+        return samples * (T // block) + int(block > 1), T
+    return {"ofw": T + 1, "ogd": 0}[config.learner], T
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +290,8 @@ def run_game(config: ExperimentConfig, seed: int) -> RegretTrace:
     G, beta = adversary.constants()
     k = resolve_block(config, beta)
     delta = resolve_delta(config, G, set_.dim, k)
-    learner = _make_learner(config, set_, delta, k, seed, G)
-
     oracle = InstrumentedSet(set_)
+    learner = _make_learner(config, oracle, delta, k, seed, G)
     quadratic = adversary.quadratic
     T, d = config.T, set_.dim
     actions = np.empty((T, d))
@@ -290,7 +301,7 @@ def run_game(config: ExperimentConfig, seed: int) -> RegretTrace:
     oracle_calls = np.empty(T, dtype=np.int64)
 
     for i in range(T):
-        action = learner.act(oracle)
+        action = learner.act()
         p = adversary.emit(i + 1)
         # the round's one gradient evaluation, at the action played
         g = action - p if quadratic else p
@@ -334,63 +345,51 @@ def run_game(config: ExperimentConfig, seed: int) -> RegretTrace:
 def theoretical_bound(config: ExperimentConfig) -> float:
     """Expected-regret guarantee (excess over the comparator) for the config.
 
-    Perturbed-leader learners: 2D/delta + delta*D*G^2*d*T/2 plus the sampling
-    term (2GDT/sqrt(m) general, 4*beta*D^2*T/m smooth). The blocked learner
-    with auto delta uses the closed blocking forms
-    2DG*sqrt(d)*sqrt(n)*k + 2DGn*sqrt(k) (general) and
-    2DG*sqrt(d)*sqrt(n)*k + 4*beta*D^2*n (smooth); with an explicit delta the
-    blocked game is priced directly with G' = G*k, beta' = beta*k over n
-    super-rounds. Baselines have no bound here.
+    A perturbed leader with (samples, block) plays FPL on n = ceil(T/block)
+    block losses with gradient bound G*block and smoothness beta*block, so
+    every one is priced by the sampled-FPL bound on those constants:
+    2D/delta + delta*D*G^2*d*n/2 plus the sampling term (2GDn/sqrt(m)
+    general, 4*beta*D^2*n/m smooth), with m = samples. The blocked game is
+    this bound on (n, G*k, beta*k, k). Baselines have no bound here.
     """
     config.validate()
     set_, G, beta = _problem_constants(config)
     D, d, T = set_.norm_bound, set_.dim, config.T
-
-    if config.learner in ("sampled_fpl", "expected_fpl_mc"):
-        m = config.m if config.learner == "sampled_fpl" else config.eval_samples
-        delta = resolve_delta(config, G, d, 1)
-        base = 2.0 * D / delta + delta * D * G * G * d * T / 2.0
-        if beta > 0:
-            return base + 4.0 * beta * D * D * T / m
-        return base + 2.0 * G * D * T / math.sqrt(m)
-
-    if config.learner == "ospf":
-        k = resolve_block(config, beta)
-        n = math.ceil(T / k)
-        if config.delta == "auto":
-            bias = 2.0 * D * G * math.sqrt(d) * math.sqrt(n) * k
-            if beta > 0:
-                return bias + 4.0 * beta * D * D * n
-            return bias + 2.0 * D * G * n * math.sqrt(k)
-        delta = float(config.delta)
-        Gb = G * k
-        base = 2.0 * D / delta + delta * D * Gb * Gb * d * n / 2.0
-        if beta > 0:
-            return base + 4.0 * (beta * k) * D * D * n / k
-        return base + 2.0 * Gb * D * n / math.sqrt(k)
-
-    raise ConfigError(f"no closed-form regret bound for learner {config.learner!r}")
+    k = resolve_block(config, beta)
+    shape = leader_shape(config, k)
+    if shape is None:
+        raise ConfigError(f"no closed-form regret bound for learner {config.learner!r}")
+    m, block = shape
+    delta = resolve_delta(config, G, d, k)
+    n = math.ceil(T / block)
+    G, beta = G * block, beta * block
+    base = 2.0 * D / delta + delta * D * G * G * d * n / 2.0
+    if beta > 0:
+        return base + 4.0 * beta * D * D * n / m
+    return base + 2.0 * G * D * n / math.sqrt(m)
 
 
 def high_probability_bound(config: ExperimentConfig, sigma: float) -> float:
     """Regret level exceeded with probability at most sigma.
 
-    Only defined for the sampled perturbed-leader learner. Uses the larger
+    Only defined for an unblocked perturbed leader. Uses the larger
     derivation constants: sqrt(2 log(2T/sigma)) on the general sampling term;
     in the smooth case 2GD*sqrt(2T log(4/sigma)) + (8 beta D^2 T / m) log(4T/sigma).
     """
     config.validate()
     if not 0 < sigma <= 1:
         raise ConfigError("sigma must lie in (0, 1]")
-    if config.learner not in ("sampled_fpl", "expected_fpl_mc"):
-        raise ConfigError(
-            f"high-probability bound is only available for sampled perturbed-leader learners, "
-            f"not {config.learner!r}"
-        )
     set_, G, beta = _problem_constants(config)
     D, d, T = set_.norm_bound, set_.dim, config.T
-    m = config.m if config.learner == "sampled_fpl" else config.eval_samples
-    delta = resolve_delta(config, G, d, 1)
+    k = resolve_block(config, beta)
+    shape = leader_shape(config, k)
+    if shape is None or shape[1] > 1:
+        raise ConfigError(
+            f"high-probability bound is only available for unblocked perturbed-leader learners, "
+            f"not {config.learner!r}"
+        )
+    m = shape[0]
+    delta = resolve_delta(config, G, d, k)
     base = 2.0 * D / delta + delta * d * D * G * G * T / 2.0
     if beta > 0:
         return (base

@@ -1,25 +1,30 @@
 """Online learners driven by linear-optimization oracles.
 
-The perturbed-leader family shares one primitive: draw uniform unit-ball
-perturbations v, scale them by 1/delta, and average the oracle answers at
-(-cumulative_gradient + v/delta). Per-round randomness comes from a
-substream keyed by (seed, round), so trajectories replay bit-identically and
-the amount of randomness one round consumes never shifts any other round.
+One class, ``PerturbedLeader(samples, block)``, is the perturbed-leader
+family: draw uniform unit-ball perturbations v, scale them by 1/delta, and
+average the oracle answers at (-cumulative_gradient + v/delta), refreshing
+the action every ``block`` rounds from ``samples`` answers. The config
+learners map onto it: ``sampled_fpl`` is (m, 1), the Monte-Carlo expected
+play ``expected_fpl_mc`` is (eval_samples, 1) and the blocked ``ospf`` is
+(k, k), FPL played on ceil(T/k) block losses. Per-round randomness comes
+from a substream keyed by (seed, round), so trajectories replay
+bit-identically and the amount of randomness one round consumes never
+shifts any other round.
 
-Perturbations never depend on the losses, so SampledFPL draws them ahead in
-blocks: one ``round_rows`` call fills rounds t..t+r-1, each round's m rows
-from that round's own substream, with r = t - 1 (at least 1, at most
-BLOCK_ROWS // m rounds), so block lengths double up to the cap. Round t's
-perturbations are therefore the same bits whatever m, the block length or
-the rounds drawn before it, and every trace replays as if each round had
-been drawn alone. A game draws at most one block past T; for power-of-two m
-and T the last block ends exactly at T.
+Perturbations never depend on the losses, so they are drawn ahead: one
+``round_rows`` call fills the next r refresh rounds, each round's rows from
+that round's own substream, with r the number of refreshes so far (at least
+1, at most BLOCK_ROWS // samples), so draws double up to the cap. Round t's
+perturbations are therefore the same bits whatever the sample count, the
+draw length or the rounds drawn before it, and every trace replays as if
+each round had been drawn alone. A game draws at most one block past T.
 
 Learners follow a strict act/observe protocol: ``act`` returns the action
 for the current round, ``observe`` feeds back the gradient of the revealed
 loss at that action and advances the round. The game engine evaluates that
-gradient once per round and counts it; InstrumentedSet counts oracle calls,
-so the per-iteration budgets can be asserted exactly.
+gradient once per round and counts it, and builds each learner on an
+InstrumentedSet that counts its oracle calls, so the per-iteration budgets
+can be asserted exactly.
 """
 
 from __future__ import annotations
@@ -35,9 +40,7 @@ from .sets import FeasibleSet, euclidean_project, linear_argmax, round_rows, sam
 
 __all__ = [
     "OnlineLearner",
-    "SampledFPL",
-    "OSPF",
-    "ExpectedFPLMC",
+    "PerturbedLeader",
     "OGD",
     "OFW",
     "InstrumentedSet",
@@ -47,7 +50,7 @@ __all__ = [
     "blocking_params",
 ]
 
-BLOCK_ROWS = 4096  # cap on the perturbation rows SampledFPL draws ahead at once
+BLOCK_ROWS = 4096  # cap on the perturbation rows PerturbedLeader draws ahead at once
 
 
 def default_delta(grad_bound: float, dim: int, horizon: int) -> float:
@@ -92,10 +95,10 @@ def perturbed_leader_points(set_, cum_grad: np.ndarray, delta: float,
 class OnlineLearner(abc.ABC):
     """Strictly alternating act/observe protocol over one game run.
 
-    By default a learner keeps the running sum of observed gradients.
+    A learner asks its oracle questions of the set it is built on; build it on
+    an ``InstrumentedSet`` to count them. By default a learner keeps the
+    running sum of observed gradients.
     """
-
-    name: str
 
     def __init__(self, set_: FeasibleSet):
         self._set = set_
@@ -103,11 +106,11 @@ class OnlineLearner(abc.ABC):
         self._awaiting_loss = False
         self._cum_grad = np.zeros(set_.dim)
 
-    def act(self, set_=None) -> np.ndarray:
-        """Action for the current round; pass an instrumented set to count calls."""
+    def act(self) -> np.ndarray:
+        """Action for the current round."""
         if self._awaiting_loss:
             raise ProtocolError(f"act called twice in round {self.round}")
-        action = self._act(self._set if set_ is None else set_)
+        action = self._act()
         self._awaiting_loss = True
         return action
 
@@ -120,95 +123,58 @@ class OnlineLearner(abc.ABC):
         self._awaiting_loss = False
 
     @abc.abstractmethod
-    def _act(self, set_) -> np.ndarray:
+    def _act(self) -> np.ndarray:
         ...
 
     def _observe(self, gradient: np.ndarray) -> None:
         self._cum_grad += gradient
 
 
-class SampledFPL(OnlineLearner):
-    """Follow-the-perturbed-leader with an m-sample empirical average.
+class PerturbedLeader(OnlineLearner):
+    """Follow-the-perturbed-leader refreshed every ``block`` rounds from ``samples`` oracle answers.
 
-    Each round takes m fresh ball perturbations, asks the oracle at
-    (-cumulative_gradient + v/delta) for each, and plays their average
-    (a convex combination, hence feasible). Exactly m oracle calls per round.
-    The perturbations are drawn ahead in blocks (see the module docstring);
-    round t's are ``perturbed_leader_points``' draws from round t's substream.
+    At each round t divisible by ``block`` the learner asks the oracle at
+    (-cumulative_gradient + v/delta) for ``samples`` fresh ball perturbations
+    v and plays their average (a convex combination, hence feasible); every
+    other round replays the current action with no oracle call. Before the
+    first refresh (block > 1 only) it plays the oracle answer on the first
+    basis direction, asked for on the first round. A game thus makes
+    samples * floor(T/block) calls, plus one for block > 1. Round t's
+    perturbations are ``perturbed_leader_points``' draws from round t's
+    substream, drawn ahead in blocks (see the module docstring).
     """
 
-    name = "sampled_fpl"
-
-    def __init__(self, set_: FeasibleSet, *, delta: float, samples: int = 1, seed: int = 0):
+    def __init__(self, set_: FeasibleSet, *, delta: float, samples: int = 1, block: int = 1, seed: int = 0):
         super().__init__(set_)
         if not delta > 0:
             raise ConfigError("delta must be positive")
         if samples < 1:
             raise ConfigError("samples must be >= 1")
-        self.delta = float(delta)
-        self.samples = int(samples)
-        self.seed = int(seed)
-        self._rounds = RoundStream(self.seed, LEARNER_STREAM)
-        self._block = np.empty((0, self.samples, set_.dim))  # v/delta rows of rounds _first.., m per round
-        self._first = 1
-
-    def _act(self, set_):
-        i = self.round - self._first
-        if i == len(self._block):  # block used up: draw one as long as all rounds so far, up to the cap
-            rounds = min(max(1, self.round - 1), max(1, BLOCK_ROWS // self.samples))
-            rows = round_rows(self._rounds, self.round, rounds, self.samples, set_.dim, ball=True)
-            self._block, self._first, i = rows / self.delta, self.round, 0
-        points = set_.support_argmax_many(self._block[i] - self._cum_grad)
-        return points.sum(axis=0) / self.samples  # np.mean's arithmetic, without its per-call overhead
-
-
-class ExpectedFPLMC(SampledFPL):
-    """Monte-Carlo stand-in for the exact expected-perturbed-leader play.
-
-    The idealized learner plays E_v[oracle(-cum_grad + v/delta)] exactly; that
-    expectation has no closed form, so this reference learner approximates it
-    with ``eval_samples`` oracle calls per round (default 10^4). Useful for
-    comparison runs; its regret is never asserted against a bound.
-    """
-
-    name = "expected_fpl_mc"
-
-    def __init__(self, set_: FeasibleSet, *, delta: float, eval_samples: int = 10_000, seed: int = 0):
-        super().__init__(set_, delta=delta, samples=eval_samples, seed=seed)
-
-
-class OSPF(OnlineLearner):
-    """Blocked perturbed leader: refresh the action once every k rounds.
-
-    Off-boundary rounds replay the previous action with zero oracle calls; at
-    rounds divisible by k the learner draws k perturbations and plays the
-    average of the k oracle answers, so oracle cost is amortized one call per
-    round. Before the first boundary it plays the oracle answer on the first
-    basis direction, fixed for determinism and asked for on the first round;
-    a game thus makes k * floor(T/k) calls, plus one for k > 1.
-    """
-
-    name = "ospf"
-
-    def __init__(self, set_: FeasibleSet, *, delta: float, block: int = 1, seed: int = 0):
-        super().__init__(set_)
-        if not delta > 0:
-            raise ConfigError("delta must be positive")
         if block < 1:
             raise ConfigError("block must be >= 1")
         self.delta = float(delta)
+        self.samples = int(samples)
         self.block = int(block)
         self.seed = int(seed)
         self._rounds = RoundStream(self.seed, LEARNER_STREAM)
+        self._rows = np.empty((0, self.samples, set_.dim))  # v/delta rows of refreshes _first, _first+1, ...
+        self._first = 1
         self._current: np.ndarray | None = None
 
-    def _act(self, set_):
-        if self.round % self.block == 0:
-            rng = self._rounds.at(self.round)
-            points = perturbed_leader_points(set_, self._cum_grad, self.delta, self.block, rng)
-            self._current = points.sum(axis=0) / len(points)
-        elif self._current is None:
-            self._current = linear_argmax(set_, np.eye(set_.dim)[0])
+    def _act(self):
+        refresh, offset = divmod(self.round, self.block)
+        if offset:
+            if self._current is None:
+                self._current = linear_argmax(self._set, np.eye(self._set.dim)[0])
+            return self._current
+        i = refresh - self._first
+        if i == len(self._rows):  # rows used up: draw as many refreshes as so far, up to the cap
+            count = min(max(1, refresh - 1), max(1, BLOCK_ROWS // self.samples))
+            rounds = range(self.round, self.round + count * self.block, self.block)
+            rows = round_rows(self._rounds, rounds, self.samples, self._set.dim, ball=True)
+            self._rows, self._first, i = rows / self.delta, refresh, 0
+        points = self._set.support_argmax_many(self._rows[i] - self._cum_grad)
+        self._current = points.sum(axis=0) / self.samples  # np.mean's arithmetic, without its per-call overhead
         return self._current
 
 
@@ -219,8 +185,6 @@ class OGD(OnlineLearner):
     projection; it makes no oracle calls and serves as the regret yardstick.
     """
 
-    name = "ogd"
-
     def __init__(self, set_: FeasibleSet, *, grad_bound: float, seed: int = 0):
         super().__init__(set_)
         if not grad_bound > 0:
@@ -228,7 +192,7 @@ class OGD(OnlineLearner):
         self.grad_bound = float(grad_bound)
         self._x = euclidean_project(set_, np.zeros(set_.dim))
 
-    def _act(self, set_):
+    def _act(self):
         return self._x
 
     def _observe(self, gradient):
@@ -248,8 +212,6 @@ class OFW(OnlineLearner):
     calls. Baseline-only internals; nothing downstream asserts a bound for it.
     """
 
-    name = "ofw"
-
     def __init__(self, set_: FeasibleSet, *, grad_bound: float,
                  reg_scale: float | None = None, seed: int = 0):
         super().__init__(set_)
@@ -261,12 +223,12 @@ class OFW(OnlineLearner):
         self.reg_scale = float(reg_scale)
         self._anchor: np.ndarray | None = None
 
-    def _act(self, set_):
+    def _act(self):
         if self._anchor is None:
-            self._anchor = self._x = linear_argmax(set_, np.eye(set_.dim)[0])
+            self._anchor = self._x = linear_argmax(self._set, np.eye(self._set.dim)[0])
         t = self.round
         surrogate_grad = self._cum_grad / t + 2.0 * self.reg_scale * (self._x - self._anchor)
-        v = set_.support_argmax(-surrogate_grad)
+        v = self._set.support_argmax(-surrogate_grad)
         sigma = min(1.0, 2.0 / math.sqrt(t))
         self._x = self._x + sigma * (v - self._x)
         return self._x

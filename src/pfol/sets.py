@@ -399,17 +399,17 @@ def unit_sphere_rows(z: np.ndarray) -> np.ndarray:
     return z / norms[:, None]
 
 
-def round_rows(stream, first: int, rounds: int, count: int, dim: int, *, ball: bool) -> np.ndarray:
-    """(rounds, count, dim) unit-ball (or unit-sphere) rows for rounds first, first+1, ... of a RoundStream.
+def round_rows(stream, rounds: range, count: int, dim: int, *, ball: bool) -> np.ndarray:
+    """(len(rounds), count, dim) unit-ball (or unit-sphere) rows for the given rounds of a RoundStream.
 
     Round t's rows come from ``stream.at(t)`` alone and equal
     ``sample_unit_ball_batch`` (or ``sample_unit_sphere_batch``) on that
     round's generator bit for bit: the same normals, then the same uniforms,
     then one row-wise transform over the whole block.
     """
-    z = np.empty((rounds, count, dim))
+    z = np.empty((len(rounds), count, dim))
     u = np.empty(z.shape[:2])
-    for i, t in enumerate(range(first, first + rounds)):
+    for i, t in enumerate(rounds):
         rng = stream.at(t)
         rng.standard_normal(out=z[i])
         if ball:

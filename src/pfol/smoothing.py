@@ -18,6 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .learners import perturbed_leader_points
 from .losses import LossFunction
 from .sets import FeasibleSet, sample_unit_ball_batch, sample_unit_sphere_batch
 
@@ -177,8 +178,7 @@ def oracle_output_sampler(set_: FeasibleSet, cum_grad, delta: float) -> Callable
     cum_grad = np.asarray(cum_grad, dtype=float)
 
     def draw(rng: np.random.Generator, count: int) -> np.ndarray:
-        v = sample_unit_ball_batch(rng, count, set_.dim)
-        return set_.support_argmax_many(v / delta - cum_grad)
+        return perturbed_leader_points(set_, cum_grad, delta, count, rng)
 
     return draw
 

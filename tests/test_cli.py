@@ -138,6 +138,8 @@ def test_bound_check_passes(config_file, capsys):
     ("adversary", {"kind": "linear_stochastic", "horizon": 40.5}),
     ("adversary", {"kind": "quadratic_adaptive", "seed": "x"}),
     ("set", {"kind": "polytope", "dim": 2.5, "vertices": [[1.0, 0.0], [0.0, 1.0]]}),
+    ("adversary", {"kind": "linear_stochastic", "dim": 5}),
+    ("adversary", {"kind": "linear_stochastic", "dim": 3.0}),
 ])
 def test_bad_field_types_are_config_errors(tmp_path, capsys, field, value):
     path = tmp_path / "c.json"

@@ -6,16 +6,15 @@ import pytest
 from pfol import (
     OFW,
     OGD,
-    OSPF,
     Ball,
     Box,
     ConfigError,
-    ExpectedFPLMC,
+    ExperimentConfig,
     InstrumentedSet,
     LEARNER_STREAM,
+    PerturbedLeader,
     Polytope,
     ProtocolError,
-    SampledFPL,
     Simplex,
     blocking_delta,
     blocking_params,
@@ -27,26 +26,35 @@ from pfol import (
     perturbed_leader_points,
     quadratic_loss,
     round_rng,
+    run_game,
 )
 from pfol.learners import BLOCK_ROWS
 
 BALL = Ball(dim=3, radius=1.0)
 
 
-def drive(learner, losses, set_=None):
+def game_config(learner, **knobs):
+    """A 100-round game on the 3-ball against quadratic_adaptive with delta 0.25."""
+    return ExperimentConfig(learner=learner, set={"kind": "ball", "dim": 3, "radius": 1.0},
+                            adversary={"kind": "quadratic_adaptive"}, T=100, delta=0.25, **knobs)
+
+
+def drive(learner, losses):
     """Feed a fixed loss sequence, each as its gradient at the played action; returns the actions."""
     actions = []
     for loss in losses:
-        action = learner.act(set_)
+        action = learner.act()
         actions.append(action)
         learner.observe(loss.gradient(action))
     return np.array(actions)
 
 
 class TestSampledFPL:
+    """PerturbedLeader with block 1: the sampled_fpl and expected_fpl_mc configs."""
+
     def test_first_round_plays_normalized_perturbation(self):
         # with zero cumulative gradient the ball oracle normalizes v/delta
-        learner = SampledFPL(BALL, delta=0.5, samples=1, seed=3)
+        learner = PerturbedLeader(BALL, delta=0.5, samples=1, seed=3)
         action = learner.act()
         rng = round_rng(3, LEARNER_STREAM, 1)
         v = perturbed_leader_points(BALL, np.zeros(3), 0.5, 1, rng)[0]
@@ -56,19 +64,19 @@ class TestSampledFPL:
     def test_actions_are_feasible_convex_combinations(self):
         for set_ in (BALL, Simplex(dim=4, scale=2.0),
                      Polytope(vertices=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])):
-            learner = SampledFPL(set_, delta=0.3, samples=8, seed=0)
+            learner = PerturbedLeader(set_, delta=0.3, samples=8, seed=0)
             losses = [quadratic_loss(np.zeros(set_.dim), 5.0)] * 20
             actions = drive(learner, losses)
             assert max(set_.feasibility_gap(a) for a in actions) <= 1e-9
 
     def test_observe_accumulates_gradients(self):
-        learner = SampledFPL(BALL, delta=1.0, samples=1, seed=0)
+        learner = PerturbedLeader(BALL, delta=1.0, samples=1, seed=0)
         g = np.array([0.5, -1.0, 0.0])
         drive(learner, [linear_loss(g), linear_loss(g)])
         np.testing.assert_allclose(learner._cum_grad, 2 * g, atol=1e-15)
 
     def test_quadratic_gradient_taken_at_played_point(self):
-        learner = SampledFPL(BALL, delta=1.0, samples=2, seed=1)
+        learner = PerturbedLeader(BALL, delta=1.0, samples=2, seed=1)
         a = learner.act()
         c = np.array([0.1, 0.2, 0.3])
         learner.observe(quadratic_loss(c, 3.0).gradient(a))
@@ -91,12 +99,12 @@ class TestSampledFPL:
 
     def test_invalid_parameters(self):
         with pytest.raises(ConfigError):
-            SampledFPL(BALL, delta=0.0, samples=1)
+            PerturbedLeader(BALL, delta=0.0, samples=1)
         with pytest.raises(ConfigError):
-            SampledFPL(BALL, delta=0.5, samples=0)
+            PerturbedLeader(BALL, delta=0.5, samples=0)
 
     def test_protocol_enforced(self):
-        learner = SampledFPL(BALL, delta=0.5, samples=1, seed=0)
+        learner = PerturbedLeader(BALL, delta=0.5, samples=1, seed=0)
         with pytest.raises(ProtocolError):
             learner.observe(np.array([1.0, 0.0, 0.0]))
         learner.act()
@@ -104,21 +112,29 @@ class TestSampledFPL:
             learner.act()
 
     def test_round_randomness_independent_of_sample_count(self):
-        # with zero gradients the action at round t is the mean of round t's own
-        # perturbed-leader points, bit for bit, whatever m and however the rounds
-        # are grouped into pre-drawn blocks; each horizon runs past the block cap
+        # with zero gradients the action at a refresh round t is the mean of round
+        # t's own perturbed-leader points, bit for bit, whatever the sample count
+        # and block and however the refreshes are grouped into pre-drawn blocks;
+        # the horizons with small sample counts run past the block cap
         zero = np.zeros(BALL.dim)
-        for m, T in ((1, 2 * BLOCK_ROWS + 8), (4, BLOCK_ROWS // 2 + 1100), (64, 200)):
-            learner = SampledFPL(BALL, delta=0.5, samples=m, seed=5)
+        start = linear_argmax(BALL, [1.0, 0.0, 0.0])
+        for samples, block, T in ((1, 1, 2 * BLOCK_ROWS + 8), (4, 1, BLOCK_ROWS // 2 + 1100), (64, 1, 200),
+                                  (2, 2, 2 * BLOCK_ROWS + 8), (20, 20, 200)):
+            learner = PerturbedLeader(BALL, delta=0.5, samples=samples, block=block, seed=5)
+            expected = start  # until the first refresh
             for t in range(1, T + 1):
-                points = perturbed_leader_points(BALL, zero, 0.5, m, round_rng(5, LEARNER_STREAM, t))
-                np.testing.assert_array_equal(learner.act(), points.mean(axis=0))
+                if t % block == 0:
+                    points = perturbed_leader_points(BALL, zero, 0.5, samples, round_rng(5, LEARNER_STREAM, t))
+                    expected = points.mean(axis=0)
+                np.testing.assert_array_equal(learner.act(), expected)
                 learner.observe(zero)
 
 
 class TestOSPF:
+    """PerturbedLeader with samples = block = k: the ospf config."""
+
     def test_holds_start_point_before_first_boundary(self):
-        learner = OSPF(BALL, delta=0.5, block=4, seed=0)
+        learner = PerturbedLeader(BALL, delta=0.5, samples=4, block=4, seed=0)
         x0 = linear_argmax(BALL, [1.0, 0.0, 0.0])
         for _ in range(3):
             np.testing.assert_array_equal(learner.act(), x0)
@@ -127,48 +143,46 @@ class TestOSPF:
     def test_updates_at_multiples_of_k_with_k_calls_each(self):
         # T=9, k=3: the start point at t=1, refreshes at t in {3, 6, 9}; 10 calls
         inst = InstrumentedSet(BALL)
-        learner = OSPF(BALL, delta=0.5, block=3, seed=2)
+        learner = PerturbedLeader(inst, delta=0.5, samples=3, block=3, seed=2)
         calls_before = []
         for t in range(1, 10):
             before = inst.oracle_calls
-            learner.act(inst)
+            learner.act()
             calls_before.append(inst.oracle_calls - before)
             learner.observe(np.array([0.2, -0.1, 0.0]))
         assert calls_before == [1, 0, 3, 0, 0, 3, 0, 0, 3]
         assert inst.oracle_calls == 10
 
     def test_k1_equals_sampled_fpl_m1_bitwise(self):
-        losses = [quadratic_loss(np.array([0.3, -0.2, 0.1]) * (i % 3), 3.0) for i in range(100)]
-        fpl = SampledFPL(BALL, delta=0.25, samples=1, seed=11)
-        ospf = OSPF(BALL, delta=0.25, block=1, seed=11)
-        a = drive(fpl, losses)
-        b = drive(ospf, losses)
+        a = run_game(game_config("sampled_fpl", m=1), 11).actions
+        b = run_game(game_config("ospf", k=1), 11).actions
         np.testing.assert_array_equal(a, b)
 
     def test_invalid_parameters(self):
         with pytest.raises(ConfigError):
-            OSPF(BALL, delta=-1.0, block=2)
+            PerturbedLeader(BALL, delta=-1.0, samples=2, block=2)
         with pytest.raises(ConfigError):
-            OSPF(BALL, delta=0.5, block=0)
+            PerturbedLeader(BALL, delta=0.5, samples=1, block=0)
 
 
 class TestExpectedFPLMC:
+    """PerturbedLeader with block 1 and a large sample count: the expected_fpl_mc config."""
+
     def test_equals_sampled_fpl_with_same_budget(self):
-        losses = [linear_loss([0.4, 0.1, -0.2])] * 5
-        a = drive(ExpectedFPLMC(BALL, delta=0.5, eval_samples=16, seed=7), losses)
-        b = drive(SampledFPL(BALL, delta=0.5, samples=16, seed=7), losses)
+        a = run_game(game_config("expected_fpl_mc", eval_samples=16), 7).actions
+        b = run_game(game_config("sampled_fpl", m=16), 7).actions
         np.testing.assert_array_equal(a, b)
 
     def test_deterministic_under_seed(self):
-        a = drive(ExpectedFPLMC(BALL, delta=0.5, eval_samples=8, seed=1),
+        a = drive(PerturbedLeader(BALL, delta=0.5, samples=8, seed=1),
                   [linear_loss([1.0, 0.0, 0.0])] * 3)
-        b = drive(ExpectedFPLMC(BALL, delta=0.5, eval_samples=8, seed=1),
+        b = drive(PerturbedLeader(BALL, delta=0.5, samples=8, seed=1),
                   [linear_loss([1.0, 0.0, 0.0])] * 3)
         np.testing.assert_array_equal(a, b)
 
     def test_large_budget_approximates_symmetry_point(self):
         # zero cumulative gradient on a ball: the expected play is the origin
-        learner = ExpectedFPLMC(BALL, delta=0.5, eval_samples=50_000, seed=0)
+        learner = PerturbedLeader(BALL, delta=0.5, samples=50_000, seed=0)
         action = learner.act()
         assert np.linalg.norm(action) <= 3.0 * 2.0 / np.sqrt(50_000)
 
@@ -219,9 +233,9 @@ class TestOFW:
     def test_one_oracle_call_per_round(self):
         # plus the start point, asked for on the first round
         inst = InstrumentedSet(BALL)
-        learner = OFW(BALL, grad_bound=1.0)
+        learner = OFW(inst, grad_bound=1.0)
         for t in range(1, 8):
-            learner.act(inst)
+            learner.act()
             learner.observe(np.array([0.3, 0.0, 0.0]))
             assert inst.oracle_calls == t + 1
 
