@@ -39,7 +39,7 @@ ADVERSARIES = ("quadratic_stochastic", "quadratic_adaptive", "linear_stochastic"
 SETS = {"ball": BALL, "polytope": POLYTOPE}
 LONG_T = 8200
 LONG_ADVERSARIES = ("linear_stochastic", "quadratic_adaptive")
-LEARNERS_LONG = {"sampled_fpl-m1": LEARNERS["sampled_fpl-m1"], "ospf-k2": {"learner": "ospf", "k": 2}}
+LONG_LEARNERS = {"sampled_fpl-m1": LEARNERS["sampled_fpl-m1"], "ospf-k2": {"learner": "ospf", "k": 2}}
 
 
 def cases():
@@ -52,7 +52,7 @@ def cases():
                     key = f"{set_name}/{learner_name}/{adversary}/{seed}"
                     config = ExperimentConfig(set=set_spec, adversary={"kind": adversary}, T=200, **knobs)
                     yield key, config, seed
-    for learner_name, knobs in LEARNERS_LONG.items():
+    for learner_name, knobs in LONG_LEARNERS.items():
         for adversary in LONG_ADVERSARIES:
             for seed in (0, 1):
                 key = f"ball/{learner_name}/{adversary}/{seed}/T{LONG_T}"
