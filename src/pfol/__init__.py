@@ -20,6 +20,7 @@ from .harness import (
     ExponentFit,
     RegretTrace,
     RunSummary,
+    best_in_hindsight,
     bound_check,
     comparator_correction,
     fit_exponent,
@@ -31,7 +32,6 @@ from .harness import (
     theoretical_bound,
     trace_to_csv,
 )
-from .hindsight import best_in_hindsight, frank_wolfe_gap_bound, offline_frank_wolfe
 from .learners import (
     OFW,
     OGD,
@@ -43,7 +43,7 @@ from .learners import (
     default_delta,
     perturbed_leader_points,
 )
-from .losses import LossFunction, block_sum, linear_loss, quadratic_loss
+from .losses import LossFunction, linear_loss, quadratic_loss
 from .rng import ADVERSARY_STREAM, LEARNER_STREAM, RoundStream, round_rng
 from .sets import (
     Ball,
@@ -55,7 +55,6 @@ from .sets import (
     brute_force_argmax,
     euclidean_project,
     linear_argmax,
-    linear_max,
     sample_unit_ball_batch,
     sample_unit_sphere_batch,
     set_from_json,

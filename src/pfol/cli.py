@@ -199,7 +199,7 @@ def cli_main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ProtocolError, NotImplementedError, FloatingPointError, ValueError) as exc:
+    except (ProtocolError, FloatingPointError, ValueError) as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
         return 1
 

@@ -11,12 +11,9 @@ minus the comparator value by construction. Sweeps and multi-seed runs play
 all their (cell, seed) games in one process pool.
 
 Expected-regret bounds and their high-probability counterparts are evaluated
-from the config (never fitted). The comparator is exact wherever a closed
-form exists (see ``hindsight``); on vertex polytopes it is a Frank-Wolfe
-iterate whose certified error epsilon is the a-priori gap bound at the
-``fw_budget`` iteration cap. Its value is at least the true minimum, so the
-computed regret R^ satisfies R^ <= R <= R^ + epsilon: a bound check fails when
-R^ exceeds the bound, and is ``certified`` when R^ + epsilon stays below it.
+from the config (never fitted). The comparator is exact on every set kind
+(see ``best_in_hindsight``), so a bound check compares the computed regret
+with the bound directly; its certified error ``comparator_correction`` is 0.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ import numpy as np
 
 from .adversaries import make_adversary
 from .errors import ConfigError, is_int
-from .hindsight import best_in_hindsight, frank_wolfe_gap_bound, has_projection
 from .learners import (
     OFW,
     OGD,
@@ -46,7 +42,7 @@ from .learners import (
     blocking_params,
     default_delta,
 )
-from .sets import set_from_json
+from .sets import FeasibleSet, set_from_json
 
 __all__ = [
     "ExperimentConfig",
@@ -56,6 +52,7 @@ __all__ = [
     "run_game",
     "run_experiment",
     "sweep",
+    "best_in_hindsight",
     "theoretical_bound",
     "high_probability_bound",
     "comparator_correction",
@@ -88,8 +85,9 @@ class ExperimentConfig:
 
     ``delta`` and ``k`` accept "auto": delta resolves to the theory-optimal
     value for the learner, and k (blocked learner only) to the horizon-based
-    blocking schedule. ``fw_budget`` caps the hindsight Frank-Wolfe iterations
-    (default 10*T); it matters only where no exact comparator exists.
+    blocking schedule. ``fw_budget`` is accepted and validated so that older
+    configs still load, and is not read: the hindsight comparator is exact and
+    needs no iteration budget.
     """
 
     learner: str
@@ -216,10 +214,6 @@ def resolve_delta(config: ExperimentConfig, G: float, dim: int, k: int) -> float
     return value
 
 
-def _fw_budget(config: ExperimentConfig) -> int:
-    return config.fw_budget if config.fw_budget is not None else 10 * config.T
-
-
 def _make_learner(config: ExperimentConfig, set_, delta, k, seed, grad_bound):
     name = config.learner
     shape = leader_shape(config, k)
@@ -249,6 +243,20 @@ def expected_budgets(config: ExperimentConfig, k: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # one game
 # ---------------------------------------------------------------------------
+
+
+def best_in_hindsight(params: np.ndarray, set_: FeasibleSet, quadratic: bool) -> np.ndarray:
+    """Best fixed action against a realized loss stream, exact on every set kind.
+
+    ``params`` holds the stream's (T, d) rows: the centres of squared-distance
+    losses when ``quadratic``, else the directions of linear ones. Since
+    sum_t 0.5 ||x - c_t||^2 = (T/2) ||x - mean(c)||^2 + const, a quadratic
+    stream's minimizer is the projection of the mean centre; a linear stream's
+    is the oracle answer at minus the direction sum.
+    """
+    if quadratic:
+        return set_.project(params.mean(axis=0))
+    return set_.support_argmax(-params.sum(axis=0))
 
 
 @dataclass
@@ -314,7 +322,7 @@ def run_game(config: ExperimentConfig, seed: int) -> RegretTrace:
         grad_norms[i] = math.sqrt(gg)
         oracle_calls[i] = oracle.oracle_calls
 
-    comparator_point, _ = best_in_hindsight(params, set_, _fw_budget(config), quadratic)
+    comparator_point = best_in_hindsight(params, set_, quadratic)
     if quadratic:
         comparator_losses = [0.5 * float(np.dot(diff, diff)) for diff in comparator_point - params]
     else:
@@ -399,16 +407,9 @@ def high_probability_bound(config: ExperimentConfig, sigma: float) -> float:
 
 
 def comparator_correction(config: ExperimentConfig) -> float:
-    """Certified error of the hindsight comparator: 0 where it is exact, else the Frank-Wolfe bound.
-
-    Exact are linear streams (beta = 0) and, since every smooth adversary
-    emits squared-distance losses, any stream on a set with a projection.
-    """
+    """Certified error of the hindsight comparator: 0.0, since ``best_in_hindsight`` is exact."""
     config.validate()
-    set_, _, beta = _problem_constants(config)
-    if has_projection(set_):
-        return 0.0
-    return frank_wolfe_gap_bound(beta * config.T, set_.norm_bound, _fw_budget(config))
+    return 0.0
 
 
 def _verdict(regret: float, bound: float, correction: float) -> dict:

@@ -181,8 +181,9 @@ class PerturbedLeader(OnlineLearner):
 class OGD(OnlineLearner):
     """Projected online gradient descent baseline with step D / (G * sqrt(t)).
 
-    Projection-based, so it needs a set kind that supports Euclidean
-    projection; it makes no oracle calls and serves as the regret yardstick.
+    Projection-based: it makes no oracle calls (on a polytope the projection
+    asks the set's own oracle, which the instrumented set does not count) and
+    serves as the regret yardstick.
     """
 
     def __init__(self, set_: FeasibleSet, *, grad_bound: float, seed: int = 0):

@@ -1,23 +1,20 @@
-"""Convex loss objects and block sums.
+"""Convex loss objects.
 
 A LossFunction bundles value/gradient callables with the two constants the
 regret accounting consumes: a gradient-norm bound G valid on the action set,
 and a smoothness constant (Lipschitz constant of the gradient; 0 for linear
 losses). Pure squared-distance and pure linear losses additionally carry
-their parameter vector. A whole stream of either kind is summed in closed
-form from its (T, d) parameter array by ``quadratic_sum`` or ``linear_sum``:
-O(d) gradients for the hindsight solver and its exact minimizer for
-quadratic streams.
+their parameter vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-__all__ = ["LossFunction", "linear_loss", "quadratic_loss", "quadratic_sum", "linear_sum", "block_sum"]
+__all__ = ["LossFunction", "linear_loss", "quadratic_loss"]
 
 
 @dataclass(frozen=True)
@@ -79,59 +76,3 @@ def quadratic_loss(center, grad_bound: float) -> LossFunction:
         smoothness=1.0,
         center=c,
     )
-
-
-def quadratic_sum(centers: np.ndarray, grad_bound: float) -> LossFunction:
-    """Sum of 0.5 * ||x - c||^2 over the rows c of ``centers`` (smoothness: the row count)."""
-    k = float(len(centers))
-    center_sum = _frozen(centers.sum(axis=0))
-    sq_sum = float(np.einsum("ij,ij->", centers, centers))
-
-    def evaluate(x):
-        return 0.5 * (k * float(np.dot(x, x)) - 2.0 * float(np.dot(center_sum, x)) + sq_sum)
-
-    return LossFunction(evaluate=evaluate, gradient=lambda x: k * x - center_sum,
-                        grad_bound=float(grad_bound), smoothness=k)
-
-
-def linear_sum(directions: np.ndarray, grad_bound: float) -> LossFunction:
-    """Sum of <g, x> over the rows g of ``directions``; ``grad_bound`` is the sum's certified G."""
-    direction_sum = _frozen(directions.sum(axis=0))
-    return LossFunction(evaluate=lambda x: float(np.dot(direction_sum, x)), gradient=lambda x: direction_sum,
-                        grad_bound=float(grad_bound), smoothness=0.0, direction=direction_sum)
-
-
-def block_sum(losses: Sequence[LossFunction]) -> LossFunction:
-    """Pointwise sum of losses; G and smoothness add exactly.
-
-    All-quadratic and all-linear blocks collapse to the O(d) closed forms of
-    ``quadratic_sum`` and ``linear_sum``.
-    """
-    losses = list(losses)
-    if not losses:
-        raise ValueError("block_sum needs at least one loss")
-    dims = {loss.dim for loss in losses if loss.dim is not None}
-    if len(dims) > 1:
-        raise ValueError(f"losses disagree on dimension: {sorted(dims)}")
-    if len(losses) == 1:
-        return losses[0]
-
-    grad_bound = float(sum(loss.grad_bound for loss in losses))
-    if all(loss.center is not None for loss in losses):
-        return quadratic_sum(np.stack([loss.center for loss in losses]), grad_bound)
-    if all(loss.direction is not None for loss in losses):
-        return linear_sum(np.stack([loss.direction for loss in losses]), grad_bound)
-
-    smoothness = float(sum(loss.smoothness for loss in losses))
-    parts = tuple(losses)
-
-    def evaluate(x):
-        return float(sum(loss.evaluate(x) for loss in parts))
-
-    def gradient(x):
-        total = np.zeros_like(np.asarray(x, dtype=float))
-        for loss in parts:
-            total += loss.gradient(x)
-        return total
-
-    return LossFunction(evaluate=evaluate, gradient=gradient, grad_bound=grad_bound, smoothness=smoothness)

@@ -2,8 +2,10 @@
 
 Each set kind answers argmax_{x in K} <y, x> in closed form and reports the
 tight norm bound D = max_{x in K} ||x||_2. That oracle is the only access the
-perturbed-leader learners get; Euclidean projection exists separately for the
-projection-based baseline and is unsupported for vertex-list polytopes.
+perturbed-leader learners get. Every kind also has an exact Euclidean
+projection, for the projection-based baseline and the hindsight comparator:
+closed forms, and on a vertex polytope Wolfe's min-norm-point algorithm,
+which reaches the set through the oracle alone.
 
 Determinism contract: argmax ties break toward the lowest coordinate or
 vertex index, and a zero objective returns a fixed documented point (first
@@ -29,7 +31,6 @@ __all__ = [
     "L1Ball",
     "Polytope",
     "linear_argmax",
-    "linear_max",
     "euclidean_project",
     "brute_force_argmax",
     "sample_unit_ball_batch",
@@ -74,8 +75,9 @@ class FeasibleSet(abc.ABC):
     def support_argmax(self, y: np.ndarray) -> np.ndarray:
         return self.support_argmax_many(np.asarray(y, dtype=float)[None, :])[0]
 
+    @abc.abstractmethod
     def project(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError(f"Euclidean projection is not supported for {self.kind!r} sets")
+        """Euclidean projection argmin_{z in K} ||z - x||."""
 
     @abc.abstractmethod
     def sample_points(self, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -305,6 +307,52 @@ class Polytope(FeasibleSet):
         scores = queries @ self.vertices.T
         return self.vertices[np.argmax(scores, axis=1)]
 
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """Euclidean projection by Wolfe's min-norm-point algorithm (Math. Programming 11, 1976).
+
+        Finds the point y of least norm in the hull of the vertices shifted by
+        -x, starting from the shifted vertex nearest the origin. Each major
+        cycle asks the oracle for the shifted vertex s minimizing <y, s> and
+        adds it to an active set; each minor cycle moves y to the affine
+        minimizer of that set (an lstsq on its KKT system, the sum-to-one
+        weight constraint eliminated), dropping vertices until every weight is
+        positive. Stops once the duality gap <y, y - s> is at most 1e-14 times
+        the largest squared norm of a shifted vertex, and returns x + y.
+        Raises FloatingPointError if rounding stalls it before that.
+        """
+        x = np.asarray(x, dtype=float)
+        shifted = self.vertices - x
+        sq = np.einsum("ij,ij->i", shifted, shifted)
+        tol = 1e-14 * float(sq.max())
+        active = shifted[[int(np.argmin(sq))]]
+        weights = np.ones(1)
+        y = active[0]
+        while True:
+            s = self.support_argmax(-y) - x
+            if float(np.dot(y, y - s)) <= tol:
+                return x + y
+            if (active == s).all(axis=1).any():
+                raise FloatingPointError("min-norm point: the oracle returned an active vertex above the gap tolerance")
+            active, weights = np.vstack([active, s]), np.append(weights, 0.0)
+            while True:
+                base = active[0]
+                c = np.linalg.lstsq((active[1:] - base).T, -base, rcond=None)[0]
+                mu = np.concatenate([[1.0 - c.sum()], c])
+                if np.all(mu > 0):
+                    weights = mu
+                    break
+                # step from weights toward mu until the first weight reaches zero, then drop it
+                out = np.flatnonzero(mu <= 0)
+                ratios = weights[out] / np.maximum(weights[out] - mu[out], np.finfo(float).tiny)
+                j = int(np.argmin(ratios))
+                weights = weights + ratios[j] * (mu - weights)
+                weights[out[j]] = 0.0
+                keep = weights > 0
+                active, weights = active[keep], weights[keep]
+            previous, y = y, weights @ active
+            if float(np.dot(y, y)) >= float(np.dot(previous, previous)):
+                raise FloatingPointError("min-norm point: the norm stopped decreasing above the gap tolerance")
+
     def sample_points(self, rng, count):
         weights = rng.dirichlet(np.ones(len(self.vertices)), size=count)
         return weights @ self.vertices
@@ -345,14 +393,8 @@ def linear_argmax(set_: FeasibleSet, y) -> np.ndarray:
     return set_.support_argmax(y)
 
 
-def linear_max(set_: FeasibleSet, y) -> float:
-    """Support value max_{x in K} <y, x>, computed as <y, linear_argmax(y)>."""
-    y = _as_vector(y, set_.dim)
-    return float(np.dot(y, set_.support_argmax(y)))
-
-
 def euclidean_project(set_: FeasibleSet, x) -> np.ndarray:
-    """argmin_{z in K} ||z - x||; raises NotImplementedError for polytopes."""
+    """argmin_{z in K} ||z - x||, after checking the shape and finiteness of x."""
     x = _as_vector(x, set_.dim, name="x")
     return set_.project(x)
 

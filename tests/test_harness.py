@@ -14,7 +14,7 @@ from pfol import (
     comparator_correction,
     fit_exponent,
     high_probability_bound,
-    linear_max,
+    linear_argmax,
     quantile_check,
     run_experiment,
     run_game,
@@ -22,7 +22,7 @@ from pfol import (
     theoretical_bound,
     trace_to_csv,
 )
-from pfol.harness import CSV_HEADER, RunSummary, config_hash, expected_budgets, resolve_block
+from pfol.harness import CSV_HEADER, _verdict, config_hash, expected_budgets, resolve_block
 
 BALL5 = {"kind": "ball", "dim": 5, "radius": 1.0}
 BALL1 = {"kind": "ball", "dim": 1, "radius": 1.0}
@@ -90,13 +90,17 @@ class TestTheoreticalBound:
             high_probability_bound(cfg(learner="ospf", k=4), 0.05)
 
     def test_correction_band_formula(self):
-        # Frank-Wolfe runs only on vertex polytopes; the other comparators are exact
+        # every comparator is exact, the vertex polytope's included, whatever fw_budget says
         quad = {"kind": "quadratic_stochastic", "center_scale": 1.0}
-        config = cfg(set=DIAMOND, T=100, fw_budget=1000, adversary=quad)
-        assert comparator_correction(config) == pytest.approx(8.0 * 100 / 1002, rel=1e-12)
-        assert comparator_correction(cfg(T=100, fw_budget=1000, adversary=quad)) == 0.0
-        assert comparator_correction(cfg(adversary=LIN_STOCH)) == 0.0
-        assert comparator_correction(cfg(set=DIAMOND, adversary=LIN_STOCH)) == 0.0
+        sets = [BALL5, DIAMOND,
+                {"kind": "box", "lower": [-1.0, 0.0], "upper": [1.0, 2.0]},
+                {"kind": "simplex", "dim": 3, "scale": 1.0},
+                {"kind": "l1_ball", "dim": 4, "radius": 0.5}]
+        for set_ in sets:
+            for adversary in (quad, LIN_STOCH):
+                for fw_budget in (None, 1, 1000):
+                    config = cfg(set=set_, adversary=adversary, T=100, fw_budget=fw_budget)
+                    assert comparator_correction(config) == 0.0
 
 
 class TestFitExponent:
@@ -185,7 +189,7 @@ class TestRunGame:
         trace = run_game(config, 0)
         ball = Ball(dim=5, radius=1.0)
         assert trace.comparator_value == pytest.approx(
-            -32.0 * linear_max(ball, -direction), rel=1e-12)
+            -32.0 * float(np.dot(-direction, linear_argmax(ball, -direction))), rel=1e-12)
 
 
 class TestRunExperimentAndSweep:
@@ -240,11 +244,12 @@ class TestRunExperimentAndSweep:
         assert out[0].final_regrets
 
     def test_sweep_records_partial_failures(self):
+        # the first cell's adversary declares dim 3 on a 2-dimensional set, which make_adversary rejects
         template = cfg(learner="ogd", T=8,
                        set={"kind": "polytope", "vertices": [[0.0, 0.0], [1.0, 0.0]]},
                        adversary={"kind": "linear_stochastic", "direction_norm": 1.0, "dim": 2})
-        good = {"kind": "ball", "dim": 2, "radius": 1.0}
-        out = sweep(template, {"set": [template.set, good]})
+        bad = dict(template.adversary, dim=3)
+        out = sweep(template, {"adversary": [bad, template.adversary]})
         assert len(out) == 2
         assert out[0].errors and not out[0].final_regrets
         assert not out[1].errors and out[1].final_regrets
@@ -290,19 +295,12 @@ class TestQuantileCheck:
         assert report["pass"]
 
     def test_verdict_puts_the_correction_on_the_strict_side(self):
-        # the comparator is at least the true minimum, so R^ <= R <= R^ + eps:
+        # with a comparator at least the true minimum, R^ <= R <= R^ + eps:
         # R^ above the bound fails even when R^ - eps lies below it
-        config = cfg(set=DIAMOND, adversary={"kind": "quadratic_stochastic"},
-                     T=64, m=4, seeds=(0, 1, 2, 3), fw_budget=8)
-        bound = high_probability_bound(config, 0.25)
-        eps = comparator_correction(config)
-        assert eps > 0
+        bound, eps = 10.0, 0.5
 
         def check(regret):
-            summary = RunSummary(config_hash=config_hash(config), learner=config.learner,
-                                 T=config.T, delta=None, seeds=config.seeds,
-                                 final_regrets=(regret,) * len(config.seeds))
-            report = quantile_check(summary, 0.25, config)
+            report = _verdict(regret, bound, eps)
             return report["pass"], report["certified"]
 
         assert check(bound + eps / 2) == (False, False)

@@ -211,10 +211,16 @@ class TestOGD:
         target = -g / np.linalg.norm(g)
         assert np.linalg.norm(learner.act() - target) < 0.05
 
-    def test_polytope_unsupported(self):
-        poly = Polytope(vertices=[[0.0, 0.0], [1.0, 0.0]])
-        with pytest.raises(NotImplementedError):
-            OGD(poly, grad_bound=1.0)
+    def test_polytope_actions_stay_feasible(self):
+        # a pentagon through its min-norm-point projection; steps push toward (5, -5)
+        angles = np.linspace(0.0, 2.0 * np.pi, 5, endpoint=False)
+        poly = Polytope(vertices=np.column_stack([np.cos(angles), np.sin(angles)]))
+        inst = InstrumentedSet(poly)
+        learner = OGD(inst, grad_bound=1.0)
+        actions = drive(learner, [quadratic_loss([5.0, -5.0], grad_bound=9.0)] * 200)
+        assert max(poly.feasibility_gap(a) for a in actions) <= 1e-12
+        np.testing.assert_allclose(actions[-1], poly.project(np.array([5.0, -5.0])), atol=1e-9)
+        assert inst.oracle_calls == 0
 
 
 class TestOFW:

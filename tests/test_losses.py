@@ -1,4 +1,4 @@
-"""Losses, adversaries, block sums, and the hindsight solver."""
+"""Losses, adversaries, and the hindsight comparator."""
 
 import numpy as np
 import pytest
@@ -13,13 +13,9 @@ from pfol import (
     ProtocolError,
     Simplex,
     best_in_hindsight,
-    block_sum,
-    frank_wolfe_gap_bound,
     linear_argmax,
     linear_loss,
-    linear_max,
     make_adversary,
-    offline_frank_wolfe,
     quadratic_loss,
 )
 
@@ -31,11 +27,15 @@ def adv(kind, T=16, seed=0, set_=BALL, **params):
                           norm_bound=set_.norm_bound, dim=set_.dim)
 
 
-def hindsight(losses, set_, budget):
+def hindsight(losses, set_):
     """best_in_hindsight on the parameter array of an all-quadratic or all-linear loss list."""
     quadratic = losses[0].center is not None
     rows = np.stack([loss.center if quadratic else loss.direction for loss in losses])
-    return best_in_hindsight(rows, set_, budget, quadratic)
+    return best_in_hindsight(rows, set_, quadratic)
+
+
+def total_loss(losses, x):
+    return sum(loss.evaluate(x) for loss in losses)
 
 
 def realized(kind, set_, T, seed=0):
@@ -88,162 +88,89 @@ class TestLossConstructors:
                     assert lhs <= loss.smoothness * np.linalg.norm(xi - yi) * (1 + 1e-9)
 
 
-class TestBlockSum:
-    def test_single_loss_is_identity(self):
-        loss = quadratic_loss([0.1, 0.2], grad_bound=2.0)
-        assert block_sum([loss]) is loss
-
-    def test_two_linear_losses_sum_directions(self):
-        total = block_sum([linear_loss([1.0, 0.0]), linear_loss([0.0, 2.0])])
-        np.testing.assert_array_equal(total.direction, [1.0, 2.0])
-        assert total.evaluate(np.array([1.0, 1.0])) == 3.0
-
-    def test_three_quadratics_gradient(self):
-        # symbolic: grad of sum of 0.5||x - c_i||^2 is 3x - sum(c_i)
-        centers = [np.array([1.0, 0.0]), np.array([0.0, 2.0]), np.array([-1.0, 1.0])]
-        total = block_sum([quadratic_loss(c, grad_bound=2.0) for c in centers])
-        x = np.array([0.5, -0.5])
-        np.testing.assert_allclose(total.gradient(x), 3.0 * x - sum(centers), atol=1e-15)
-
-    def test_constants_add_exactly(self):
-        losses = [quadratic_loss([0.1, 0.0], 2.0), linear_loss([1.0, 1.0]),
-                  quadratic_loss([0.0, 0.3], 1.5)]
-        total = block_sum(losses)
-        assert total.grad_bound == 2.0 + np.sqrt(2.0) + 1.5
-        assert total.smoothness == 2.0
-
-    def test_generic_sum_matches_pointwise(self):
-        losses = [quadratic_loss([0.1, 0.2], 2.0), linear_loss([0.5, -0.5])]
-        total = block_sum(losses)
-        rng = np.random.default_rng(2)
-        for x in rng.standard_normal((20, 2)):
-            want = sum(l.evaluate(x) for l in losses)
-            assert total.evaluate(x) == pytest.approx(want, rel=1e-14)
-            np.testing.assert_allclose(total.gradient(x),
-                                       sum(l.gradient(x) for l in losses), atol=1e-14)
-
-    def test_empty_and_mismatched_inputs(self):
-        with pytest.raises(ValueError, match="at least one"):
-            block_sum([])
-        with pytest.raises(ValueError, match="dimension"):
-            block_sum([linear_loss([1.0]), linear_loss([1.0, 2.0])])
-
-
-class TestOfflineFrankWolfe:
-    def test_rate_bound_on_interior_quadratic(self):
-        loss = quadratic_loss([0.2, -0.3], grad_bound=2.0)
-        for iters in (4, 16, 64):
-            _, value = offline_frank_wolfe(loss, BALL, iters)
-            assert value <= 0.0 + frank_wolfe_gap_bound(1.0, BALL.norm_bound, iters)
-
-    def test_linear_objective_solved_in_one_step(self):
-        g = np.array([1.0, -2.0])
-        point, _ = offline_frank_wolfe(linear_loss(g), BALL, 1)
-        np.testing.assert_array_equal(point, linear_argmax(BALL, -g))
-
-    def test_exterior_center_projects_to_boundary(self):
-        # analytic: min of 0.5||x-(2,0)||^2 over the unit ball is at (1,0), value 0.5
-        loss = quadratic_loss([2.0, 0.0], grad_bound=3.0)
-        point, value = offline_frank_wolfe(loss, BALL, 4000)
-        np.testing.assert_allclose(point, [1.0, 0.0], atol=2e-3)
-        assert value == pytest.approx(0.5, abs=frank_wolfe_gap_bound(1.0, 1.0, 4000))
-
-    def test_requires_at_least_one_iteration(self):
-        with pytest.raises(ValueError):
-            offline_frank_wolfe(linear_loss([1.0, 0.0]), BALL, 0)
-
-    def test_non_finite_gradient_aborts(self):
-        from pfol import LossFunction
-        bad = LossFunction(evaluate=lambda x: 0.0,
-                           gradient=lambda x: np.array([np.nan, 0.0]),
-                           grad_bound=1.0)
-        with pytest.raises(FloatingPointError):
-            offline_frank_wolfe(bad, BALL, 3)
-
-
 class TestBestInHindsight:
     def test_identical_linear_losses(self):
         g = np.array([1.0, -2.0])
         losses = [linear_loss(g)] * 4
-        point, value = hindsight(losses, BALL, budget=8)
+        value = total_loss(losses, hindsight(losses, BALL))
         expect = 4.0 * float(np.dot(g, linear_argmax(BALL, -g)))
         assert value == pytest.approx(expect, rel=1e-12)
-        assert value == pytest.approx(-4.0 * linear_max(BALL, -g), rel=1e-12)
+        assert value == pytest.approx(-4.0 * np.sqrt(5.0), rel=1e-12)
 
     def test_interior_mean_center_is_exact(self):
         centers = [np.array([0.2, 0.1]), np.array([-0.1, 0.3]), np.array([0.2, -0.1])]
         losses = [quadratic_loss(c, 2.0) for c in centers]
-        point, _ = hindsight(losses, BALL, budget=50)
+        point = hindsight(losses, BALL)
         np.testing.assert_allclose(point, np.mean(centers, axis=0), atol=1e-12)
 
     def test_projected_mean_center_hand_computed(self):
         # centers (2,0),(0,2),(-2,0): mean (0, 2/3) interior, total value 16/3
         centers = [np.array([2.0, 0.0]), np.array([0.0, 2.0]), np.array([-2.0, 0.0])]
         losses = [quadratic_loss(c, 4.0) for c in centers]
-        point, value = hindsight(losses, BALL, budget=200)
+        point = hindsight(losses, BALL)
         np.testing.assert_allclose(point, [0.0, 2.0 / 3.0], atol=1e-12)
-        assert value == pytest.approx(16.0 / 3.0, rel=1e-12)
+        assert total_loss(losses, point) == pytest.approx(16.0 / 3.0, rel=1e-12)
+
+    def test_exterior_center_projects_to_boundary(self):
+        # analytic: min of 0.5||x-(2,0)||^2 over the unit ball is at (1,0), value 0.5
+        point = hindsight([quadratic_loss([2.0, 0.0], grad_bound=3.0)], BALL)
+        np.testing.assert_array_equal(point, [1.0, 0.0])
 
     def test_never_beaten_by_random_probes(self):
         rng = np.random.default_rng(3)
-        for set_ in (BALL, Simplex(dim=3, scale=1.0), Box(lower=[-1.0, 0.0], upper=[1.0, 2.0])):
-            a = adv("quadratic_stochastic", T=12, set_=set_)
-            losses = []
-            history = []
-            for _ in range(12):
-                losses.append(a.next_loss(history))
-                history.append(set_.sample_points(rng, 1)[0])
-            total = block_sum(losses)
-            _, value = hindsight(losses, set_, budget=2000)
-            probes = set_.sample_points(rng, 100)
-            tol = frank_wolfe_gap_bound(total.smoothness, set_.norm_bound, 2000)
-            assert all(value <= total.evaluate(p) + tol for p in probes)
+        pentagon = Polytope(vertices=[[np.cos(a), np.sin(a)] for a in np.linspace(0.0, 2.0 * np.pi, 5, endpoint=False)])
+        for set_ in (BALL, Simplex(dim=3, scale=1.0), Box(lower=[-1.0, 0.0], upper=[1.0, 2.0]), pentagon):
+            for kind in ("quadratic_stochastic", "linear_stochastic"):
+                losses = realized(kind, set_, T=12, seed=int(rng.integers(100)))
+                value = total_loss(losses, hindsight(losses, set_))
+                probes = set_.sample_points(rng, 100)
+                assert all(value <= total_loss(losses, p) + 1e-12 for p in probes)
 
     def test_projectable_quadratic_streams_return_the_projected_mean_center(self):
+        poly = Polytope(vertices=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, -1.0, -1.0]])
         for set_ in (Box(lower=[-1.0, 0.0], upper=[1.0, 2.0]), Simplex(dim=3, scale=1.0),
-                     L1Ball(dim=3, radius=0.5)):
+                     L1Ball(dim=3, radius=0.5), poly):
             losses = realized("quadratic_stochastic", set_, T=40)
             inst = InstrumentedSet(set_)
-            point, value = hindsight(losses, inst, budget=400)
+            point = hindsight(losses, inst)
             want = set_.project(np.mean(np.stack([loss.center for loss in losses]), axis=0))
             np.testing.assert_array_equal(point, want)
             assert inst.oracle_calls == 0
-            assert value == pytest.approx(block_sum(losses).evaluate(want), rel=1e-9)
 
     def test_linear_stream_returns_the_oracle_answer(self):
         square = Polytope(vertices=[[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
         for set_ in (BALL, Simplex(dim=3, scale=1.0), square):
             losses = realized("linear_stochastic", set_, T=40)
             inst = InstrumentedSet(set_)
-            point, value = hindsight(losses, inst, budget=400)
+            point = hindsight(losses, inst)
             direction_sum = np.sum([loss.direction for loss in losses], axis=0)
             np.testing.assert_array_equal(point, linear_argmax(set_, -direction_sum))
-            assert inst.oracle_calls <= 3
-            assert value == pytest.approx(block_sum(losses).evaluate(point), rel=1e-12)
+            assert inst.oracle_calls == 1
 
     def test_polytope_stops_on_the_certified_duality_gap(self):
+        # the benchmark's polytope game: 64 unit vertices in d=16, T=2^13; the
+        # sum objective's gap T <x - mean, x - v> must meet the benchmark's relative tolerance
         rng = np.random.default_rng(8)
-        vertices = rng.standard_normal((32, 8))
+        vertices = rng.standard_normal((64, 16))
         poly = Polytope(vertices=vertices / np.linalg.norm(vertices, axis=1, keepdims=True))
-        T = 200
-        losses = realized("quadratic_stochastic", poly, T=T)
-        total = block_sum(losses)
-        inst = InstrumentedSet(poly)
-        point, value = hindsight(losses, inst, budget=10 * T)
-        assert inst.oracle_calls < 10 * T
-        grad = total.gradient(point)
-        gap = float(np.dot(grad, point - linear_argmax(poly, -grad)))
-        assert gap <= frank_wolfe_gap_bound(total.smoothness, poly.norm_bound, 10 * T)
-        assert value == total.evaluate(point)
+        T = 2**13
+        for seed in (1, 2):
+            a = adv("quadratic_stochastic", T=T, seed=seed, set_=poly)
+            centers = np.stack([a.emit(t) for t in range(1, T + 1)])
+            point = best_in_hindsight(centers, poly, True)
+            value = 0.5 * float(np.sum((centers - point) ** 2))
+            grad = T * point - centers.sum(axis=0)
+            gap = float(np.dot(grad, point - linear_argmax(poly, -grad)))
+            assert poly.feasibility_gap(point) <= 1e-12
+            assert gap <= 1e-9 * (1.0 + value)
 
-    def test_polytope_stream_skips_projection_shortcut(self):
-        # the shared center (0.2, 0.2) lies inside the triangle, so the
-        # minimum is 0 and only the oracle-driven route can find it
+    def test_polytope_interior_mean_center_is_exact(self):
+        # the shared center (0.2, 0.2) lies inside the triangle, so the minimum is 0
         poly = Polytope(vertices=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         losses = [quadratic_loss([0.2, 0.2], 2.0)] * 3
-        point, value = hindsight(losses, poly, budget=3000)
-        assert poly.feasibility_gap(point) <= 1e-9
-        assert 0.0 <= value <= frank_wolfe_gap_bound(3.0, poly.norm_bound, 3000)
+        point = hindsight(losses, poly)
+        np.testing.assert_allclose(point, [0.2, 0.2], rtol=0, atol=1e-15)
+        assert total_loss(losses, point) <= 1e-30
 
 
 class TestAdversaries:

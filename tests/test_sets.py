@@ -15,7 +15,6 @@ from pfol import (
     brute_force_argmax,
     euclidean_project,
     linear_argmax,
-    linear_max,
     sample_unit_ball_batch,
     sample_unit_sphere_batch,
     set_from_json,
@@ -33,8 +32,6 @@ ALL_SETS = [
     Polytope(vertices=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
     Polytope(vertices=[[1.0, 2.0, -1.0], [0.0, 0.0, 0.0], [-2.0, 1.0, 1.0], [3.0, -1.0, 0.5]]),
 ]
-
-PROJECTABLE = [s for s in ALL_SETS if s.kind != "polytope"]
 
 
 class TestLinearArgmax:
@@ -110,15 +107,17 @@ class TestLinearArgmax:
 
 class TestLinearMax:
     def test_box_equals_weighted_absolute_sum(self):
-        assert linear_max(Box(lower=[-1.0, -1.0], upper=[1.0, 1.0]), [2.0, -3.0]) == 5.0
+        y = np.array([2.0, -3.0])
+        assert np.dot(y, linear_argmax(Box(lower=[-1.0, -1.0], upper=[1.0, 1.0]), y)) == 5.0
 
     def test_zero_vector_gives_zero(self):
         for s in ALL_SETS:
-            assert linear_max(s, np.zeros(s.dim)) == 0.0
+            assert np.dot(np.zeros(s.dim), linear_argmax(s, np.zeros(s.dim))) == 0.0
 
     def test_ball_value_is_radius_times_norm(self):
         # maximize <y, x> over ||x|| <= 2 analytically: 2 * ||y||
-        val = linear_max(Ball(dim=2, radius=2.0), [1.0, 1.0])
+        y = np.array([1.0, 1.0])
+        val = np.dot(y, linear_argmax(Ball(dim=2, radius=2.0), y))
         assert val == pytest.approx(2.0 * np.sqrt(2.0), rel=1e-14)
 
     def test_lipschitz_in_the_query(self):
@@ -187,15 +186,15 @@ class TestEuclideanProject:
         out = euclidean_project(Simplex(dim=3, scale=1.0), [0.8, 0.8, 0.0])
         np.testing.assert_allclose(out, [0.5, 0.5, 0.0], atol=1e-12)
 
-    def test_polytope_unsupported(self):
+    def test_polytope_segment(self):
+        # a segment in R^2: the foot of the perpendicular from (0.5, 0.5)
         poly = Polytope(vertices=[[0.0, 0.0], [1.0, 0.0]])
-        with pytest.raises(NotImplementedError, match="projection"):
-            euclidean_project(poly, [0.5, 0.5])
+        np.testing.assert_allclose(euclidean_project(poly, [0.5, 0.5]), [0.5, 0.0], atol=1e-15)
 
     def test_variational_inequality(self):
         # <x - p, z - p> <= 0 for all feasible z characterizes the projection
         rng = np.random.default_rng(5)
-        for s in PROJECTABLE:
+        for s in ALL_SETS:
             for _ in range(5):
                 x = rng.standard_normal(s.dim) * 3.0
                 p = euclidean_project(s, x)
@@ -205,10 +204,91 @@ class TestEuclideanProject:
                 assert np.max(inner) <= 1e-9
 
     def test_interior_point_is_fixed(self):
-        for s in PROJECTABLE:
+        for s in ALL_SETS:
             z = s.sample_points(np.random.default_rng(6), 1)[0] * 0.5 if s.kind != "box" else s.sample_points(np.random.default_rng(6), 1)[0]
             p = euclidean_project(s, euclidean_project(s, z))
             np.testing.assert_allclose(p, euclidean_project(s, z), atol=1e-12)
+
+
+def min_norm_gap(poly, x, p):
+    """Duality gap <p - x, p - v> of the projection problem at p, v the oracle answer at x - p."""
+    v = linear_argmax(poly, x - p)
+    return float(np.dot(p - x, p - v))
+
+
+class TestPolytopeProject:
+    """Wolfe's min-norm point against the closed-form projections of the same sets."""
+
+    @staticmethod
+    def check(poly, closed, rng, scale=3.0, tries=40):
+        for _ in range(tries):
+            x = rng.standard_normal(poly.dim) * scale
+            np.testing.assert_allclose(poly.project(x), closed.project(x), rtol=0, atol=1e-12)
+
+    def test_simplex_vertices(self):
+        rng = np.random.default_rng(11)
+        for d in (1, 2, 3, 6):
+            simplex = Simplex(dim=d, scale=1.5)
+            self.check(Polytope(vertices=1.5 * np.eye(d)), simplex, rng)
+
+    def test_box_corners(self):
+        rng = np.random.default_rng(12)
+        for d in (1, 2, 4):
+            lower = rng.uniform(-2.0, 0.0, d)
+            upper = lower + rng.uniform(0.5, 2.0, d)
+            corners = np.array(np.meshgrid(*zip(lower, upper), indexing="ij")).reshape(d, -1).T
+            assert len(corners) == 2**d
+            self.check(Polytope(vertices=corners), Box(lower=lower, upper=upper), rng)
+
+    def test_cross_polytope_vertices(self):
+        rng = np.random.default_rng(13)
+        for d in (2, 3, 5):
+            vertices = np.vstack([0.7 * np.eye(d), -0.7 * np.eye(d)])
+            self.check(Polytope(vertices=vertices), L1Ball(dim=d, radius=0.7), rng)
+
+    def test_interior_point_is_returned(self):
+        poly = Polytope(vertices=[[1.0, 2.0, -1.0], [0.0, 0.0, 0.0], [-2.0, 1.0, 1.0], [3.0, -1.0, 0.5]])
+        x = poly.vertices.T @ np.array([0.1, 0.2, 0.3, 0.4])
+        np.testing.assert_allclose(poly.project(x), x, rtol=0, atol=1e-15)
+
+    def test_duplicated_vertices(self):
+        rng = np.random.default_rng(14)
+        corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        doubled = Polytope(vertices=np.vstack([corners, corners[::-1], corners[:2]]))
+        self.check(doubled, Box(lower=[0.0, 0.0], upper=[1.0, 1.0]), rng)
+
+    def test_affinely_dependent_vertices(self):
+        # the unit square in the z = 0 plane of R^3: clamp x and y, zero z
+        square = Polytope(vertices=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+        rng = np.random.default_rng(15)
+        for x in rng.standard_normal((40, 3)) * 3.0:
+            want = [min(max(x[0], 0.0), 1.0), min(max(x[1], 0.0), 1.0), 0.0]
+            np.testing.assert_allclose(square.project(x), want, rtol=0, atol=1e-12)
+        segment = Polytope(vertices=[[-1.0, 1.0], [1.0, -1.0], [0.0, 0.0]])
+        np.testing.assert_allclose(segment.project([2.0, 2.0]), [0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(segment.project([3.0, -1.0]), [1.0, -1.0], atol=1e-15)
+
+    def test_single_vertex(self):
+        point = Polytope(vertices=[[0.5, -2.0, 1.0]])
+        np.testing.assert_array_equal(point.project(np.array([9.0, 9.0, 9.0])), [0.5, -2.0, 1.0])
+
+    def test_far_point_stops_on_the_gap(self):
+        rng = np.random.default_rng(16)
+        vertices = rng.standard_normal((40, 6))
+        poly = Polytope(vertices=vertices)
+        for scale in (1e-2, 1.0, 1e3, 1e6):
+            for x in rng.standard_normal((10, 6)) * scale:
+                p = poly.project(x)
+                assert poly.feasibility_gap(p) <= 1e-9 * (1.0 + scale)
+                tol = 1e-14 * float(np.max(np.sum((vertices - x) ** 2, axis=1)))
+                assert min_norm_gap(poly, x, p) <= tol
+
+    def test_an_affine_step_without_progress_raises(self, monkeypatch):
+        # an affine solve that returns the current point stalls the norm above the gap tolerance
+        monkeypatch.setattr(np.linalg, "lstsq", lambda a, b, rcond=None: (np.zeros(a.shape[1]), None, None, None))
+        poly = Polytope(vertices=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(FloatingPointError, match="min-norm point"):
+            poly.project(np.array([1.0, 1.0]))
 
 
 class TestSamplers:
