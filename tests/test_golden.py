@@ -1,8 +1,8 @@
 """Golden traces: CSV bytes of fixed (config, seed) games must never change.
 
 ``golden_traces.json`` holds the sha256 of ``trace_to_csv`` output for every
-learner against every adversary kind on a 5-dimensional ball, and for the
-oracle learners also on a 12-vertex polytope, at seeds 0 and 1 and T = 200.
+learner against every adversary kind on a 5-dimensional ball and on a
+12-vertex polytope, at seeds 0 and 1 and T = 200.
 Eight longer games at T = 8200 (sampled_fpl with m = 1 and ospf with k = 2,
 against linear_stochastic and quadratic_adaptive on the ball, seeds 0 and 1)
 run past the cap on pre-drawn perturbation blocks, 4096 rows, so that the
@@ -45,8 +45,6 @@ LONG_LEARNERS = {"sampled_fpl-m1": LEARNERS["sampled_fpl-m1"], "ospf-k2": {"lear
 def cases():
     for set_name, set_spec in SETS.items():
         for learner_name, knobs in LEARNERS.items():
-            if learner_name == "ogd" and set_name != "ball":
-                continue  # projection-based: no polytope support
             for adversary in ADVERSARIES:
                 for seed in (0, 1):
                     key = f"{set_name}/{learner_name}/{adversary}/{seed}"
