@@ -5,7 +5,7 @@ tight norm bound D = max_{x in K} ||x||_2. That oracle is the only access the
 perturbed-leader learners get. Every kind also has an exact Euclidean
 projection, for the projection-based baseline and the hindsight comparator:
 closed forms, and on a vertex polytope Wolfe's min-norm-point algorithm,
-which reaches the set through the oracle alone.
+which asks the oracle for vertices and solves small least-squares problems.
 
 Determinism contract: argmax ties break toward the lowest coordinate or
 vertex index, and a zero objective returns a fixed documented point (first
@@ -332,7 +332,7 @@ class Polytope(FeasibleSet):
             if float(np.dot(y, y - s)) <= tol:
                 return x + y
             if (active == s).all(axis=1).any():
-                raise FloatingPointError("min-norm point: the oracle returned an active vertex above the gap tolerance")
+                raise FloatingPointError("min-norm point: the oracle returned an active vertex above the gap")
             active, weights = np.vstack([active, s]), np.append(weights, 0.0)
             while True:
                 base = active[0]
@@ -351,7 +351,7 @@ class Polytope(FeasibleSet):
                 active, weights = active[keep], weights[keep]
             previous, y = y, weights @ active
             if float(np.dot(y, y)) >= float(np.dot(previous, previous)):
-                raise FloatingPointError("min-norm point: the norm stopped decreasing above the gap tolerance")
+                raise FloatingPointError("min-norm point: the norm stopped decreasing above the gap")
 
     def sample_points(self, rng, count):
         weights = rng.dirichlet(np.ones(len(self.vertices)), size=count)

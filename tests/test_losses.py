@@ -118,7 +118,8 @@ class TestBestInHindsight:
 
     def test_never_beaten_by_random_probes(self):
         rng = np.random.default_rng(3)
-        pentagon = Polytope(vertices=[[np.cos(a), np.sin(a)] for a in np.linspace(0.0, 2.0 * np.pi, 5, endpoint=False)])
+        angles = np.linspace(0.0, 2.0 * np.pi, 5, endpoint=False)
+        pentagon = Polytope(vertices=np.column_stack([np.cos(angles), np.sin(angles)]))
         for set_ in (BALL, Simplex(dim=3, scale=1.0), Box(lower=[-1.0, 0.0], upper=[1.0, 2.0]), pentagon):
             for kind in ("quadratic_stochastic", "linear_stochastic"):
                 losses = realized(kind, set_, T=12, seed=int(rng.integers(100)))

@@ -285,7 +285,10 @@ class TestPolytopeProject:
 
     def test_an_affine_step_without_progress_raises(self, monkeypatch):
         # an affine solve that returns the current point stalls the norm above the gap tolerance
-        monkeypatch.setattr(np.linalg, "lstsq", lambda a, b, rcond=None: (np.zeros(a.shape[1]), None, None, None))
+        def no_step(a, b, rcond=None):
+            return np.zeros(a.shape[1]), None, None, None
+
+        monkeypatch.setattr(np.linalg, "lstsq", no_step)
         poly = Polytope(vertices=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(FloatingPointError, match="min-norm point"):
             poly.project(np.array([1.0, 1.0]))
