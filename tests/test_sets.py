@@ -290,7 +290,21 @@ class TestPolytopeProject:
 
         monkeypatch.setattr(np.linalg, "lstsq", no_step)
         poly = Polytope(vertices=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(FloatingPointError, match="min-norm point"):
+        with pytest.raises(FloatingPointError, match="norm stopped decreasing"):
+            poly.project(np.array([1.0, 1.0]))
+
+    def test_an_inexact_affine_step_raises(self, monkeypatch):
+        # half of each affine step leaves the point off the affine minimizer, so the
+        # oracle answers with an active vertex while the gap is still open
+        lstsq = np.linalg.lstsq
+
+        def half_step(a, b, rcond=None):
+            c, *rest = lstsq(a, b, rcond=rcond)
+            return (0.5 * c, *rest)
+
+        monkeypatch.setattr(np.linalg, "lstsq", half_step)
+        poly = Polytope(vertices=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(FloatingPointError, match="active vertex"):
             poly.project(np.array([1.0, 1.0]))
 
 
