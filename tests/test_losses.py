@@ -88,6 +88,29 @@ class TestLossConstructors:
                     assert lhs <= loss.smoothness * np.linalg.norm(xi - yi) * (1 + 1e-9)
 
 
+class TestOfflineFrankWolfe:
+    """The offline problem a conditional-gradient comparator would solve iteratively.
+
+    The exact comparator must do no worse than that loop's worst-case gap
+    8 L D^2 / (k + 2) at any iteration count k, and answer a linear objective
+    with the single oracle call that is the loop's first step.
+    """
+
+    def test_rate_bound_on_interior_quadratic(self):
+        loss = quadratic_loss([0.2, -0.3], grad_bound=2.0)
+        value = total_loss([loss], hindsight([loss], BALL))
+        for iters in (4, 16, 64):
+            assert value <= 0.0 + 8.0 * loss.smoothness * BALL.norm_bound ** 2 / (iters + 2.0)
+        assert value == 0.0
+
+    def test_linear_objective_solved_in_one_step(self):
+        g = np.array([1.0, -2.0])
+        inst = InstrumentedSet(BALL)
+        point = hindsight([linear_loss(g)], inst)
+        np.testing.assert_array_equal(point, linear_argmax(BALL, -g))
+        assert inst.oracle_calls == 1
+
+
 class TestBestInHindsight:
     def test_identical_linear_losses(self):
         g = np.array([1.0, -2.0])
