@@ -22,7 +22,6 @@ from .harness import (
     RunSummary,
     best_in_hindsight,
     bound_check,
-    comparator_correction,
     fit_exponent,
     high_probability_bound,
     quantile_check,

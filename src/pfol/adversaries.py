@@ -106,15 +106,6 @@ class Adversary(abc.ABC):
     def _mean_action(self) -> np.ndarray | None:
         return None if self._action_sum is None else self._action_sum / self._seen
 
-    def to_json(self) -> dict:
-        out = {"kind": self.kind, "horizon": self.horizon, "seed": self.seed}
-        out.update(self._params())
-        return out
-
-    @abc.abstractmethod
-    def _params(self) -> dict:
-        ...
-
 
 class QuadraticStochastic(Adversary):
     """f_t(x) = 0.5 ||x - c_t||^2 with c_t uniform on a ball of given radius."""
@@ -134,9 +125,6 @@ class QuadraticStochastic(Adversary):
 
     def emit(self, t):
         return self._table_row(t, self.center_scale)
-
-    def _params(self):
-        return {"dim": self.dim, "center_scale": self.center_scale}
 
 
 class QuadraticAdaptive(QuadraticStochastic):
@@ -183,12 +171,6 @@ class LinearStochastic(Adversary):
     def emit(self, t):
         return self.direction if self.direction is not None else self._table_row(t, self.direction_norm)
 
-    def _params(self):
-        out = {"dim": self.dim, "direction_norm": self.direction_norm}
-        if self.direction is not None:
-            out["direction"] = self.direction.tolist()
-        return out
-
 
 class LinearAdaptive(Adversary):
     """Linear losses aimed at the player's mean action.
@@ -218,9 +200,6 @@ class LinearAdaptive(Adversary):
                 return self.direction_norm * mean / n
         return self.direction_norm * self._draws(t, 1)[0]
 
-    def _params(self):
-        return {"dim": self.dim, "direction_norm": self.direction_norm}
-
 
 _KINDS = {
     cls.kind: cls
@@ -231,9 +210,10 @@ _KINDS = {
 def make_adversary(spec: dict, *, horizon: int, seed: int, norm_bound: float, dim: int) -> Adversary:
     """Build an adversary from a JSON-style spec; horizon/seed/dim come from the run.
 
-    A spec may override the seed with an integer and the horizon with an
-    integer of at least the run's, and may repeat the set's dimension; anything
-    else is a ConfigError.
+    A spec may override the seed with an integer, and may repeat the set's
+    dimension. It may also name a horizon, an integer of at least the run's;
+    that is checked and not read, since the adversary serves the run's rounds
+    and its rows are keyed by round. Anything else is a ConfigError.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"adversary spec must be an object with a 'kind' field, got {spec!r}")
@@ -241,10 +221,10 @@ def make_adversary(spec: dict, *, horizon: int, seed: int, norm_bound: float, di
     if kind not in _KINDS:
         raise ConfigError(f"unknown adversary kind {kind!r}; supported: {sorted(_KINDS)}")
     params = {k: v for k, v in spec.items() if k not in ("kind", "horizon", "seed", "dim")}
-    run_horizon, horizon, seed = horizon, spec.get("horizon", horizon), spec.get("seed", seed)
-    if not (is_int(horizon) and is_int(seed) and horizon >= run_horizon):
-        raise ConfigError(f"adversary horizon must be an integer >= the run's T={run_horizon} and seed "
-                          f"an integer, got horizon={horizon!r}, seed={seed!r}")
+    spec_horizon, seed = spec.get("horizon", horizon), spec.get("seed", seed)
+    if not (is_int(spec_horizon) and is_int(seed) and spec_horizon >= horizon):
+        raise ConfigError(f"adversary horizon must be an integer >= the run's T={horizon} and seed "
+                          f"an integer, got horizon={spec_horizon!r}, seed={seed!r}")
     if "dim" in spec and not (is_int(spec["dim"]) and spec["dim"] == dim):
         raise ConfigError(f"adversary dim must equal the set's dim {dim}, got {spec['dim']!r}")
     try:

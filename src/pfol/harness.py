@@ -10,10 +10,12 @@ comparator column; the final cumulative regret equals the summed losses
 minus the comparator value by construction. Sweeps and multi-seed runs play
 all their (cell, seed) games in one process pool.
 
-Expected-regret bounds and their high-probability counterparts are evaluated
-from the config (never fitted). The comparator is exact on every set kind
-(see ``best_in_hindsight``), so a bound check compares the computed regret
-with the bound directly; its certified error ``comparator_correction`` is 0.
+Each config is resolved once per use (``_resolve``): validated, its set
+parsed and its (G, beta), block length and perturbation scale worked out, and
+the game, the summary and the bounds read that record. Expected-regret bounds
+and their high-probability counterparts are evaluated from it (never fitted).
+The comparator is exact on every set kind (see ``best_in_hindsight``), so a
+bound check passes when the computed regret is at most the bound.
 """
 
 from __future__ import annotations
@@ -26,12 +28,12 @@ import math
 import numbers
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from .adversaries import make_adversary
+from .adversaries import Adversary, make_adversary
 from .errors import ConfigError, is_int
 from .learners import (
     OFW,
@@ -55,7 +57,6 @@ __all__ = [
     "best_in_hindsight",
     "theoretical_bound",
     "high_probability_bound",
-    "comparator_correction",
     "bound_check",
     "quantile_check",
     "fit_exponent",
@@ -138,19 +139,7 @@ class ExperimentConfig:
         return cfg
 
     def to_json(self) -> dict:
-        return {
-            "learner": self.learner,
-            "set": self.set,
-            "adversary": self.adversary,
-            "T": self.T,
-            "m": self.m,
-            "k": self.k,
-            "eval_samples": self.eval_samples,
-            "delta": self.delta,
-            "seeds": list(self.seeds),
-            "fw_budget": self.fw_budget,
-            "output_path": self.output_path,
-        }
+        return asdict(self)
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -161,15 +150,6 @@ def config_hash(config: ExperimentConfig) -> str:
 # ---------------------------------------------------------------------------
 # parameter resolution
 # ---------------------------------------------------------------------------
-
-
-def _problem_constants(config: ExperimentConfig):
-    """(set, G, beta) for a config; the adversary certifies G and beta."""
-    set_ = set_from_json(config.set)
-    adversary = make_adversary(config.adversary, horizon=config.T, seed=0,
-                               norm_bound=set_.norm_bound, dim=set_.dim)
-    G, beta = adversary.constants()
-    return set_, G, beta
 
 
 def resolve_block(config: ExperimentConfig, beta: float) -> int:
@@ -214,17 +194,38 @@ def resolve_delta(config: ExperimentConfig, G: float, dim: int, k: int) -> float
     return value
 
 
-def _make_learner(config: ExperimentConfig, set_, delta, k, seed, grad_bound):
-    name = config.learner
-    shape = leader_shape(config, k)
-    if shape is not None:
-        samples, block = shape
-        return PerturbedLeader(set_, delta=delta, samples=samples, block=block, seed=seed)
-    if name == "ogd":
-        return OGD(set_, grad_bound=grad_bound, seed=seed)
-    if name == "ofw":
-        return OFW(set_, grad_bound=grad_bound, seed=seed)
-    raise ConfigError(f"unknown learner {name!r}")
+@dataclass(frozen=True)
+class _Problem:
+    """A validated config's set, (G, beta), block length k, delta (None for a baseline) and leader shape."""
+
+    set: FeasibleSet
+    G: float
+    beta: float
+    k: int
+    delta: float | None
+    leader_shape: tuple[int, int] | None
+
+
+def _resolve(config: ExperimentConfig, seed: int = 0) -> tuple[_Problem, Adversary]:
+    """Validate a config and resolve it, with the adversary it plays under ``seed``.
+
+    The set is parsed here and nowhere else; the adversary certifies G and beta.
+    """
+    config.validate()
+    set_ = set_from_json(config.set)
+    adversary = make_adversary(config.adversary, horizon=config.T, seed=seed,
+                               norm_bound=set_.norm_bound, dim=set_.dim)
+    G, beta = adversary.constants()
+    k = resolve_block(config, beta)
+    problem = _Problem(set_, G, beta, k, resolve_delta(config, G, set_.dim, k), leader_shape(config, k))
+    return problem, adversary
+
+
+def _make_learner(config: ExperimentConfig, problem: _Problem, oracle: InstrumentedSet, seed: int):
+    if problem.leader_shape is not None:
+        samples, block = problem.leader_shape
+        return PerturbedLeader(oracle, delta=problem.delta, samples=samples, block=block, seed=seed)
+    return {"ogd": OGD, "ofw": OFW}[config.learner](oracle, grad_bound=problem.G)
 
 
 def expected_budgets(config: ExperimentConfig, k: int) -> tuple[int, int]:
@@ -291,15 +292,10 @@ class RegretTrace:
 
 def run_game(config: ExperimentConfig, seed: int) -> RegretTrace:
     """Play one full game and return its trace; deterministic in (config, seed)."""
-    config.validate()
-    set_ = set_from_json(config.set)
-    adversary = make_adversary(config.adversary, horizon=config.T, seed=seed,
-                               norm_bound=set_.norm_bound, dim=set_.dim)
-    G, beta = adversary.constants()
-    k = resolve_block(config, beta)
-    delta = resolve_delta(config, G, set_.dim, k)
+    problem, adversary = _resolve(config, seed)
+    set_ = problem.set
     oracle = InstrumentedSet(set_)
-    learner = _make_learner(config, oracle, delta, k, seed, G)
+    learner = _make_learner(config, problem, oracle, seed)
     quadratic = adversary.quadratic
     T, d = config.T, set_.dim
     actions = np.empty((T, d))
@@ -332,7 +328,7 @@ def run_game(config: ExperimentConfig, seed: int) -> RegretTrace:
     return RegretTrace(
         algorithm=config.learner,
         seed=int(seed),
-        delta=delta,
+        delta=problem.delta,
         actions=actions,
         losses=losses,
         grad_norms=grad_norms,
@@ -351,7 +347,12 @@ def run_game(config: ExperimentConfig, seed: int) -> RegretTrace:
 
 
 def theoretical_bound(config: ExperimentConfig) -> float:
-    """Expected-regret guarantee (excess over the comparator) for the config.
+    """Expected-regret guarantee (excess over the comparator) for the config."""
+    return _expected_bound(config, _resolve(config)[0])
+
+
+def _expected_bound(config: ExperimentConfig, problem: _Problem) -> float:
+    """``theoretical_bound`` of a resolved config.
 
     A perturbed leader with (samples, block) plays FPL on n = ceil(T/block)
     block losses with gradient bound G*block and smoothness beta*block, so
@@ -360,17 +361,12 @@ def theoretical_bound(config: ExperimentConfig) -> float:
     general, 4*beta*D^2*n/m smooth), with m = samples. The blocked game is
     this bound on (n, G*k, beta*k, k). Baselines have no bound here.
     """
-    config.validate()
-    set_, G, beta = _problem_constants(config)
-    D, d, T = set_.norm_bound, set_.dim, config.T
-    k = resolve_block(config, beta)
-    shape = leader_shape(config, k)
-    if shape is None:
+    if problem.leader_shape is None:
         raise ConfigError(f"no closed-form regret bound for learner {config.learner!r}")
-    m, block = shape
-    delta = resolve_delta(config, G, d, k)
-    n = math.ceil(T / block)
-    G, beta = G * block, beta * block
+    m, block = problem.leader_shape
+    D, d, delta = problem.set.norm_bound, problem.set.dim, problem.delta
+    n = math.ceil(config.T / block)
+    G, beta = problem.G * block, problem.beta * block
     base = 2.0 * D / delta + delta * D * G * G * d * n / 2.0
     if beta > 0:
         return base + 4.0 * beta * D * D * n / m
@@ -384,20 +380,17 @@ def high_probability_bound(config: ExperimentConfig, sigma: float) -> float:
     derivation constants: sqrt(2 log(2T/sigma)) on the general sampling term;
     in the smooth case 2GD*sqrt(2T log(4/sigma)) + (8 beta D^2 T / m) log(4T/sigma).
     """
-    config.validate()
+    problem, _ = _resolve(config)
     if not 0 < sigma <= 1:
         raise ConfigError("sigma must lie in (0, 1]")
-    set_, G, beta = _problem_constants(config)
-    D, d, T = set_.norm_bound, set_.dim, config.T
-    k = resolve_block(config, beta)
-    shape = leader_shape(config, k)
+    shape = problem.leader_shape
     if shape is None or shape[1] > 1:
         raise ConfigError(
             f"high-probability bound is only available for unblocked perturbed-leader learners, "
             f"not {config.learner!r}"
         )
-    m = shape[0]
-    delta = resolve_delta(config, G, d, k)
+    m, delta, G, beta = shape[0], problem.delta, problem.G, problem.beta
+    D, d, T = problem.set.norm_bound, problem.set.dim, config.T
     base = 2.0 * D / delta + delta * d * D * G * G * T / 2.0
     if beta > 0:
         return (base
@@ -407,18 +400,13 @@ def high_probability_bound(config: ExperimentConfig, sigma: float) -> float:
 
 
 def comparator_correction(config: ExperimentConfig) -> float:
-    """Certified error of the hindsight comparator: 0.0, since ``best_in_hindsight`` is exact."""
+    """Certified error of the hindsight comparator: 0.0, since ``best_in_hindsight`` is exact.
+
+    Nothing in pfol calls it; it stays for the benchmark (``perfbench/workloads.py``),
+    which adds it to each bound it checks.
+    """
     config.validate()
     return 0.0
-
-
-def _verdict(regret: float, bound: float, correction: float) -> dict:
-    """``pass``: regret <= bound; ``certified``: regret + correction <= bound.
-
-    The comparator is at least the true minimum, so the true regret lies in
-    [regret, regret + correction]: failing proves a violation, certifying rules one out.
-    """
-    return {"pass": bool(regret <= bound), "certified": bool(regret + correction <= bound)}
 
 
 # ---------------------------------------------------------------------------
@@ -445,31 +433,13 @@ class RunSummary:
     regret_std: float = float("nan")
     quantiles: dict = field(default_factory=dict)
     theoretical_bound: float | None = None
-    correction_band: float | None = None
     oracle_calls: int = 0
     grad_evals: int = 0
     wall_clock_s: float = 0.0
     errors: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
-        return {
-            "config_hash": self.config_hash,
-            "learner": self.learner,
-            "T": self.T,
-            "delta": self.delta,
-            "overrides": self.overrides,
-            "seeds": list(self.seeds),
-            "final_regrets": list(self.final_regrets),
-            "mean_regret": self.mean_regret,
-            "regret_std": self.regret_std,
-            "quantiles": self.quantiles,
-            "theoretical_bound": self.theoretical_bound,
-            "correction_band": self.correction_band,
-            "oracle_calls": self.oracle_calls,
-            "grad_evals": self.grad_evals,
-            "wall_clock_s": self.wall_clock_s,
-            "errors": list(self.errors),
-        }
+        return asdict(self)
 
 
 _QUANTS = {"q05": 0.05, "q25": 0.25, "q50": 0.50, "q75": 0.75, "q95": 0.95}
@@ -513,15 +483,13 @@ def _play_all(configs: Sequence[ExperimentConfig], jobs: int) -> list[dict]:
     return per_config
 
 
-def _summarize(config: ExperimentConfig, outcomes: dict, overrides: dict | None) -> RunSummary:
-    set_, G, beta = _problem_constants(config)
-    k = resolve_block(config, beta)
-    delta = resolve_delta(config, G, set_.dim, k)
+def _summarize(config: ExperimentConfig, problem: _Problem, outcomes: dict,
+               overrides: dict | None) -> RunSummary:
     summary = RunSummary(
         config_hash=config_hash(config),
         learner=config.learner,
         T=config.T,
-        delta=delta,
+        delta=problem.delta,
         overrides=dict(overrides or {}),
         wall_clock_s=sum(seconds for _, _, seconds in outcomes.values()),
         errors=tuple(outcomes[s][1] for s in config.seeds if outcomes[s][1] is not None),
@@ -534,26 +502,19 @@ def _summarize(config: ExperimentConfig, outcomes: dict, overrides: dict | None)
     regrets = np.array([results[s][0] for s in ordered])
     oracle_counts = {results[s][1] for s in ordered}
     grad_counts = {results[s][2] for s in ordered}
-    want_oracle, want_grads = expected_budgets(config, k)
+    want_oracle, want_grads = expected_budgets(config, problem.k)
     if oracle_counts != {want_oracle} or grad_counts != {want_grads}:
         raise RuntimeError(
             f"budget accounting mismatch: oracle {oracle_counts} (want {want_oracle}), "
             f"gradients {grad_counts} (want {want_grads})"
         )
-    try:
-        bound = theoretical_bound(config)
-        band = comparator_correction(config)
-    except ConfigError:
-        bound, band = None, None
-
     summary.seeds = tuple(ordered)
     summary.final_regrets = tuple(float(r) for r in regrets)
     summary.mean_regret = float(regrets.mean())
     summary.regret_std = float(regrets.std(ddof=1)) if len(regrets) > 1 else 0.0
     summary.quantiles = {name: float(np.quantile(regrets, q)) for name, q in _QUANTS.items()}
     summary.quantiles["max"] = float(regrets.max())
-    summary.theoretical_bound = bound
-    summary.correction_band = band
+    summary.theoretical_bound = None if problem.leader_shape is None else _expected_bound(config, problem)
     summary.oracle_calls = want_oracle
     summary.grad_evals = want_grads
     return summary
@@ -562,39 +523,39 @@ def _summarize(config: ExperimentConfig, outcomes: dict, overrides: dict | None)
 def run_experiment(config: ExperimentConfig, jobs: int = 1,
                    overrides: dict | None = None) -> RunSummary:
     """Run every seed of a config and aggregate; failures recorded, not raised."""
-    config.validate()
-    return _summarize(config, _play_all([config], jobs)[0], overrides)
+    problem, _ = _resolve(config)
+    return _summarize(config, problem, _play_all([config], jobs)[0], overrides)
 
 
 def sweep(template: ExperimentConfig, vary: dict[str, Sequence], jobs: int = 1) -> list[RunSummary]:
     """Cartesian product of ``vary`` values applied to the template.
 
-    Every (cell, seed) game runs in one pool (see ``_play_all``). A failing
-    cell contributes a summary whose ``errors`` field explains what happened,
-    and the sweep continues. Aggregation order is the grid order regardless
-    of execution order.
+    Every (cell, seed) game runs in one pool (see ``_play_all``). A cell that
+    does not resolve plays no game; it and any failing cell contribute a
+    summary whose ``errors`` field explains what happened, and the sweep
+    continues. Aggregation order is the grid order regardless of execution order.
     """
     template.validate()
     if not vary:
         return []
     keys = list(vary.keys())
-    cells: list[tuple[dict, ExperimentConfig | Exception]] = []
+    cells: list[tuple[dict, tuple[ExperimentConfig, _Problem] | Exception]] = []
     for combo in itertools.product(*(list(vary[key]) for key in keys)):
         overrides = dict(zip(keys, combo))
         try:
             cell = replace(template, **overrides)
-            cell.validate()
+            resolved = (cell, _resolve(cell)[0])
         except Exception as exc:  # noqa: BLE001 - recorded per cell
-            cell = exc
-        cells.append((overrides, cell))
-    valid = [cell for _, cell in cells if isinstance(cell, ExperimentConfig)]
+            resolved = exc
+        cells.append((overrides, resolved))
+    valid = [resolved[0] for _, resolved in cells if not isinstance(resolved, Exception)]
     outcomes = iter(_play_all(valid, jobs))
     summaries: list[RunSummary] = []
-    for overrides, cell in cells:
+    for overrides, resolved in cells:
         try:
-            if isinstance(cell, Exception):
-                raise cell
-            summaries.append(_summarize(cell, next(outcomes), overrides))
+            if isinstance(resolved, Exception):
+                raise resolved
+            summaries.append(_summarize(*resolved, next(outcomes), overrides))
         except Exception as exc:  # noqa: BLE001 - recorded per cell
             summaries.append(RunSummary(
                 config_hash="invalid",
@@ -613,7 +574,7 @@ def sweep(template: ExperimentConfig, vary: dict[str, Sequence], jobs: int = 1) 
 
 
 def quantile_check(summary: RunSummary, sigma: float, config: ExperimentConfig) -> dict:
-    """Compare the empirical (1-sigma) regret quantile to the matching bound (see ``_verdict``)."""
+    """Compare the empirical (1-sigma) regret quantile to the matching bound; passes when at most it."""
     if not 0 < sigma <= 1:
         raise ConfigError("sigma must lie in (0, 1]")
     regrets = np.asarray(summary.final_regrets, dtype=float)
@@ -627,15 +588,13 @@ def quantile_check(summary: RunSummary, sigma: float, config: ExperimentConfig) 
         )
     quantile = float(np.quantile(regrets, 1.0 - sigma))
     bound = high_probability_bound(config, sigma)
-    band = comparator_correction(config)
     return {
         "sigma": sigma,
         "seeds": int(regrets.size),
         "sufficient_seeds": bool(enough),
         "quantile": quantile,
         "bound": bound,
-        "correction_band": band,
-        **_verdict(quantile, bound, band),
+        "pass": bool(quantile <= bound),
     }
 
 
@@ -675,18 +634,16 @@ def fit_exponent(T_grid: Sequence[float], regrets: Sequence[float]) -> ExponentF
 
 
 def bound_check(config: ExperimentConfig, jobs: int = 1) -> dict:
-    """Mean final regret over the config's seeds versus its expected-regret bound (see ``_verdict``)."""
+    """Mean final regret over the config's seeds versus its expected-regret bound; passes when at most it."""
+    bound = theoretical_bound(config)  # raises for a baseline before any game is played
     summary = run_experiment(config, jobs=jobs)
     if not summary.final_regrets:
         raise ConfigError(f"all runs failed: {summary.errors}")
-    bound = theoretical_bound(config)
-    band = comparator_correction(config)
     return {
         "seeds": len(summary.final_regrets),
         "mean_regret": summary.mean_regret,
         "bound": bound,
-        "correction_band": band,
-        **_verdict(summary.mean_regret, bound, band),
+        "pass": bool(summary.mean_regret <= bound),
         "errors": list(summary.errors),
     }
 

@@ -186,7 +186,7 @@ class OGD(OnlineLearner):
     serves as the regret yardstick.
     """
 
-    def __init__(self, set_: FeasibleSet, *, grad_bound: float, seed: int = 0):
+    def __init__(self, set_: FeasibleSet, *, grad_bound: float):
         super().__init__(set_)
         if not grad_bound > 0:
             raise ConfigError("grad_bound must be positive")
@@ -207,21 +207,17 @@ class OFW(OnlineLearner):
     Plays the conditional-gradient update x <- x + sigma_t (v - x) with
     sigma_t = min(1, 2/sqrt(t)), where v is the oracle answer on the negated
     gradient of a running surrogate: the averaged observed gradients plus a
-    quadratic pull toward the starting point with weight ``reg_scale``
-    (default G / (2D)). The starting point is the oracle answer on the first
+    quadratic pull toward the starting point with weight G / (2D). The starting point is the oracle answer on the first
     basis direction, asked for on the first round, so a game makes T + 1
     calls. Baseline-only internals; nothing downstream asserts a bound for it.
     """
 
-    def __init__(self, set_: FeasibleSet, *, grad_bound: float,
-                 reg_scale: float | None = None, seed: int = 0):
+    def __init__(self, set_: FeasibleSet, *, grad_bound: float):
         super().__init__(set_)
         if not grad_bound > 0:
             raise ConfigError("grad_bound must be positive")
         self.grad_bound = float(grad_bound)
-        if reg_scale is None:
-            reg_scale = grad_bound / (2.0 * set_.norm_bound)
-        self.reg_scale = float(reg_scale)
+        self.reg_scale = self.grad_bound / (2.0 * set_.norm_bound)
         self._anchor: np.ndarray | None = None
 
     def _act(self):

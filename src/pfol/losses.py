@@ -33,14 +33,6 @@ class LossFunction:
     center: np.ndarray | None = None
     direction: np.ndarray | None = None
 
-    @property
-    def dim(self) -> int | None:
-        if self.center is not None:
-            return self.center.size
-        if self.direction is not None:
-            return self.direction.size
-        return None
-
 
 def _frozen(vec) -> np.ndarray:
     out = np.array(vec, dtype=float)

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+import pfol.adversaries
 from pfol import (
     Ball,
     Box,
     ConfigError,
+    ExperimentConfig,
     InstrumentedSet,
     L1Ball,
     Polytope,
@@ -17,7 +19,9 @@ from pfol import (
     linear_loss,
     make_adversary,
     quadratic_loss,
+    run_game,
 )
+from pfol.sets import round_rows
 
 BALL = Ball(dim=2, radius=1.0)
 
@@ -286,9 +290,22 @@ class TestAdversaries:
         for kind, G in (("quadratic_stochastic", 2.0), ("linear_stochastic", 1.0)):
             assert adv(kind, T=2**47).constants() == (G, float(kind.startswith("quadratic")))
 
-    def test_json_round_trip(self):
-        a = adv("quadratic_adaptive", T=8, seed=3, center_scale=0.5)
-        spec = a.to_json()
-        assert spec["kind"] == "quadratic_adaptive"
-        clone = make_adversary(spec, horizon=8, seed=3, norm_bound=1.0, dim=2)
-        np.testing.assert_array_equal(clone.next_loss([]).center, a.next_loss([]).center)
+    def test_spec_horizon_above_T_draws_only_the_run(self, monkeypatch):
+        # the spec horizon is checked, not read: a 16-round game draws 16 rows, the same ones
+        drawn = []
+
+        def counting(stream, rounds, *args, **kwargs):
+            drawn.extend(rounds)
+            return round_rows(stream, rounds, *args, **kwargs)
+
+        monkeypatch.setattr(pfol.adversaries, "round_rows", counting)
+        for kind in ("quadratic_stochastic", "linear_stochastic"):
+            traces = []
+            for spec in ({"kind": kind, "horizon": 2**17}, {"kind": kind}):
+                drawn.clear()
+                config = ExperimentConfig(learner="sampled_fpl", set={"kind": "ball", "dim": 2, "radius": 1.0},
+                                          adversary=spec, T=16)
+                traces.append(run_game(config, 5))
+                assert drawn == list(range(1, 17))
+            np.testing.assert_array_equal(traces[0].losses, traces[1].losses)
+            np.testing.assert_array_equal(traces[0].cum_regret, traces[1].cum_regret)
