@@ -10,8 +10,8 @@ comparator column; the final cumulative regret equals the summed losses
 minus the comparator value by construction. Sweeps and multi-seed runs play
 all their (cell, seed) games in one process pool.
 
-Each config is resolved once per use (``_resolve``): validated, its set
-parsed and its (G, beta), block length and perturbation scale worked out, and
+Every entry point resolves its config once (``_resolve``): validated, its
+set parsed and its (G, beta), block length and perturbation scale worked out;
 the game, the summary and the bounds read that record. Expected-regret bounds
 and their high-probability counterparts are evaluated from it (never fitted).
 The comparator is exact on every set kind (see ``best_in_hindsight``), so a

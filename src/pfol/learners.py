@@ -207,9 +207,10 @@ class OFW(OnlineLearner):
     Plays the conditional-gradient update x <- x + sigma_t (v - x) with
     sigma_t = min(1, 2/sqrt(t)), where v is the oracle answer on the negated
     gradient of a running surrogate: the averaged observed gradients plus a
-    quadratic pull toward the starting point with weight G / (2D). The starting point is the oracle answer on the first
-    basis direction, asked for on the first round, so a game makes T + 1
-    calls. Baseline-only internals; nothing downstream asserts a bound for it.
+    quadratic pull toward the starting point with weight G / (2D). The
+    starting point is the oracle answer on the first basis direction, asked
+    for on the first round, so a game makes T + 1 calls. Baseline-only
+    internals; nothing downstream asserts a bound for it.
     """
 
     def __init__(self, set_: FeasibleSet, *, grad_bound: float):
