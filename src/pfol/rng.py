@@ -7,6 +7,15 @@ round sees; changing the per-round sample count therefore never perturbs
 the rest of the trajectory. Streams are Philox-based: the (seed, stream, t)
 triple is packed into the 128-bit cipher key, which makes derivation cheap
 and platform-stable.
+
+Two ways reach the same bits. ``RoundStream.at(t)`` re-keys one numpy
+Philox in place and hands out numpy's generator, for any draw. For many
+rounds at once, ``philox_words`` computes the Philox4x64-10 words of every
+(round, counter) pair in one vectorized numpy pass, and ``sets.round_rows``
+decodes them as numpy's normal and uniform draws would. ``round_rows`` draws
+through ``RoundStream.at`` instead for a call of fewer than 256 rounds, for
+rounds of more than 32 words, and for each round with a normal outside the
+ziggurat's fast path.
 """
 
 from __future__ import annotations
@@ -17,12 +26,51 @@ LEARNER_STREAM = 0
 ADVERSARY_STREAM = 1
 
 _MASK64 = (1 << 64) - 1
+_M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157  # Philox4x64 multipliers
+_W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B  # Philox4x64 key increments (Weyl constants)
+_LO32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 
 
 def _key(seed: int, stream: int, t: int) -> np.ndarray:
     if not 0 <= t < (1 << 48):
         raise ValueError(f"round index {t} out of the supported range [0, 2^48)")
     return np.array([int(seed) & _MASK64, (int(stream) << 48) | int(t)], dtype=np.uint64)
+
+
+def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Low and high 64-bit words of the 128-bit products a * m, from 32-bit halves."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    a_lo, a_hi = a & _LO32, a >> _SHIFT32
+    mid = a_hi * m_lo + ((a_lo * m_lo) >> _SHIFT32)
+    carry = a_lo * m_hi + (mid & _LO32)
+    return a * np.uint64(m), a_hi * m_hi + (mid >> _SHIFT32) + (carry >> _SHIFT32)
+
+
+def philox_words(seed: int, stream: int, rounds: range, blocks: int) -> np.ndarray:
+    """(len(rounds), 4 * blocks) uint64: the first raw words of every round's generator.
+
+    Row i equals ``round_rng(seed, stream, rounds[i]).bit_generator.random_raw(4 * blocks)``
+    bit for bit: Philox4x64-10 (Salmon et al., SC'11) under the key
+    ``_key(seed, stream, t)`` at counters 1, 2, ..., blocks, computed for
+    every (round, counter) pair at once. As in ``_key``, the seed is masked
+    to 64 bits and a round outside [0, 2^48) raises ``ValueError``.
+    """
+    if not len(rounds):
+        return np.empty((0, 4 * blocks), dtype=np.uint64)
+    k0 = int(_key(seed, stream, min(rounds[0], rounds[-1]))[0])
+    _key(seed, stream, max(rounds[0], rounds[-1]))
+    k1 = np.uint64(int(stream) << 48) | np.arange(rounds.start, rounds.stop, rounds.step, dtype=np.uint64)[:, None]
+    # counter (j, 0, 0, 0); broadcasting keeps the first two rounds on the small shapes
+    v0, v1, v2, v3 = np.arange(1, blocks + 1, dtype=np.uint64)[None, :], *np.zeros((3, 1, 1), dtype=np.uint64)
+    for r in range(10):
+        lo0, hi0 = _mulhilo(v0, _M0)
+        lo1, hi1 = _mulhilo(v2, _M1)
+        key0 = np.array((k0 + r * _W0) & _MASK64, dtype=np.uint64)
+        v0, v1, v2, v3 = hi1 ^ v1 ^ key0, lo1, hi0 ^ v3 ^ (k1 + np.uint64(r * _W1 & _MASK64)), lo0
+    out = np.empty((len(rounds), blocks, 4), dtype=np.uint64)
+    for j, v in enumerate((v0, v1, v2, v3)):
+        out[:, :, j] = v
+    return out.reshape(len(rounds), 4 * blocks)
 
 
 def round_rng(seed: int, stream: int, t: int) -> np.random.Generator:

@@ -21,7 +21,9 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
+from ._ziggurat import KI, WI
 from .errors import ConfigError, is_int
+from .rng import philox_words
 
 __all__ = [
     "FeasibleSet",
@@ -426,6 +428,15 @@ def brute_force_argmax(vertices: Sequence, y) -> np.ndarray:
 # uniform samplers
 # ---------------------------------------------------------------------------
 
+# round_rows' vectorized path, set from timing both paths (2 cores, numpy 2.4.6).
+# Over 4096 rounds it costs 0.2x numpy's per-round draws at 4 words a round,
+# 0.6x at 16, 0.9x at 32 and 1.1-1.2x at 40; its ~0.5 ms fixed cost per call
+# breaks even near 200 rounds at 6 words. Chunks of 8192 counter blocks ran
+# fastest (2048 to unchunked tried) and keep each temporary at 64 KiB.
+_VECTOR_MAX_WORDS = 32  # widest round, in raw 64-bit words, drawn vectorized
+_VECTOR_MIN_ROUNDS = 256  # fewest rounds per call drawn vectorized
+_VECTOR_CHUNK_BLOCKS = 8192  # Philox counter blocks per vectorized pass
+
 
 def unit_ball_rows(z: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Uniform unit-ball points from standard normal rows z and uniforms u: z/||z|| x u^(1/d)."""
@@ -444,15 +455,46 @@ def unit_sphere_rows(z: np.ndarray) -> np.ndarray:
 def round_rows(stream, rounds: range, count: int, dim: int, *, ball: bool) -> np.ndarray:
     """(len(rounds), count, dim) unit-ball (or unit-sphere) rows for the given rounds of a RoundStream.
 
-    Round t's rows come from ``stream.at(t)`` alone and equal
-    ``sample_unit_ball_batch`` (or ``sample_unit_sphere_batch``) on that
-    round's generator bit for bit: the same normals, then the same uniforms,
+    Round t's rows come from round t's generator alone and equal
+    ``sample_unit_ball_batch`` (or ``sample_unit_sphere_batch``) on
+    ``stream.at(t)`` bit for bit: the same normals, then the same uniforms,
     then one row-wise transform over the whole block.
+
+    A call of at least ``_VECTOR_MIN_ROUNDS`` rounds of at most
+    ``_VECTOR_MAX_WORDS`` raw words each (count * dim normals, plus count
+    uniforms for the ball) reads every round's words from one vectorized
+    Philox pass (``philox_words``), in chunks of about ``_VECTOR_CHUNK_BLOCKS``
+    counter blocks. It decodes them as numpy does: a normal by the fast path
+    of numpy's 256-layer ziggurat (Marsaglia & Tsang 2000; tables in
+    ``_ziggurat``), a uniform as (w >> 11) * 2^-53. A round with a normal outside
+    the fast path (the tail layer, or a wedge test) would use more words, so
+    that whole round is redrawn through ``stream.at(t)``, numpy's own code.
+    Narrower calls and wider rounds go through ``stream.at(t)`` round by round.
     """
     z = np.empty((len(rounds), count, dim))
     u = np.empty(z.shape[:2])
-    for i, t in enumerate(rounds):
-        rng = stream.at(t)
+    normals = count * dim
+    words = normals + count * ball
+    slow = range(len(rounds))
+    if words <= _VECTOR_MAX_WORDS and len(rounds) >= _VECTOR_MIN_ROUNDS:
+        blocks = -(-words // 4)
+        step = max(1, _VECTOR_CHUNK_BLOCKS // blocks)
+        flat = z.reshape(len(rounds), normals)
+        redo = []
+        for lo in range(0, len(rounds), step):
+            w = philox_words(stream.seed, stream.stream, rounds[lo:lo + step], blocks)
+            part = slice(lo, lo + len(w))
+            normal = w[:, :normals]
+            idx = (normal & np.uint64(0xFF)).astype(np.intp)
+            rabs = (normal >> np.uint64(9)) & np.uint64((1 << 52) - 1)
+            x = rabs * WI[idx]
+            flat[part] = np.where(normal & np.uint64(0x100), -x, x)
+            redo.append(lo + np.flatnonzero((rabs >= KI[idx]).any(axis=1)))
+            if ball:
+                u[part] = (w[:, normals:words] >> np.uint64(11)) * 2.0**-53
+        slow = np.concatenate(redo)
+    for i in slow:
+        rng = stream.at(rounds[i])
         rng.standard_normal(out=z[i])
         if ball:
             rng.random(out=u[i])

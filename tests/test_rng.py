@@ -1,9 +1,19 @@
-"""Per-round stream derivation: the in-place re-key equals a fresh generator."""
+"""Per-round stream derivation: the in-place re-key and the vectorized Philox
+pass both equal a fresh numpy generator, and ``round_rows`` equals drawing
+each round alone."""
+
+import importlib.util
+import pathlib
 
 import numpy as np
 import pytest
 
-from pfol import RoundStream, round_rng
+from pfol import RoundStream, round_rng, sets
+from pfol._ziggurat import KI, WI
+from pfol.rng import _key, philox_words
+from pfol.sets import round_rows, unit_ball_rows, unit_sphere_rows
+
+OUT_OF_RANGE = r"round index 281474976710656 out of the supported range \[0, 2\^48\)"
 
 
 def draws(rng):
@@ -35,3 +45,116 @@ def test_round_index_out_of_range_raises():
         stream.at(2**48)
     with pytest.raises(ValueError):
         round_rng(0, 0, 2**48)
+
+
+@pytest.mark.parametrize("seed", [0, 2**63 + 5, -1])
+@pytest.mark.parametrize("stream", [0, 1])
+@pytest.mark.parametrize("t", [1, 12345, 2**48 - 1])
+@pytest.mark.parametrize("blocks", [1, 2, 3, 4, 5])
+def test_philox_words_equal_numpy(seed, stream, t, blocks):
+    words = philox_words(seed, stream, range(t, t + 1), blocks)
+    expected = np.random.Philox(key=_key(seed, stream, t)).random_raw(4 * blocks)
+    np.testing.assert_array_equal(words, expected[None, :])
+
+
+@pytest.mark.parametrize("rounds", [range(1, 40), range(2**48 - 30, 2**48, 7), range(900, 800, -9)])
+def test_philox_words_row_per_round(rounds):
+    words = philox_words(11, 1, rounds, 3)
+    assert words.shape == (len(rounds), 12)
+    for row, t in zip(words, rounds):
+        np.testing.assert_array_equal(row, round_rng(11, 1, t).bit_generator.random_raw(12))
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**63), 2**64, 2**64 + 5, 2**70 + 3])
+def test_philox_words_mask_seeds_as_key_does(seed):
+    words = philox_words(seed, 0, range(3, 6), 2)
+    masked = philox_words(seed & (2**64 - 1), 0, range(3, 6), 2)
+    np.testing.assert_array_equal(words, masked)
+    np.testing.assert_array_equal(words[0], np.random.Philox(key=_key(seed, 0, 3)).random_raw(8))
+
+
+def test_philox_words_round_range_checked():
+    with pytest.raises(ValueError, match=OUT_OF_RANGE):
+        philox_words(0, 0, range(2**48 - 3, 2**48 + 1), 1)
+    with pytest.raises(ValueError, match="round index -1 out of the supported range"):
+        philox_words(0, 0, range(-1, 5), 1)
+    assert philox_words(0, 0, range(4, 4), 2).shape == (0, 8)
+
+
+def test_vectorized_block_reaching_round_limit_raises():
+    rounds = range(2**48 - sets._VECTOR_MIN_ROUNDS, 2**48 + 1)
+    with pytest.raises(ValueError, match=OUT_OF_RANGE):
+        round_rows(RoundStream(0, 0), rounds, 1, 3, ball=True)
+
+
+class CountingStream(RoundStream):
+    """A RoundStream that records the rounds it is re-keyed to."""
+
+    def __init__(self, seed, stream):
+        super().__init__(seed, stream)
+        self.calls = []
+
+    def at(self, t):
+        self.calls.append(t)
+        return super().at(t)
+
+
+def reference_rows(stream, rounds, count, dim, *, ball):
+    """round_rows drawn round by round through numpy's own generator."""
+    z = np.empty((len(rounds), count, dim))
+    u = np.empty(z.shape[:2])
+    for i, t in enumerate(rounds):
+        rng = stream.at(t)
+        rng.standard_normal(out=z[i])
+        if ball:
+            rng.random(out=u[i])
+    flat = z.reshape(-1, dim)
+    return (unit_ball_rows(flat, u.ravel()) if ball else unit_sphere_rows(flat)).reshape(z.shape)
+
+
+def fast_path_misses(seed, stream, rounds, normals):
+    """Per round, the layer index of every normal draw the ziggurat's fast path rejects."""
+    words = philox_words(seed, stream, rounds, -(-normals // 4))[:, :normals]
+    idx = (words & np.uint64(0xFF)).astype(np.intp)
+    miss = ((words >> np.uint64(9)) & np.uint64((1 << 52) - 1)) >= KI[idx]
+    return [idx[i][miss[i]] for i in range(len(rounds))]
+
+
+@pytest.mark.parametrize("ball", [True, False])
+@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize("dim", [1, 5, 16])
+def test_round_rows_equal_numpy_round_by_round(ball, count, dim):
+    # enough normals (~40,000) that tail (layer 0) and wedge rejections both occur
+    n = max(sets._VECTOR_MIN_ROUNDS, 40_000 // (count * dim))
+    rounds = range(7, 7 + 3 * n, 3) if count == 2 else range(1, n + 1)
+    seed, stream = 12345, 1
+    got = round_rows(fast := CountingStream(seed, stream), rounds, count, dim, ball=ball)
+    want = reference_rows(RoundStream(seed, stream), rounds, count, dim, ball=ball)
+    assert got.tobytes() == want.tobytes()
+    if count * (dim + ball) > sets._VECTOR_MAX_WORDS:  # wide rounds stay on numpy
+        assert fast.calls == list(rounds)
+        return
+    misses = fast_path_misses(seed, stream, rounds, count * dim)
+    assert fast.calls == [t for t, m in zip(rounds, misses) if len(m)]
+    layers = np.concatenate(misses)
+    assert (layers == 0).any() and (layers != 0).any()  # tail and wedge rounds were redrawn
+
+
+def test_round_rows_short_calls_stay_on_numpy():
+    rounds = range(5, 5 + sets._VECTOR_MIN_ROUNDS - 1)
+    stream = CountingStream(3, 0)
+    got = round_rows(stream, rounds, 1, 4, ball=True)
+    assert stream.calls == list(rounds)
+    assert got.tobytes() == reference_rows(RoundStream(3, 0), rounds, 1, 4, ball=True).tobytes()
+
+
+def test_ziggurat_tables_match_installed_numpy():
+    tool = pathlib.Path(__file__).resolve().parent.parent / "tools" / "ziggurat_tables.py"
+    spec = importlib.util.spec_from_file_location("ziggurat_tables", tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if not module.archive_path().is_file():
+        pytest.skip("this numpy build ships no libnpyrandom.a")
+    ki, wi = module.read_tables(module.archive_path())
+    assert ki == KI.tolist()
+    assert [w.hex() for w in wi] == [w.hex() for w in WI.tolist()]
