@@ -67,10 +67,7 @@ def philox_words(seed: int, stream: int, rounds: range, blocks: int) -> np.ndarr
         lo1, hi1 = _mulhilo(v2, _M1)
         key0 = np.array((k0 + r * _W0) & _MASK64, dtype=np.uint64)
         v0, v1, v2, v3 = hi1 ^ v1 ^ key0, lo1, hi0 ^ v3 ^ (k1 + np.uint64(r * _W1 & _MASK64)), lo0
-    out = np.empty((len(rounds), blocks, 4), dtype=np.uint64)
-    for j, v in enumerate((v0, v1, v2, v3)):
-        out[:, :, j] = v
-    return out.reshape(len(rounds), 4 * blocks)
+    return np.stack((v0, v1, v2, v3), axis=-1).reshape(len(rounds), 4 * blocks)  # full shapes from round 3 on
 
 
 def round_rng(seed: int, stream: int, t: int) -> np.random.Generator:
