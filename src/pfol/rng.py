@@ -57,6 +57,7 @@ def philox_words(seed: int, stream: int, rounds: range, blocks: int) -> np.ndarr
     """
     if not len(rounds):
         return np.empty((0, 4 * blocks), dtype=np.uint64)
+    # _key at both ends of the range checks every round and masks the seed
     k0 = int(_key(seed, stream, min(rounds[0], rounds[-1]))[0])
     _key(seed, stream, max(rounds[0], rounds[-1]))
     k1 = np.uint64(int(stream) << 48) | np.arange(rounds.start, rounds.stop, rounds.step, dtype=np.uint64)[:, None]

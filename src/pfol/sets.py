@@ -432,7 +432,7 @@ def brute_force_argmax(vertices: Sequence, y) -> np.ndarray:
 # Over 4096 rounds it costs 0.2x numpy's per-round draws at 4 words a round,
 # 0.6x at 16, 0.9x at 32 and 1.1-1.2x at 40; its ~0.5 ms fixed cost per call
 # breaks even near 200 rounds at 6 words. Chunks of 8192 counter blocks ran
-# fastest (2048 to unchunked tried) and keep each temporary at 64 KiB.
+# fastest (2048 to unchunked tried) and keep each Philox temporary at 64 KiB.
 _VECTOR_MAX_WORDS = 32  # widest round, in raw 64-bit words, drawn vectorized
 _VECTOR_MIN_ROUNDS = 256  # fewest rounds per call drawn vectorized
 _VECTOR_CHUNK_BLOCKS = 8192  # Philox counter blocks per vectorized pass
