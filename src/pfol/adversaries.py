@@ -58,9 +58,18 @@ class Adversary(abc.ABC):
         self._action_sum: np.ndarray | None = None
         self._table: np.ndarray | None = None
 
-    @abc.abstractmethod
     def emit(self, t: int) -> np.ndarray:
-        """Round t's centre or direction, 1 <= t <= horizon; adaptive families read the observed actions."""
+        """Round t's centre or direction, 1 <= t <= horizon; adaptive families read the observed actions.
+
+        A round outside [1, horizon] raises ProtocolError.
+        """
+        if not 1 <= t <= self.horizon:
+            raise ProtocolError(f"round {t} is outside [1, {self.horizon}], the declared horizon")
+        return self._emit(t)
+
+    @abc.abstractmethod
+    def _emit(self, t: int) -> np.ndarray:
+        """``emit`` for a round already checked."""
 
     def observe(self, action: np.ndarray) -> None:
         """Add a played action to the running sum."""
@@ -73,17 +82,16 @@ class Adversary(abc.ABC):
     def next_loss(self, history) -> LossFunction:
         """Loss for round t = len(history) + 1; sees only past actions.
 
-        Incremental on an appended history: only actions not yet observed are
-        added, and a shorter history starts the running sum again.
+        Each call's history must extend the previous one: only the actions
+        not yet observed are added, and a history shorter than the actions
+        already observed raises ProtocolError.
         """
         if len(history) < self._seen:
-            self._seen, self._action_sum = 0, None
-        t = len(history) + 1
-        if t > self.horizon:
-            raise ProtocolError(f"round {t} exceeds the declared horizon {self.horizon}")
+            raise ProtocolError(f"history of {len(history)} actions is shorter than the "
+                                f"{self._seen} already observed")
         for action in history[self._seen:]:
             self.observe(action)
-        params = self.emit(t)
+        params = self.emit(len(history) + 1)
         return quadratic_loss(params, self.constants()[0]) if self.quadratic else linear_loss(params)
 
     @abc.abstractmethod
@@ -123,7 +131,7 @@ class QuadraticStochastic(Adversary):
     def constants(self):
         return self.norm_bound + self.center_scale, 1.0
 
-    def emit(self, t):
+    def _emit(self, t):
         return self._table_row(t, self.center_scale)
 
 
@@ -137,7 +145,7 @@ class QuadraticAdaptive(QuadraticStochastic):
 
     kind = "quadratic_adaptive"
 
-    def emit(self, t):
+    def _emit(self, t):
         mean = self._mean_action()
         if mean is None:
             return self.center_scale * self._draws(t, 1)[0]
@@ -168,7 +176,7 @@ class LinearStochastic(Adversary):
     def constants(self):
         return self.direction_norm, 0.0
 
-    def emit(self, t):
+    def _emit(self, t):
         return self.direction if self.direction is not None else self._table_row(t, self.direction_norm)
 
 
@@ -192,7 +200,7 @@ class LinearAdaptive(Adversary):
     def constants(self):
         return self.direction_norm, 0.0
 
-    def emit(self, t):
+    def _emit(self, t):
         mean = self._mean_action()
         if mean is not None:
             n = float(np.linalg.norm(mean))

@@ -100,7 +100,8 @@ def _cmd_audit(args) -> int:
     return 0 if ok else 1
 
 
-def _read_fit_csv(path: str, t_col: str, regret_cols: tuple[str, ...]):
+def _read_fit_csv(path: str):
+    """(sorted T values, mean regret at each) from a CSV with ``T`` and ``regret`` columns."""
     try:
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -108,16 +109,13 @@ def _read_fit_csv(path: str, t_col: str, regret_cols: tuple[str, ...]):
         raise ConfigError(f"cannot read CSV {path!r}: {exc}") from exc
     if not rows:
         raise ConfigError(f"CSV {path!r} is empty")
-    header = rows[0].keys()
-    if t_col not in header:
-        raise ConfigError(f"CSV {path!r} has no {t_col!r} column")
-    col = next((c for c in regret_cols if c in header), None)
-    if col is None:
-        raise ConfigError(f"CSV {path!r} has none of the regret columns {regret_cols}")
+    missing = {"T", "regret"} - rows[0].keys()
+    if missing:
+        raise ConfigError(f"CSV {path!r} is missing the columns {sorted(missing)}")
     by_T: dict[float, list[float]] = {}
     for row in rows:
         try:
-            by_T.setdefault(float(row[t_col]), []).append(float(row[col]))
+            by_T.setdefault(float(row["T"]), []).append(float(row["regret"]))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad numeric row in {path!r}: {row}") from exc
     grid = sorted(by_T)
@@ -126,8 +124,7 @@ def _read_fit_csv(path: str, t_col: str, regret_cols: tuple[str, ...]):
 
 
 def _cmd_fit(args) -> int:
-    grid, means = _read_fit_csv(args.csv, args.t_col, (args.regret_col, "regret", "final_regret",
-                                                       "mean_regret"))
+    grid, means = _read_fit_csv(args.csv)
     fit = fit_exponent(grid, means)
     print(json.dumps({
         "slope": fit.slope,
@@ -169,10 +166,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--out", default=None)
     p_audit.set_defaults(func=_cmd_audit)
 
-    p_fit = sub.add_parser("fit", help="fit a log-log slope from a sweep CSV")
+    p_fit = sub.add_parser("fit", help="fit a log-log slope from a sweep CSV's T and regret columns")
     p_fit.add_argument("--csv", required=True)
-    p_fit.add_argument("--t-col", default="T")
-    p_fit.add_argument("--regret-col", default="regret")
     p_fit.set_defaults(func=_cmd_fit)
 
     p_bound = sub.add_parser("bound-check", help="compare mean regret to the config's bound")

@@ -522,7 +522,13 @@ def _summarize(config: ExperimentConfig, problem: _Problem, outcomes: dict,
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1,
                    overrides: dict | None = None) -> RunSummary:
-    """Run every seed of a config and aggregate; failures recorded, not raised."""
+    """Run every seed of a config and aggregate.
+
+    A config that does not resolve raises ConfigError before any game is
+    played; a seed whose game fails is recorded in the summary's ``errors``.
+    ``jobs`` below 1 is a ConfigError.
+    """
+    _check_count("jobs", jobs)
     problem, _ = _resolve(config)
     return _summarize(config, problem, _play_all([config], jobs)[0], overrides)
 
@@ -530,18 +536,23 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
 def sweep(template: ExperimentConfig, vary: dict[str, Sequence], jobs: int = 1) -> list[RunSummary]:
     """Cartesian product of ``vary`` values applied to the template.
 
-    Every (cell, seed) game runs in one pool (see ``_play_all``). A cell that
-    does not resolve plays no game; it and any failing cell contribute a
-    summary whose ``errors`` field explains what happened, and the sweep
-    continues. Aggregation order is the grid order regardless of execution order.
+    Every value of ``vary`` must be a list (or tuple) of values, and ``jobs``
+    at least 1, else ConfigError. Every (cell, seed) game runs in one pool
+    (see ``_play_all``). A cell that does not resolve plays no game; it and
+    any failing cell contribute a summary whose ``errors`` field explains
+    what happened (with the cell's T as given), and the sweep continues.
+    Aggregation order is the grid order regardless of execution order.
     """
     template.validate()
+    _check_count("jobs", jobs)
+    for key, values in vary.items():
+        if not isinstance(values, (list, tuple)):
+            raise ConfigError(f"vary[{key!r}] must be a list of values, got {values!r}")
     if not vary:
         return []
-    keys = list(vary.keys())
     cells: list[tuple[dict, tuple[ExperimentConfig, _Problem] | Exception]] = []
-    for combo in itertools.product(*(list(vary[key]) for key in keys)):
-        overrides = dict(zip(keys, combo))
+    for combo in itertools.product(*vary.values()):
+        overrides = dict(zip(vary, combo))
         try:
             cell = replace(template, **overrides)
             resolved = (cell, _resolve(cell)[0])
@@ -560,7 +571,7 @@ def sweep(template: ExperimentConfig, vary: dict[str, Sequence], jobs: int = 1) 
             summaries.append(RunSummary(
                 config_hash="invalid",
                 learner=template.learner,
-                T=int(overrides.get("T", template.T)),
+                T=overrides.get("T", template.T),
                 delta=None,
                 overrides=overrides,
                 errors=(f"{type(exc).__name__}: {exc}",),

@@ -18,11 +18,8 @@ that round's own substream, with r the number of refreshes so far (at least
 perturbations are therefore the same bits whatever the sample count, the
 draw length or the rounds drawn before it, and every trace replays as if
 each round had been drawn alone. A game draws at most one block past T.
-A draw of 256 or more refreshes whose rows need at most 32 raw words a
-round (samples * (d + 1), so samples = 1 up to d = 31) takes round_rows'
-vectorized Philox path, with about 7% of rounds at d = 5 redrawn through
-numpy; the first draws of a game, and every draw with more samples, go
-through numpy round by round.
+Which of these draws take round_rows' vectorized Philox path is stated in
+its docstring.
 
 Learners follow a strict act/observe protocol: ``act`` returns the action
 for the current round, ``observe`` feeds back the gradient of the revealed

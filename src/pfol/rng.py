@@ -12,10 +12,8 @@ Two ways reach the same bits. ``RoundStream.at(t)`` re-keys one numpy
 Philox in place and hands out numpy's generator, for any draw. For many
 rounds at once, ``philox_words`` computes the Philox4x64-10 words of every
 (round, counter) pair in one vectorized numpy pass, and ``sets.round_rows``
-decodes them as numpy's normal and uniform draws would. ``round_rows`` draws
-through ``RoundStream.at`` instead for a call of fewer than 256 rounds, for
-rounds of more than 32 words, and for each round with a normal outside the
-ziggurat's fast path.
+decodes them as numpy's normal and uniform draws would; its docstring says
+which calls and rounds it draws through ``RoundStream.at`` instead.
 """
 
 from __future__ import annotations

@@ -460,16 +460,22 @@ def round_rows(stream, rounds: range, count: int, dim: int, *, ball: bool) -> np
     ``stream.at(t)`` bit for bit: the same normals, then the same uniforms,
     then one row-wise transform over the whole block.
 
-    A call of at least ``_VECTOR_MIN_ROUNDS`` rounds of at most
-    ``_VECTOR_MAX_WORDS`` raw words each (count * dim normals, plus count
+    A call of at least ``_VECTOR_MIN_ROUNDS`` (256) rounds of at most
+    ``_VECTOR_MAX_WORDS`` (32) raw words each (count * dim normals, plus count
     uniforms for the ball) reads every round's words from one vectorized
     Philox pass (``philox_words``), in chunks of about ``_VECTOR_CHUNK_BLOCKS``
     counter blocks. It decodes them as numpy does: a normal by the fast path
     of numpy's 256-layer ziggurat (Marsaglia & Tsang 2000; tables in
     ``_ziggurat``), a uniform as (w >> 11) * 2^-53. A round with a normal outside
     the fast path (the tail layer, or a wedge test) would use more words, so
-    that whole round is redrawn through ``stream.at(t)``, numpy's own code.
-    Narrower calls and wider rounds go through ``stream.at(t)`` round by round.
+    that whole round is redrawn through ``stream.at(t)``, numpy's own code;
+    at d = 5 about 7% of rounds are. Shorter calls and wider rounds go
+    through ``stream.at(t)`` round by round. So a perturbed leader's draws of
+    256 or more refreshes take the vectorized path when samples * (d + 1) is
+    at most 32 (samples = 1 up to d = 31), and so do the stochastic
+    adversaries' tables of 256 or more rounds (ball rows up to d = 31, sphere
+    rows up to d = 32); a game's first draws, and wider rounds such as 64
+    samples, stay on numpy.
     """
     z = np.empty((len(rounds), count, dim))
     u = np.empty(z.shape[:2])

@@ -18,6 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .errors import ConfigError
 from .learners import perturbed_leader_points
 from .losses import LossFunction
 from .sets import FeasibleSet, sample_unit_ball_batch, sample_unit_sphere_batch
@@ -60,51 +61,52 @@ class MSEEstimate(NamedTuple):
     stderr: float
 
 
-class _Accumulator:
-    """Streaming mean/variance for a scalar and a vector column."""
-
-    def __init__(self, dim: int):
-        self.n = 0
-        self.val_sum = 0.0
-        self.val_sq = 0.0
-        self.vec_sum = np.zeros(dim)
-        self.vec_sq = np.zeros(dim)
-
-    def add(self, values: np.ndarray, vectors: np.ndarray) -> None:
-        self.n += len(values)
-        self.val_sum += float(values.sum())
-        self.val_sq += float(np.dot(values, values))
-        self.vec_sum += vectors.sum(axis=0)
-        self.vec_sq += np.einsum("ij,ij->j", vectors, vectors)
-
-    def estimate(self, delta: float) -> SmoothedOracleEstimate:
-        n = self.n
-        val_mean = self.val_sum / n
-        vec_mean = self.vec_sum / n
-        if n >= 2:
-            val_var = max(0.0, (self.val_sq - n * val_mean**2) / (n - 1))
-            vec_var = np.maximum(0.0, (self.vec_sq - n * vec_mean**2) / (n - 1))
-            val_se = np.sqrt(val_var / n)
-            vec_se = np.sqrt(vec_var / n)
-        else:
-            val_se = float("nan")
-            vec_se = np.full_like(vec_mean, float("nan"))
-        return SmoothedOracleEstimate(
-            value_mean=float(val_mean),
-            value_stderr=float(val_se),
-            gradient_mean=vec_mean,
-            gradient_stderr=vec_se,
-            sample_count=n,
-            delta=float(delta),
-        )
-
-
 def _chunks(n: int):
     done = 0
     while done < n:
         take = min(_CHUNK, n - done)
         yield take
         done += take
+
+
+def _smoothing_mc(set_: FeasibleSet, y, delta: float, n: int, rng: np.random.Generator, *,
+                  sphere: bool) -> SmoothedOracleEstimate:
+    """Support values at y + v/delta and their gradient estimates, as means with standard errors.
+
+    v is uniform on the unit ball, whose gradient estimate is the oracle
+    answer itself, or on the unit sphere, whose estimate is the boundary form
+    delta * d * value * v. The moment sums are streamed over chunks of at
+    most _CHUNK samples.
+    """
+    if n < 2:
+        raise ValueError("need n >= 2 samples")
+    if not delta > 0:
+        raise ValueError("delta must be positive")
+    y = np.asarray(y, dtype=float)
+    d = set_.dim
+    val_sum = val_sq = 0.0
+    vec_sum, vec_sq = np.zeros(d), np.zeros(d)
+    for take in _chunks(n):
+        v = sample_unit_sphere_batch(rng, take, d) if sphere else sample_unit_ball_batch(rng, take, d)
+        queries = y + v / delta
+        points = set_.support_argmax_many(queries)
+        values = np.einsum("ij,ij->i", queries, points)
+        vectors = delta * d * values[:, None] * v if sphere else points
+        val_sum += float(values.sum())
+        val_sq += float(np.dot(values, values))
+        vec_sum += vectors.sum(axis=0)
+        vec_sq += np.einsum("ij,ij->j", vectors, vectors)
+    val_mean, vec_mean = val_sum / n, vec_sum / n
+    val_var = max(0.0, (val_sq - n * val_mean**2) / (n - 1))
+    vec_var = np.maximum(0.0, (vec_sq - n * vec_mean**2) / (n - 1))
+    return SmoothedOracleEstimate(
+        value_mean=float(val_mean),
+        value_stderr=float(np.sqrt(val_var / n)),
+        gradient_mean=vec_mean,
+        gradient_stderr=np.sqrt(vec_var / n),
+        sample_count=n,
+        delta=float(delta),
+    )
 
 
 def smoothed_value_mc(set_: FeasibleSet, y, delta: float, n: int,
@@ -114,19 +116,7 @@ def smoothed_value_mc(set_: FeasibleSet, y, delta: float, n: int,
     The same samples also yield the gradient estimate E_v[argmax(y + v/delta)]
     since the support value's gradient is the maximizer itself.
     """
-    if n < 2:
-        raise ValueError("need n >= 2 samples")
-    if not delta > 0:
-        raise ValueError("delta must be positive")
-    y = np.asarray(y, dtype=float)
-    acc = _Accumulator(set_.dim)
-    for take in _chunks(n):
-        v = sample_unit_ball_batch(rng, take, set_.dim)
-        queries = y + v / delta
-        points = set_.support_argmax_many(queries)
-        values = np.einsum("ij,ij->i", queries, points)
-        acc.add(values, points)
-    return acc.estimate(delta)
+    return _smoothing_mc(set_, y, delta, n, rng, sphere=False)
 
 
 def smoothed_gradient_stokes(set_: FeasibleSet, y, delta: float, n: int,
@@ -137,20 +127,7 @@ def smoothed_gradient_stokes(set_: FeasibleSet, y, delta: float, n: int,
     smoothed oracle's gradient; value_* summarize the raw sphere-sampled
     support values (a boundary average, not the ball-smoothed value).
     """
-    if n < 2:
-        raise ValueError("need n >= 2 samples")
-    if not delta > 0:
-        raise ValueError("delta must be positive")
-    y = np.asarray(y, dtype=float)
-    d = set_.dim
-    acc = _Accumulator(d)
-    for take in _chunks(n):
-        s = sample_unit_sphere_batch(rng, take, d)
-        queries = y + s / delta
-        points = set_.support_argmax_many(queries)
-        values = np.einsum("ij,ij->i", queries, points)
-        acc.add(values, delta * d * values[:, None] * s)
-    return acc.estimate(delta)
+    return _smoothing_mc(set_, y, delta, n, rng, sphere=True)
 
 
 def expected_fpl_point_mc(set_: FeasibleSet, cum_grad, delta: float, n: int,
@@ -161,12 +138,7 @@ def expected_fpl_point_mc(set_: FeasibleSet, cum_grad, delta: float, n: int,
     equals the smoothed oracle's gradient at -cum_grad; value_* carry the
     matching support values.
     """
-    if n < 2:
-        raise ValueError("need n >= 2 samples")
-    if not delta > 0:
-        raise ValueError("delta must be positive")
-    cum_grad = np.asarray(cum_grad, dtype=float)
-    return smoothed_value_mc(set_, -cum_grad, delta, n, rng)
+    return _smoothing_mc(set_, -np.asarray(cum_grad, dtype=float), delta, n, rng, sphere=False)
 
 
 def oracle_output_sampler(set_: FeasibleSet, cum_grad, delta: float) -> Callable:
@@ -285,8 +257,11 @@ def run_audit_suite(seed: int = 0, *, samples: int = 20_000) -> list[dict]:
     """Run the standard audits and return JSON-ready reports.
 
     Each report is {"audit_name", "estimate", "stderr", "bound", "pass"}.
-    Statistical checks use 4-standard-error tolerances.
+    Statistical checks use 4-standard-error tolerances. ``samples`` below 2
+    is a ConfigError.
     """
+    if samples < 2:
+        raise ConfigError(f"samples must be >= 2, got {samples}")
     from .losses import quadratic_loss
     from .sets import Ball, Box, L1Ball, Simplex
 

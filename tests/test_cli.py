@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import pfol.cli
 from pfol.cli import cli_main
 
 CONFIG = {
@@ -147,3 +148,87 @@ def test_bad_field_types_are_config_errors(tmp_path, capsys, field, value):
     assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "t.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and field in err and "Traceback" not in err
+
+
+def write_config(tmp_path, spec):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+OSPF_BALL2 = dict(CONFIG, learner="ospf", set={"kind": "ball", "dim": 2, "radius": 1.0}, T=8)
+
+
+@pytest.mark.parametrize("values", [5, "abc"])
+def test_sweep_vary_value_not_a_list_is_config_error(tmp_path, capsys, values):
+    path = write_config(tmp_path, dict(OSPF_BALL2, vary={"T": values}))
+    assert cli_main(["sweep", "--config", path, "--out", str(tmp_path / "s.json"), "--jobs", "1"]) == 2
+    assert "must be a list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["x", None])
+def test_sweep_records_a_bad_T_and_plays_the_rest(tmp_path, capsys, bad):
+    path = write_config(tmp_path, dict(OSPF_BALL2, vary={"T": [4, bad]}))
+    out = tmp_path / "s.json"
+    assert cli_main(["sweep", "--config", path, "--out", str(out), "--jobs", "1"]) == 0
+    first, second = json.loads(out.read_text())
+    assert first["T"] == 4 and first["final_regrets"] and not first["errors"]
+    assert second["T"] == bad and not second["final_regrets"] and second["errors"]
+    assert "(1 with errors)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["sweep", "bound-check"])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_config_error(config_file, tmp_path, capsys, command, jobs):
+    out = ["--out", str(tmp_path / "s.json")] if command == "sweep" else []
+    assert cli_main([command, "--config", str(config_file), "--jobs", jobs, *out]) == 2
+    assert "jobs must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples", ["1", "-5"])
+def test_audit_needs_two_samples(capsys, samples):
+    assert cli_main(["audit", "--samples", samples]) == 2
+    assert capsys.readouterr().err.startswith("config error: samples must be >= 2")
+
+
+@pytest.mark.parametrize("text,message", [
+    (None, "cannot read config"),
+    ("[1, 2]", "must be a JSON object"),
+    (json.dumps(dict(CONFIG, vary=[8, 16])), "'vary' must map"),
+])
+def test_config_file_errors(tmp_path, capsys, text, message):
+    path = tmp_path / "c.json"
+    if text is not None:
+        path.write_text(text)
+    assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "t.csv")]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,message", [
+    (None, "cannot read CSV"),
+    ("", "is empty"),
+    ("seed,regret\n0,1.0\n", "missing the columns ['T']"),
+    ("T,regret\n10,1.0\n20,abc\n", "bad numeric row"),
+])
+def test_fit_csv_errors(tmp_path, capsys, text, message):
+    path = tmp_path / "points.csv"
+    if text is not None:
+        path.write_text(text)
+    assert cli_main(["fit", "--csv", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_fit_reads_only_T_and_regret(tmp_path):
+    path = tmp_path / "points.csv"
+    path.write_text("T,final_regret\n10,1\n20,2\n40,3\n80,4\n")
+    assert cli_main(["fit", "--csv", str(path)]) == 2
+    assert cli_main(["fit", "--csv", str(path), "--regret-col", "final_regret"]) == 2
+
+
+def test_failure_inside_a_run_aborts_with_exit_one(config_file, tmp_path, capsys, monkeypatch):
+    def stalled(config, seed):
+        raise FloatingPointError("solver stalled")
+
+    monkeypatch.setattr(pfol.cli, "run_game", stalled)
+    assert cli_main(["run", "--config", str(config_file), "--out", str(tmp_path / "t.csv")]) == 1
+    assert capsys.readouterr().err == "run aborted: solver stalled\n"

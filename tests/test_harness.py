@@ -26,6 +26,7 @@ from pfol.harness import CSV_HEADER, comparator_correction, config_hash, expecte
 
 BALL5 = {"kind": "ball", "dim": 5, "radius": 1.0}
 BALL1 = {"kind": "ball", "dim": 1, "radius": 1.0}
+BALL2 = {"kind": "ball", "dim": 2, "radius": 1.0}
 QUAD_ADAPTIVE = {"kind": "quadratic_adaptive", "center_scale": 1.0}
 LIN_STOCH = {"kind": "linear_stochastic", "direction_norm": 1.0}
 DIAMOND = {"kind": "polytope", "vertices": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]}
@@ -253,6 +254,25 @@ class TestRunExperimentAndSweep:
         assert len(out) == 2
         assert out[0].errors and not out[0].final_regrets
         assert not out[1].errors and out[1].final_regrets
+
+    @pytest.mark.parametrize("values", [5, "abc"])
+    def test_sweep_rejects_a_vary_value_that_is_not_a_list(self, values):
+        with pytest.raises(ConfigError, match="must be a list"):
+            sweep(cfg(learner="ospf", set=BALL2, T=8), {"T": values})
+
+    @pytest.mark.parametrize("bad", ["x", None])
+    def test_sweep_records_a_bad_T_and_plays_the_rest(self, bad):
+        out = sweep(cfg(learner="ospf", set=BALL2, T=8, seeds=(0, 1)), {"T": [4, bad]})
+        assert [s.T for s in out] == [4, bad]
+        assert out[0].final_regrets and not out[0].errors
+        assert not out[1].final_regrets and "T must be an integer" in out[1].errors[0]
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_is_config_error(self, jobs):
+        with pytest.raises(ConfigError, match="jobs must be >= 1"):
+            sweep(cfg(T=8), {"T": [8]}, jobs=jobs)
+        with pytest.raises(ConfigError, match="jobs must be >= 1"):
+            run_experiment(cfg(T=8), jobs=jobs)
 
     def test_bound_check_passes_at_moderate_scale(self):
         config = cfg(T=256, m=8, seeds=tuple(range(5)), fw_budget=2560)

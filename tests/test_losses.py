@@ -248,6 +248,26 @@ class TestAdversaries:
         with pytest.raises(ProtocolError, match="horizon"):
             a.next_loss(hist)
 
+    @pytest.mark.parametrize("kind", ["quadratic_stochastic", "quadratic_adaptive",
+                                      "linear_stochastic", "linear_adaptive"])
+    def test_emit_rejects_rounds_outside_the_horizon(self, kind):
+        a = adv(kind, T=5)
+        for t in (0, -1, 6):
+            with pytest.raises(ProtocolError, match="outside"):
+                a.emit(t)
+        a.observe(np.array([0.5, 0.5]))
+        for t in (0, 6):
+            with pytest.raises(ProtocolError, match="outside"):
+                a.emit(t)
+        assert a.emit(5).shape == (2,)
+
+    def test_next_loss_rejects_a_history_shorter_than_observed(self):
+        a = adv("quadratic_adaptive")
+        history = [np.array([0.5, 0.0]), np.array([0.0, 0.5])]
+        a.next_loss(history)
+        with pytest.raises(ProtocolError, match="shorter"):
+            a.next_loss(history[:1])
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError, match="unknown adversary"):
             make_adversary({"kind": "bandit"}, horizon=4, seed=0, norm_bound=1.0, dim=2)
