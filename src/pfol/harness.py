@@ -419,12 +419,13 @@ class RunSummary:
     """Aggregate of one config across its seeds.
 
     ``wall_clock_s`` is the seconds spent in the config's games, summed over
-    its seeds; games played in parallel overlap in time.
+    its seeds; games played in parallel overlap in time. A sweep cell that
+    does not resolve keeps its ``T`` as given, which need not be an int.
     """
 
     config_hash: str
     learner: str
-    T: int
+    T: int | object
     delta: float | None
     overrides: dict = field(default_factory=dict)
     seeds: tuple[int, ...] = ()
@@ -533,11 +534,11 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
     return _summarize(config, problem, _play_all([config], jobs)[0], overrides)
 
 
-def sweep(template: ExperimentConfig, vary: dict[str, Sequence], jobs: int = 1) -> list[RunSummary]:
+def sweep(template: ExperimentConfig, vary: dict[str, list | tuple], jobs: int = 1) -> list[RunSummary]:
     """Cartesian product of ``vary`` values applied to the template.
 
-    Every value of ``vary`` must be a list (or tuple) of values, and ``jobs``
-    at least 1, else ConfigError. Every (cell, seed) game runs in one pool
+    Every key of ``vary`` must be a config field and every value a list (or
+    tuple) of values, and ``jobs`` at least 1, else ConfigError. Every (cell, seed) game runs in one pool
     (see ``_play_all``). A cell that does not resolve plays no game; it and
     any failing cell contribute a summary whose ``errors`` field explains
     what happened (with the cell's T as given), and the sweep continues.
@@ -546,6 +547,8 @@ def sweep(template: ExperimentConfig, vary: dict[str, Sequence], jobs: int = 1) 
     template.validate()
     _check_count("jobs", jobs)
     for key, values in vary.items():
+        if key not in ExperimentConfig.__dataclass_fields__:
+            raise ConfigError(f"vary names unknown config field {key!r}")
         if not isinstance(values, (list, tuple)):
             raise ConfigError(f"vary[{key!r}] must be a list of values, got {values!r}")
     if not vary:

@@ -166,6 +166,12 @@ def test_sweep_vary_value_not_a_list_is_config_error(tmp_path, capsys, values):
     assert "must be a list" in capsys.readouterr().err
 
 
+def test_sweep_vary_key_not_a_config_field_is_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, dict(OSPF_BALL2, vary={"TT": [8, 16]}))
+    assert cli_main(["sweep", "--config", path, "--out", str(tmp_path / "s.json"), "--jobs", "1"]) == 2
+    assert "unknown config field 'TT'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bad", ["x", None])
 def test_sweep_records_a_bad_T_and_plays_the_rest(tmp_path, capsys, bad):
     path = write_config(tmp_path, dict(OSPF_BALL2, vary={"T": [4, bad]}))

@@ -260,6 +260,10 @@ class TestRunExperimentAndSweep:
         with pytest.raises(ConfigError, match="must be a list"):
             sweep(cfg(learner="ospf", set=BALL2, T=8), {"T": values})
 
+    def test_sweep_rejects_a_vary_key_that_is_not_a_config_field(self):
+        with pytest.raises(ConfigError, match="unknown config field 'TT'"):
+            sweep(cfg(learner="ospf", set=BALL2, T=8), {"TT": [8, 16]})
+
     @pytest.mark.parametrize("bad", ["x", None])
     def test_sweep_records_a_bad_T_and_plays_the_rest(self, bad):
         out = sweep(cfg(learner="ospf", set=BALL2, T=8, seeds=(0, 1)), {"T": [4, bad]})

@@ -5,19 +5,16 @@ lines of docstrings (the first string statement of a module, class or
 function, found with ``ast``) do not count; the lines of any other string
 literal do. Raw lines are all lines of the file.
 
-Run from the repository root::
+Run it (from any directory) to print one row per module, then the total::
 
-    python tools/src_lines.py            # one row per module, then the total
-    python tools/src_lines.py src/pfol   # the same, for another directory
+    python tools/src_lines.py
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import io
 import pathlib
-import sys
 import tokenize
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "pfol"
@@ -46,25 +43,16 @@ def count(source: str) -> tuple[int, int]:
     return len(source.splitlines()), len(code - docstring_lines(ast.parse(source)))
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("directory", nargs="?", default=str(SRC))
-    args = parser.parse_args(argv)
-    paths = sorted(pathlib.Path(args.directory).glob("*.py"))
-    if not paths:
-        print(f"no Python modules in {args.directory}", file=sys.stderr)
-        return 2
+def main() -> None:
     total_raw = total_code = 0
     print(f"{'module':<16} {'raw':>6} {'code':>6}")
-    for path in paths:
+    for path in sorted(SRC.glob("*.py")):
         raw, code = count(path.read_text())
         total_raw += raw
         total_code += code
         print(f"{path.name:<16} {raw:>6} {code:>6}")
     print(f"{'total':<16} {total_raw:>6} {total_code:>6}")
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()
