@@ -98,6 +98,10 @@ class Adversary(abc.ABC):
     def constants(self) -> tuple[float, float]:
         """(G, beta) certified for every loss this adversary emits."""
 
+    def gradient_table(self) -> np.ndarray | None:
+        """The (horizon, d) loss gradients of every round if they do not depend on the actions, else None."""
+        return None
+
     def _draws(self, first: int, rounds: int) -> np.ndarray:
         """Unit-ball (quadratic) or unit-sphere (linear) rows of rounds first, first+1, ..., one substream each.
 
@@ -106,10 +110,11 @@ class Adversary(abc.ABC):
         """
         return round_rows(self._stream, range(first, first + rounds), 1, self.dim, ball=self.quadratic)[:, 0]
 
-    def _table_row(self, t: int, scale: float) -> np.ndarray:
+    def _rows(self, scale: float) -> np.ndarray:
+        """Rows 1..horizon of the stochastic stream, drawn on first use."""
         if self._table is None:
             self._table = scale * self._draws(1, self.horizon)
-        return self._table[t - 1]
+        return self._table
 
     def _mean_action(self) -> np.ndarray | None:
         return None if self._action_sum is None else self._action_sum / self._seen
@@ -132,7 +137,7 @@ class QuadraticStochastic(Adversary):
         return self.norm_bound + self.center_scale, 1.0
 
     def _emit(self, t):
-        return self._table_row(t, self.center_scale)
+        return self._rows(self.center_scale)[t - 1]
 
 
 class QuadraticAdaptive(QuadraticStochastic):
@@ -177,7 +182,12 @@ class LinearStochastic(Adversary):
         return self.direction_norm, 0.0
 
     def _emit(self, t):
-        return self.direction if self.direction is not None else self._table_row(t, self.direction_norm)
+        return self.direction if self.direction is not None else self._rows(self.direction_norm)[t - 1]
+
+    def gradient_table(self):
+        if self.direction is not None:
+            return np.tile(self.direction, (self.horizon, 1))
+        return self._rows(self.direction_norm)
 
 
 class LinearAdaptive(Adversary):

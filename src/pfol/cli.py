@@ -6,7 +6,8 @@ exponent from a sweep CSV, and ``bound-check`` mean regret against the
 config's guarantee. Configs are JSON files mirroring ExperimentConfig; the
 PFOL_SEED environment variable overrides the seed for smoke tests.
 
-Exit codes: 0 success, 1 failed check or aborted run, 2 config error.
+Exit codes: 0 success, 1 failed check or aborted run, 2 config error or an
+output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -59,12 +60,26 @@ def _pick_seed(config: ExperimentConfig, arg_seed) -> int:
     return int(config.seeds[0])
 
 
+def _write(write, value, path) -> None:
+    """``write(value, path)``; a path that cannot be written is a ConfigError that names it."""
+    try:
+        write(value, path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
+
+
+def _write_json(value, path) -> None:
+    with open(path, "w") as fh:
+        json.dump(value, fh, indent=2)
+        fh.write("\n")
+
+
 def _cmd_run(args) -> int:
     config, _ = _load_config(args.config)
     seed = _pick_seed(config, args.seed)
     trace = run_game(config, seed)
     out = args.out or config.output_path or "trace.csv"
-    trace_to_csv(trace, out)
+    _write(trace_to_csv, trace, out)
     print(f"run complete: learner={config.learner} T={config.T} seed={seed} "
           f"final_regret={trace.final_regret:.6g} -> {out}")
     return 0
@@ -74,9 +89,9 @@ def _cmd_sweep(args) -> int:
     config, vary = _load_config(args.config)
     summaries = sweep(config, vary, jobs=args.jobs)
     out = args.out or "summaries.json"
-    summaries_to_json(summaries, out)
+    _write(summaries_to_json, summaries, out)
     if args.csv:
-        sweep_regrets_csv(summaries, args.csv)
+        _write(sweep_regrets_csv, summaries, args.csv)
     failed = sum(1 for s in summaries if s.errors)
     for s in summaries:
         status = f"mean_regret={s.mean_regret:.6g}" if s.final_regrets else f"errors={list(s.errors)}"
@@ -88,9 +103,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_audit(args) -> int:
     reports = run_audit_suite(args.seed, samples=args.samples)
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(reports, fh, indent=2)
-            fh.write("\n")
+        _write(_write_json, reports, args.out)
     ok = True
     for rep in reports:
         ok &= rep["pass"]

@@ -1,14 +1,20 @@
 """Experiment orchestration: game loop, regret accounting, sweeps, bounds.
 
 A run is fully described by (ExperimentConfig, seed) and replays to identical
-CSV bytes. One game loop serves every learner and adversary. Each round the
+CSV bytes. One game engine serves every learner and adversary. Each round the
 learner acts, the adversary emits the round's loss parameters (a centre or a
-direction) having seen only past actions, and the loop evaluates the loss and
-its one gradient at the action and feeds the gradient back. The (T, d)
-parameter array then goes to the hindsight solver and the trace gains its
-comparator column; the final cumulative regret equals the summed losses
-minus the comparator value by construction. Sweeps and multi-seed runs play
-all their (cell, seed) games in one process pool.
+direction) having seen only past actions, and the loop feeds the loss's one
+gradient at the action back to the learner; it records only the actions, the
+parameter rows and the oracle count. A perturbed leader against an adversary
+whose gradients do not depend on the actions (``linear_stochastic``, drawn or
+fixed direction) skips the loop: each refresh reads only its perturbations and
+the earlier gradients, so ``PerturbedLeader.play_fixed`` asks for all the
+refreshes of a draw block in one oracle batch, the same game bit for bit.
+Either way one tail prices the game: losses and gradient norms from row-wise
+dot products (``row_dots``), then the hindsight solver on the (T, d)
+parameter array and the comparator column; the final cumulative regret equals
+the summed losses minus the comparator value by construction. Sweeps and
+multi-seed runs play all their (cell, seed) games in one process pool.
 
 Every entry point resolves its config once (``_resolve``): validated, its
 set parsed and its (G, beta), block length and perturbation scale worked out;
@@ -290,39 +296,70 @@ class RegretTrace:
         return len(self.losses)
 
 
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of (T, d) ``a`` with (T, d) or (d,) ``b``, equal to per-row ``np.dot`` bit for bit.
+
+    numpy's stacked matmul takes each (1, d) @ (d, 1) product as a vector dot;
+    a 2-D ``a @ b`` (a matrix-vector product) and ``einsum`` sum in other orders.
+    ``np.dot`` takes one-element vectors as scalars, so at d = 1 it is the bare
+    product, whose zero keeps its sign where the vector dot's is +0.
+    """
+    if a.shape[1] == 1:
+        return (a * b)[:, 0]
+    return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
+
+
 def run_game(config: ExperimentConfig, seed: int) -> RegretTrace:
     """Play one full game and return its trace; deterministic in (config, seed)."""
     problem, adversary = _resolve(config, seed)
     set_ = problem.set
     oracle = InstrumentedSet(set_)
     learner = _make_learner(config, problem, oracle, seed)
-    quadratic = adversary.quadratic
-    T, d = config.T, set_.dim
-    actions = np.empty((T, d))
-    params = np.empty((T, d))
-    losses = np.empty(T)
-    grad_norms = np.empty(T)
-    oracle_calls = np.empty(T, dtype=np.int64)
+    T = config.T
+    params = adversary.gradient_table() if isinstance(learner, PerturbedLeader) else None
+    if params is not None:
+        # linear losses: the gradients are the parameter rows, fixed up front, so play in draw blocks
+        actions = learner.play_fixed(params)
+        samples, block = problem.leader_shape
+        oracle_calls = samples * (np.arange(1, T + 1) // block) + int(block > 1)
+        if oracle_calls[-1] != oracle.oracle_calls:
+            raise RuntimeError(f"oracle calls counted {oracle.oracle_calls}, "
+                               f"the refresh schedule makes {oracle_calls[-1]}")
+    else:
+        actions, params, oracle_calls = _play_rounds(learner, adversary, oracle, T)
+    return _price(config, seed, problem, adversary.quadratic, actions, params, oracle_calls)
 
+
+def _play_rounds(learner, adversary: Adversary, oracle: InstrumentedSet, T: int):
+    """(actions, parameter rows, oracle calls so far) of T rounds of act, emit and observe."""
+    actions = np.empty((T, oracle.dim))
+    params = np.empty((T, oracle.dim))
+    oracle_calls = np.empty(T, dtype=np.int64)
     for i in range(T):
         action = learner.act()
         p = adversary.emit(i + 1)
         # the round's one gradient evaluation, at the action played
-        g = action - p if quadratic else p
-        learner.observe(g)
+        learner.observe(action - p if adversary.quadratic else p)
         adversary.observe(action)
-        gg = float(np.dot(g, g))
         actions[i] = action
         params[i] = p
-        losses[i] = 0.5 * gg if quadratic else float(np.dot(p, action))
-        grad_norms[i] = math.sqrt(gg)
         oracle_calls[i] = oracle.oracle_calls
+    return actions, params, oracle_calls
 
-    comparator_point = best_in_hindsight(params, set_, quadratic)
+
+def _price(config: ExperimentConfig, seed: int, problem: _Problem, quadratic: bool,
+           actions: np.ndarray, params: np.ndarray, oracle_calls: np.ndarray) -> RegretTrace:
+    """The trace of a played game: its losses, gradient norms and hindsight comparator."""
+    comparator_point = best_in_hindsight(params, problem.set, quadratic)
+    grads = actions - params if quadratic else params
+    gg = row_dots(grads, grads)
     if quadratic:
-        comparator_losses = [0.5 * float(np.dot(diff, diff)) for diff in comparator_point - params]
+        losses = 0.5 * gg
+        diffs = comparator_point - params
+        comparator_losses = 0.5 * row_dots(diffs, diffs)
     else:
-        comparator_losses = [float(np.dot(row, comparator_point)) for row in params]
+        losses = row_dots(params, actions)
+        comparator_losses = row_dots(params, comparator_point)
     cum_loss = np.cumsum(losses)
     cum_comparator = np.cumsum(comparator_losses)
     return RegretTrace(
@@ -331,13 +368,13 @@ def run_game(config: ExperimentConfig, seed: int) -> RegretTrace:
         delta=problem.delta,
         actions=actions,
         losses=losses,
-        grad_norms=grad_norms,
+        grad_norms=np.sqrt(gg),
         cum_loss=cum_loss,
         comparator_point=comparator_point,
         comparator_value=float(cum_comparator[-1]),
         cum_regret=cum_loss - cum_comparator,
         oracle_calls=oracle_calls,
-        grad_evals=np.arange(1, T + 1, dtype=np.int64),
+        grad_evals=np.arange(1, len(actions) + 1, dtype=np.int64),
     )
 
 

@@ -27,6 +27,13 @@ loss at that action and advances the round. The game engine evaluates that
 gradient once per round and counts it, and builds each learner on an
 InstrumentedSet that counts its oracle calls, so the per-iteration budgets
 can be asserted exactly.
+
+Against gradients fixed before the game (a ``linear_stochastic`` adversary)
+the engine calls ``PerturbedLeader.play_fixed`` instead, which plays the
+whole game: a refresh reads only its perturbations and the sum of the
+earlier gradients, so every refresh of a draw block is one oracle batch,
+with the same draws, the same refresh step (``_refresh``), the same oracle
+calls and the same actions bit for bit.
 """
 
 from __future__ import annotations
@@ -167,17 +174,63 @@ class PerturbedLeader(OnlineLearner):
         refresh, offset = divmod(self.round, self.block)
         if offset:
             if self._current is None:
-                self._current = linear_argmax(self._set, np.eye(self._set.dim)[0])
+                self._current = self._start()
             return self._current
+        if refresh - self._first == len(self._rows):
+            self._draw(refresh)
         i = refresh - self._first
-        if i == len(self._rows):  # rows used up: draw as many refreshes as so far, up to the cap
-            count = min(max(1, refresh - 1), max(1, BLOCK_ROWS // self.samples))
-            rounds = range(self.round, self.round + count * self.block, self.block)
-            rows = round_rows(self._rounds, rounds, self.samples, self._set.dim, ball=True)
-            self._rows, self._first, i = rows / self.delta, refresh, 0
-        points = self._set.support_argmax_many(self._rows[i] - self._cum_grad)
-        self._current = points.sum(axis=0) / self.samples  # np.mean's arithmetic, without its per-call overhead
+        self._current = self._refresh(self._rows[i], self._cum_grad)
         return self._current
+
+    def _start(self) -> np.ndarray:
+        """The point played before the first refresh: the oracle answer on the first basis direction."""
+        return linear_argmax(self._set, np.eye(self._set.dim)[0])
+
+    def _draw(self, refresh: int) -> None:
+        """Draw the v/delta rows of refreshes refresh, refresh+1, ...: as many as so far, up to the cap."""
+        count = min(max(1, refresh - 1), max(1, BLOCK_ROWS // self.samples))
+        rounds = range(refresh * self.block, (refresh + count) * self.block, self.block)
+        self._rows = round_rows(self._rounds, rounds, self.samples, self._set.dim, ball=True) / self.delta
+        self._first = refresh
+
+    def _refresh(self, rows: np.ndarray, cum_grads: np.ndarray) -> np.ndarray:
+        """Points played from refreshes: (..., samples, d) v/delta rows against their (..., d) gradient sums.
+
+        Each point is the mean of the oracle answers at rows - cum_grad; all
+        refreshes are asked for in one batch.
+        """
+        queries = rows - cum_grads[..., None, :]
+        points = self._set.support_argmax_many(queries.reshape(-1, queries.shape[-1]))
+        # np.mean's arithmetic, without its per-call overhead
+        return np.add.reduce(points.reshape(queries.shape), axis=-2) / self.samples
+
+    def play_fixed(self, gradients: np.ndarray) -> np.ndarray:
+        """Actions of a whole game against (T, d) gradient rows fixed before it, from round 1.
+
+        A refresh reads only its perturbations and the sum of the earlier
+        gradients, so every refresh of a draw block is asked for in one oracle
+        batch, with the same draws, queries and oracle calls as T rounds of
+        act/observe and the same actions bit for bit: ``np.cumsum`` adds the
+        rows in ``_observe``'s order. The learner ends as after round T.
+        """
+        if self.round != 1 or self._awaiting_loss:
+            raise ProtocolError(f"play_fixed needs a fresh learner, not one in round {self.round}")
+        T = len(gradients)
+        sums = np.cumsum(np.concatenate([self._cum_grad[None], gradients]), axis=0)  # sums[t-1]: before round t
+        refreshes = T // self.block
+        points = np.empty((refreshes + 1, self._set.dim))  # points[r]: played from refresh r on
+        if self.block > 1:
+            points[0] = self._start()
+        refresh = 1
+        while refresh <= refreshes:
+            self._draw(refresh)
+            n = min(len(self._rows), refreshes + 1 - refresh)
+            rounds = np.arange(refresh, refresh + n) * self.block
+            points[refresh:refresh + n] = self._refresh(self._rows[:n], sums[rounds - 1])
+            refresh += n
+        actions = points[np.arange(1, T + 1) // self.block]
+        self._cum_grad, self._current, self.round = sums[-1], actions[-1], T + 1
+        return actions
 
 
 class OGD(OnlineLearner):

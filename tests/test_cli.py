@@ -238,3 +238,19 @@ def test_failure_inside_a_run_aborts_with_exit_one(config_file, tmp_path, capsys
     monkeypatch.setattr(pfol.cli, "run_game", stalled)
     assert cli_main(["run", "--config", str(config_file), "--out", str(tmp_path / "t.csv")]) == 1
     assert capsys.readouterr().err == "run aborted: solver stalled\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--out", "{missing}"],
+    ["sweep", "--jobs", "1", "--out", "{missing}"],
+    ["sweep", "--jobs", "1", "--out", "{ok}", "--csv", "{missing}"],
+    ["audit", "--out", "{missing}"],
+], ids=["run", "sweep-out", "sweep-csv", "audit-out"])
+def test_unwritable_output_is_config_error_naming_the_path(config_file, tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(pfol.cli, "run_audit_suite", lambda seed, samples: [])
+    missing = str(tmp_path / "no-such-dir" / "out")
+    argv = [arg.format(missing=missing, ok=tmp_path / "ok.json") for arg in command]
+    if argv[0] != "audit":
+        argv += ["--config", str(config_file)]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err == f"config error: cannot write {missing!r}: No such file or directory\n"

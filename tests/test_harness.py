@@ -21,8 +21,16 @@ from pfol import (
     theoretical_bound,
     trace_to_csv,
 )
-from pfol import harness
-from pfol.harness import CSV_HEADER, comparator_correction, config_hash, expected_budgets, resolve_block
+from pfol import InstrumentedSet, PerturbedLeader, ProtocolError, harness, make_adversary, set_from_json
+from pfol.harness import (
+    CSV_HEADER,
+    best_in_hindsight,
+    comparator_correction,
+    config_hash,
+    expected_budgets,
+    resolve_block,
+    row_dots,
+)
 
 BALL5 = {"kind": "ball", "dim": 5, "radius": 1.0}
 BALL1 = {"kind": "ball", "dim": 1, "radius": 1.0}
@@ -191,6 +199,144 @@ class TestRunGame:
         ball = Ball(dim=5, radius=1.0)
         assert trace.comparator_value == pytest.approx(
             -32.0 * float(np.dot(-direction, linear_argmax(ball, -direction))), rel=1e-12)
+
+
+_VERTS12 = np.random.default_rng(12).standard_normal((12, 5))
+ROUTE_SETS = {
+    "ball": BALL5,
+    "box": {"kind": "box", "lower": [-1.0, -0.5, 0.0], "upper": [1.0, 2.0, 0.5]},
+    "simplex": {"kind": "simplex", "dim": 4, "scale": 1.0},
+    "l1_ball": {"kind": "l1_ball", "dim": 4, "radius": 1.5},
+    "polytope": {"kind": "polytope", "vertices": (_VERTS12 / np.linalg.norm(_VERTS12, axis=1, keepdims=True)).tolist()},
+}
+ROUTE_LEARNERS = {
+    "sampled_fpl-m1": {"learner": "sampled_fpl", "m": 1},
+    "sampled_fpl-m4": {"learner": "sampled_fpl", "m": 4},
+    "sampled_fpl-m64": {"learner": "sampled_fpl", "m": 64},
+    "ospf-k7": {"learner": "ospf", "k": 7},
+    "ospf-auto": {"learner": "ospf", "k": "auto"},
+    "expected_fpl_mc-e8": {"learner": "expected_fpl_mc", "eval_samples": 8},
+}
+# one round, either side of ospf's k = 7, and past the 4096-row draw cap for every learner
+ROUTE_T = (1, 6, 7, 8200)
+FIXED_DIRECTION = {"kind": "linear_stochastic", "direction": [0.6, -0.8, 0.0, 0.25, -0.0]}
+
+
+def route_cases():
+    for set_name, set_spec in ROUTE_SETS.items():
+        for learner_name, knobs in ROUTE_LEARNERS.items():
+            for T in ROUTE_T:
+                yield f"{set_name}/{learner_name}/T{T}", ExperimentConfig(
+                    set=set_spec, adversary={"kind": "linear_stochastic", "direction_norm": 2.5}, T=T, **knobs)
+    for learner_name, knobs in ROUTE_LEARNERS.items():
+        for T in (7, 8200):
+            yield f"ball-fixed/{learner_name}/T{T}", ExperimentConfig(
+                set=BALL5, adversary=FIXED_DIRECTION, T=T, **knobs)
+
+
+def hand_played(config, seed):
+    """A game played round by round through act and observe and priced with per-row np.dot.
+
+    Returns the actions, losses, oracle-call column, comparator point and
+    value, and the final count of the instrumented set.
+    """
+    set_ = set_from_json(config.set)
+    adversary = make_adversary(config.adversary, horizon=config.T, seed=seed,
+                               norm_bound=set_.norm_bound, dim=set_.dim)
+    G, beta = adversary.constants()
+    k = resolve_block(config, beta)
+    samples, block = harness.leader_shape(config, k)
+    oracle = InstrumentedSet(set_)
+    learner = PerturbedLeader(oracle, delta=harness.resolve_delta(config, G, set_.dim, k),
+                              samples=samples, block=block, seed=seed)
+    actions, rows, losses, calls = [], [], [], []
+    for t in range(1, config.T + 1):
+        action = learner.act()
+        g = adversary.emit(t)
+        learner.observe(g)
+        adversary.observe(action)
+        actions.append(np.array(action))
+        rows.append(np.array(g))
+        losses.append(float(np.dot(g, action)))
+        calls.append(oracle.oracle_calls)
+    point = best_in_hindsight(np.array(rows), set_, quadratic=False)
+    value = float(np.cumsum([float(np.dot(row, point)) for row in rows])[-1])
+    return np.array(actions), np.array(losses), np.array(calls), point, value, oracle.oracle_calls
+
+
+def played_without_act(config, seed, monkeypatch):
+    """run_game with PerturbedLeader.act disabled, so that only the fixed-stream route can play it."""
+    def refuse(self):
+        raise AssertionError("the fixed-stream route called act")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(PerturbedLeader, "act", refuse)
+        return run_game(config, seed)
+
+
+class TestFixedStreamRoute:
+    @pytest.mark.parametrize("key,config", list(route_cases()), ids=lambda v: v if isinstance(v, str) else "")
+    def test_route_equals_act_observe_bit_for_bit(self, key, config, monkeypatch):
+        trace = played_without_act(config, 3, monkeypatch)
+        actions, losses, calls, point, value, counted = hand_played(config, 3)
+        assert trace.actions.tobytes() == actions.tobytes()
+        assert trace.losses.tobytes() == losses.tobytes()
+        np.testing.assert_array_equal(trace.oracle_calls, calls)
+        assert trace.comparator_point.tobytes() == point.tobytes()
+        assert repr(trace.comparator_value) == repr(value)
+        assert trace.oracle_calls[-1] == counted
+
+    def test_route_raises_when_the_counter_disagrees(self, monkeypatch):
+        class Overcounting(InstrumentedSet):
+            def support_argmax_many(self, queries):
+                self.oracle_calls += 1
+                return super().support_argmax_many(queries)
+
+        monkeypatch.setattr(harness, "InstrumentedSet", Overcounting)
+        with pytest.raises(RuntimeError, match="oracle calls counted"):
+            played_without_act(cfg(adversary=LIN_STOCH, T=50, m=1), 0, monkeypatch)
+
+    @pytest.mark.parametrize("adversary", [QUAD_ADAPTIVE, {"kind": "quadratic_stochastic"},
+                                           {"kind": "linear_adaptive"}])
+    def test_action_dependent_streams_play_round_by_round(self, adversary, monkeypatch):
+        with pytest.raises(AssertionError, match="called act"):
+            played_without_act(cfg(adversary=adversary, T=5), 0, monkeypatch)
+
+    def test_learner_ends_as_after_the_last_round(self):
+        config = cfg(adversary=LIN_STOCH, T=300, m=2)
+        set_ = set_from_json(config.set)
+        table = make_adversary(config.adversary, horizon=300, seed=0, norm_bound=1.0, dim=5).gradient_table()
+        batch = PerturbedLeader(set_, delta=0.3, samples=2, seed=4)
+        stepped = PerturbedLeader(set_, delta=0.3, samples=2, seed=4)
+        batch.play_fixed(table[:200])
+        for g in table[:200]:
+            stepped.act()
+            stepped.observe(g)
+        for g in table[200:]:
+            assert batch.act().tobytes() == stepped.act().tobytes()
+            batch.observe(g)
+            stepped.observe(g)
+        with pytest.raises(ProtocolError):
+            batch.play_fixed(table)
+
+
+class TestRowDots:
+    """``row_dots`` must equal per-row ``np.dot``; a numpy whose matmul sums in another order fails here first."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 16, 31, 64])
+    def test_equals_per_row_np_dot(self, d):
+        rng = np.random.default_rng(d)
+        a = rng.standard_normal((257, d)) * 10.0 ** rng.integers(-8, 9, (257, d))
+        b = rng.standard_normal((257, d)) * 10.0 ** rng.integers(-8, 9, (257, d))
+        b[:64] = -a[:64] * (1.0 + 2.0 ** -40)  # large entries that cancel
+        a[64:72], b[72:80] = 0.0, -0.0  # signed zeros, kept by np.dot at d = 1
+        b[80:88] = -b[80:88]
+        for left, right in ((a, b), (a, a), (b, a)):
+            want = np.array([np.dot(x, y) for x, y in zip(left, right)])
+            assert row_dots(left, right).tobytes() == want.tobytes()
+            # the comparator row, broadcast against every row
+            want = np.array([np.dot(x, right[3]) for x in left])
+            assert row_dots(left, right[3]).tobytes() == want.tobytes()
 
 
 class TestRunExperimentAndSweep:
