@@ -10,11 +10,12 @@ whose gradients do not depend on the actions (``linear_stochastic``, drawn or
 fixed direction) skips the loop: each refresh reads only its perturbations and
 the earlier gradients, so ``PerturbedLeader.play_fixed`` asks for all the
 refreshes of a draw block in one oracle batch, the same game bit for bit.
-Either way one tail prices the game: losses and gradient norms from row-wise
-dot products (``row_dots``), then the hindsight solver on the (T, d)
-parameter array and the comparator column; the final cumulative regret equals
-the summed losses minus the comparator value by construction. Sweeps and
-multi-seed runs play all their (cell, seed) games in one process pool.
+Either way the instrumented set's count must equal the config's oracle budget,
+and one tail prices the game: losses from row-wise dot products
+(``row_dots``), then the hindsight solver on the (T, d) parameter array and
+the comparator column; the final cumulative regret equals the summed losses
+minus the comparator value by construction. Sweeps and multi-seed runs play
+all their (cell, seed) games in one process pool.
 
 Every entry point resolves its config once (``_resolve``): validated, its
 set parsed and its (G, beta), block length and perturbation scale worked out;
@@ -131,7 +132,7 @@ class ExperimentConfig:
         if not isinstance(spec, dict):
             raise ConfigError("config must be a JSON object")
         known = {f for f in ExperimentConfig.__dataclass_fields__}
-        unknown = set(spec) - known - {"vary"}
+        unknown = set(spec) - known
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         missing = {"learner", "set", "adversary", "T"} - set(spec)
@@ -279,7 +280,6 @@ class RegretTrace:
     delta: float | None
     actions: np.ndarray
     losses: np.ndarray
-    grad_norms: np.ndarray
     cum_loss: np.ndarray
     comparator_point: np.ndarray
     comparator_value: float
@@ -302,15 +302,22 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     numpy's stacked matmul takes each (1, d) @ (d, 1) product as a vector dot;
     a 2-D ``a @ b`` (a matrix-vector product) and ``einsum`` sum in other orders.
     ``np.dot`` takes one-element vectors as scalars, so at d = 1 it is the bare
-    product, whose zero keeps its sign where the vector dot's is +0.
+    product, whose zero keeps its sign where the vector dot's is +0. The vector
+    dot's order also depends on the memory layout, so both inputs are read in
+    C order: an F-ordered or strided copy gives the same bits as its C copy.
     """
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     if a.shape[1] == 1:
         return (a * b)[:, 0]
     return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
 
 
 def run_game(config: ExperimentConfig, seed: int) -> RegretTrace:
-    """Play one full game and return its trace; deterministic in (config, seed)."""
+    """Play one full game and return its trace; deterministic in (config, seed).
+
+    Raises RuntimeError if the oracle calls counted or recorded differ from
+    the config's budget (``expected_budgets``).
+    """
     problem, adversary = _resolve(config, seed)
     set_ = problem.set
     oracle = InstrumentedSet(set_)
@@ -322,11 +329,12 @@ def run_game(config: ExperimentConfig, seed: int) -> RegretTrace:
         actions = learner.play_fixed(params)
         samples, block = problem.leader_shape
         oracle_calls = samples * (np.arange(1, T + 1) // block) + int(block > 1)
-        if oracle_calls[-1] != oracle.oracle_calls:
-            raise RuntimeError(f"oracle calls counted {oracle.oracle_calls}, "
-                               f"the refresh schedule makes {oracle_calls[-1]}")
     else:
         actions, params, oracle_calls = _play_rounds(learner, adversary, oracle, T)
+    budget = expected_budgets(config, problem.k)[0]
+    if oracle.oracle_calls != budget or oracle_calls[-1] != budget:
+        raise RuntimeError(f"oracle calls counted {oracle.oracle_calls}, recorded {oracle_calls[-1]}, "
+                           f"the budget is {budget}")
     return _price(config, seed, problem, adversary.quadratic, actions, params, oracle_calls)
 
 
@@ -349,12 +357,11 @@ def _play_rounds(learner, adversary: Adversary, oracle: InstrumentedSet, T: int)
 
 def _price(config: ExperimentConfig, seed: int, problem: _Problem, quadratic: bool,
            actions: np.ndarray, params: np.ndarray, oracle_calls: np.ndarray) -> RegretTrace:
-    """The trace of a played game: its losses, gradient norms and hindsight comparator."""
+    """The trace of a played game: its losses and hindsight comparator."""
     comparator_point = best_in_hindsight(params, problem.set, quadratic)
-    grads = actions - params if quadratic else params
-    gg = row_dots(grads, grads)
     if quadratic:
-        losses = 0.5 * gg
+        grads = actions - params
+        losses = 0.5 * row_dots(grads, grads)
         diffs = comparator_point - params
         comparator_losses = 0.5 * row_dots(diffs, diffs)
     else:
@@ -368,7 +375,6 @@ def _price(config: ExperimentConfig, seed: int, problem: _Problem, quadratic: bo
         delta=problem.delta,
         actions=actions,
         losses=losses,
-        grad_norms=np.sqrt(gg),
         cum_loss=cum_loss,
         comparator_point=comparator_point,
         comparator_value=float(cum_comparator[-1]),
@@ -522,7 +528,7 @@ def _play_all(configs: Sequence[ExperimentConfig], jobs: int) -> list[dict]:
 
 
 def _summarize(config: ExperimentConfig, problem: _Problem, outcomes: dict,
-               overrides: dict | None) -> RunSummary:
+               overrides: dict | None = None) -> RunSummary:
     summary = RunSummary(
         config_hash=config_hash(config),
         learner=config.learner,
@@ -558,8 +564,7 @@ def _summarize(config: ExperimentConfig, problem: _Problem, outcomes: dict,
     return summary
 
 
-def run_experiment(config: ExperimentConfig, jobs: int = 1,
-                   overrides: dict | None = None) -> RunSummary:
+def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunSummary:
     """Run every seed of a config and aggregate.
 
     A config that does not resolve raises ConfigError before any game is
@@ -568,7 +573,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
     """
     _check_count("jobs", jobs)
     problem, _ = _resolve(config)
-    return _summarize(config, problem, _play_all([config], jobs)[0], overrides)
+    return _summarize(config, problem, _play_all([config], jobs)[0])
 
 
 def sweep(template: ExperimentConfig, vary: dict[str, list | tuple], jobs: int = 1) -> list[RunSummary]:
@@ -704,11 +709,9 @@ def bound_check(config: ExperimentConfig, jobs: int = 1) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def trace_to_csv(trace: RegretTrace, path, run_id: str | None = None) -> None:
-    """Write the fixed-schema per-round CSV; floats carry 17 significant digits."""
-    if run_id is None:
-        run_id = f"{trace.algorithm}-{trace.seed}"
-    prefix = f"{run_id},{trace.algorithm},{trace.seed}"
+def trace_to_csv(trace: RegretTrace, path) -> None:
+    """Write the fixed-schema per-round CSV; run_id is ``algorithm-seed``, floats carry 17 significant digits."""
+    prefix = f"{trace.algorithm}-{trace.seed},{trace.algorithm},{trace.seed}"
     columns = (trace.losses, trace.cum_loss, trace.cum_regret, trace.oracle_calls, trace.grad_evals)
     rows = zip(range(1, trace.horizon + 1), *(c.tolist() for c in columns))
     with open(path, "w", newline="") as fh:

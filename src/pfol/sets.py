@@ -89,13 +89,6 @@ class FeasibleSet(abc.ABC):
     def feasibility_gap(self, x: np.ndarray) -> float:
         """How far x sits outside the set; 0 (up to fp noise) means feasible."""
 
-    @abc.abstractmethod
-    def to_json(self) -> dict:
-        ...
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}({self.to_json()})"
-
 
 @dataclass(frozen=True, eq=False)
 class Ball(FeasibleSet):
@@ -137,9 +130,6 @@ class Ball(FeasibleSet):
 
     def feasibility_gap(self, x) -> float:
         return max(0.0, float(np.linalg.norm(x)) - self.radius)
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "dim": self.dim, "radius": self.radius}
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,14 +176,6 @@ class Box(FeasibleSet):
         above = float(np.max(x - self.upper, initial=0.0))
         return max(0.0, below, above)
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "dim": self.dim,
-            "lower": self.lower.tolist(),
-            "upper": self.upper.tolist(),
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class Simplex(FeasibleSet):
@@ -228,9 +210,6 @@ class Simplex(FeasibleSet):
     def feasibility_gap(self, x) -> float:
         neg = float(np.max(-np.asarray(x), initial=0.0))
         return max(0.0, neg, abs(float(np.sum(x)) - self.scale))
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "dim": self.dim, "scale": self.scale}
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,9 +254,6 @@ class L1Ball(FeasibleSet):
 
     def feasibility_gap(self, x) -> float:
         return max(0.0, float(np.sum(np.abs(x))) - self.radius)
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "dim": self.dim, "radius": self.radius}
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,9 +343,6 @@ class Polytope(FeasibleSet):
         dirs = np.vstack([dirs, np.eye(self.dim), -np.eye(self.dim)])
         margins = dirs @ x - np.max(dirs @ self.vertices.T, axis=1)
         return max(0.0, float(np.max(margins)))
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "dim": self.dim, "vertices": self.vertices.tolist()}
 
 
 def _project_scaled_simplex(v: np.ndarray, s: float) -> np.ndarray:

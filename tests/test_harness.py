@@ -264,6 +264,14 @@ def hand_played(config, seed):
     return np.array(actions), np.array(losses), np.array(calls), point, value, oracle.oracle_calls
 
 
+class Overcounting(InstrumentedSet):
+    """An instrumented set that counts one call too many per batch."""
+
+    def support_argmax_many(self, queries):
+        self.oracle_calls += 1
+        return super().support_argmax_many(queries)
+
+
 def played_without_act(config, seed, monkeypatch):
     """run_game with PerturbedLeader.act disabled, so that only the fixed-stream route can play it."""
     def refuse(self):
@@ -287,11 +295,6 @@ class TestFixedStreamRoute:
         assert trace.oracle_calls[-1] == counted
 
     def test_route_raises_when_the_counter_disagrees(self, monkeypatch):
-        class Overcounting(InstrumentedSet):
-            def support_argmax_many(self, queries):
-                self.oracle_calls += 1
-                return super().support_argmax_many(queries)
-
         monkeypatch.setattr(harness, "InstrumentedSet", Overcounting)
         with pytest.raises(RuntimeError, match="oracle calls counted"):
             played_without_act(cfg(adversary=LIN_STOCH, T=50, m=1), 0, monkeypatch)
@@ -338,8 +341,28 @@ class TestRowDots:
             want = np.array([np.dot(x, right[3]) for x in left])
             assert row_dots(left, right[3]).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("d", [1, 5])
+    def test_memory_layout_does_not_change_the_bits(self, d):
+        rng = np.random.default_rng(20 + d)
+        a = rng.standard_normal((2000, d))
+        b = rng.standard_normal((2000, d))
+        want = np.array([np.dot(x, y) for x, y in zip(a, b)])
+        assert row_dots(a, b).tobytes() == want.tobytes()
+        wide_a, wide_b = np.zeros((2000, 2 * d)), np.zeros((2000, 2 * d))
+        wide_a[:, ::2], wide_b[:, ::2] = a, b
+        for left, right in ((np.asfortranarray(a), np.asfortranarray(b)), (wide_a[:, ::2], wide_b[:, ::2]),
+                            (np.asfortranarray(a), b), (a, wide_b[:, ::2])):
+            if d > 1:
+                assert not (left.flags.c_contiguous and right.flags.c_contiguous)
+            assert row_dots(left, right).tobytes() == want.tobytes()
+
 
 class TestRunExperimentAndSweep:
+    def test_round_by_round_game_raises_when_the_counter_disagrees(self, monkeypatch):
+        monkeypatch.setattr(harness, "InstrumentedSet", Overcounting)
+        with pytest.raises(RuntimeError, match="oracle calls counted"):
+            run_game(cfg(learner="ospf", k=5, T=50), 0)
+
     def test_budget_bookkeeping_matches_expected(self):
         for learner, kw in [("sampled_fpl", {"m": 3}), ("ospf", {"k": 4}),
                             ("ofw", {}), ("ogd", {}),
@@ -509,6 +532,12 @@ class TestConfigHandling:
         bad["horizon"] = 10
         with pytest.raises(ConfigError, match="unknown config fields"):
             ExperimentConfig.from_json(bad)
+
+    def test_vary_is_not_a_config_field(self):
+        # a sweep's grid belongs to sweep(); from_json would otherwise run the template alone
+        spec = dict(cfg().to_json(), vary={"T": [8, 16]})
+        with pytest.raises(ConfigError, match=r"unknown config fields: \['vary'\]"):
+            ExperimentConfig.from_json(spec)
 
     def test_validation_errors(self):
         with pytest.raises(ConfigError):

@@ -379,14 +379,22 @@ class TestValidationAndJson:
         with pytest.raises(ValueError):
             Polytope(vertices=np.empty((0, 2)))
 
-    def test_json_round_trip(self):
-        for s in ALL_SETS:
-            clone = set_from_json(s.to_json())
-            assert clone.kind == s.kind
-            assert clone.dim == s.dim
-            assert clone.norm_bound == pytest.approx(s.norm_bound, rel=1e-15)
-            y = np.arange(1.0, s.dim + 1.0)
-            np.testing.assert_array_equal(linear_argmax(clone, y), linear_argmax(s, y))
+    @pytest.mark.parametrize("spec,want", [
+        ({"kind": "ball", "dim": 3, "radius": 2.0}, Ball(dim=3, radius=2.0)),
+        ({"kind": "box", "dim": 3, "lower": [0.0, -2.0, 1.0], "upper": [0.5, -1.0, 4.0]},
+         Box(lower=[0.0, -2.0, 1.0], upper=[0.5, -1.0, 4.0])),
+        ({"kind": "simplex", "dim": 4, "scale": 2.5}, Simplex(dim=4, scale=2.5)),
+        ({"kind": "l1_ball", "dim": 5, "radius": 0.7}, L1Ball(dim=5, radius=0.7)),
+        ({"kind": "polytope", "vertices": [[1.0, 2.0, -1.0], [0.0, 0.0, 0.0], [-2.0, 1.0, 1.0]]},
+         Polytope(vertices=[[1.0, 2.0, -1.0], [0.0, 0.0, 0.0], [-2.0, 1.0, 1.0]])),
+    ], ids=["ball", "box", "simplex", "l1_ball", "polytope"])
+    def test_set_from_json_parses_each_kind(self, spec, want):
+        got = set_from_json(spec)
+        assert type(got) is type(want)
+        assert got.dim == want.dim
+        assert got.norm_bound == want.norm_bound
+        for y in np.random.default_rng(0).standard_normal((8, want.dim)):
+            assert linear_argmax(got, y).tobytes() == linear_argmax(want, y).tobytes()
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError, match="unknown set kind"):
