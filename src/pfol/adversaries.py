@@ -2,10 +2,15 @@
 
 An adversary emits round t's loss as its parameter vector: the centre c_t of
 f_t(x) = 0.5 ||x - c_t||^2 (quadratic families) or the direction g_t of
-f_t(x) = <g_t, x> (linear ones). The game engine calls ``emit(t)`` and then
-``observe(action)``, which keeps the running action sum the adaptive
-families read; ``next_loss(history)`` wraps the same row as a LossFunction
-for callers that replay a game from its actions.
+f_t(x) = <g_t, x> (linear ones). The per-round engine calls ``emit(t)`` and
+then ``observe(action)``, which keeps the running action sum the adaptive
+families read. A blocked perturbed leader holds its action between
+refreshes, so its engine route (``PerturbedLeader.play``) calls
+``emit_segment(t, action, n)`` instead: the rows of the n rounds t..t+n-1 in
+which it plays ``action``, which it observes n times, bit for bit the rows
+and state of n rounds of ``emit`` and ``observe`` (a table slice for the
+stochastic families, running means from ``np.cumsum`` for the adaptive ones). ``next_loss(history)`` wraps ``emit``'s row as a LossFunction for
+callers that replay a game from its actions.
 
 Two stochastic families draw i.i.d. loss parameters from per-round seed
 substreams, so a stream replays bitwise from (seed, t) alone; they draw the
@@ -23,7 +28,7 @@ import abc
 import numpy as np
 
 from .errors import ConfigError, ProtocolError, is_int
-from .losses import LossFunction, linear_loss, quadratic_loss
+from .losses import LossFunction, linear_loss, quadratic_loss, row_dots
 from .rng import ADVERSARY_STREAM, RoundStream
 from .sets import round_rows
 
@@ -70,6 +75,33 @@ class Adversary(abc.ABC):
     @abc.abstractmethod
     def _emit(self, t: int) -> np.ndarray:
         """``emit`` for a round already checked."""
+
+    def emit_segment(self, t: int, action: np.ndarray, n: int) -> np.ndarray:
+        """The (n, d) rows of rounds t..t+n-1 in which the player plays ``action``; observes it n times.
+
+        Bit for bit the rows and the state of n rounds of ``emit`` then
+        ``observe(action)``: the running sums are ``np.cumsum`` of [sum,
+        action, ..., action], which adds in ``observe``'s order. Rounds
+        outside [1, horizon] raise ProtocolError.
+        """
+        if not (n >= 1 and t >= 1 and t + n - 1 <= self.horizon):
+            raise ProtocolError(f"rounds {t}..{t + n - 1} are outside [1, {self.horizon}], the declared horizon")
+        first = self._action_sum is None  # a first round has no history, and no sum before it
+        sums = np.empty((n + 1 - first, self.dim))
+        sums[:] = action
+        if not first:
+            sums[0] = self._action_sum
+        sums = sums.cumsum(axis=0)
+        self._action_sum, self._seen = sums[-1], self._seen + n
+        return self._emit_segment(t, n, sums[:-1])
+
+    @abc.abstractmethod
+    def _emit_segment(self, t: int, n: int, sums: np.ndarray) -> np.ndarray:
+        """``emit_segment``'s rows; ``sums`` holds the action sums before its last len(sums) rounds, all but a first round."""
+
+    def _means(self, sums: np.ndarray) -> np.ndarray:
+        """The mean actions before the last len(sums) rounds observed, from their action sums."""
+        return sums / np.arange(self._seen - len(sums), self._seen)[:, None]
 
     def observe(self, action: np.ndarray) -> None:
         """Add a played action to the running sum."""
@@ -139,6 +171,9 @@ class QuadraticStochastic(Adversary):
     def _emit(self, t):
         return self._rows(self.center_scale)[t - 1]
 
+    def _emit_segment(self, t, n, sums):
+        return self._rows(self.center_scale)[t - 1:t - 1 + n]
+
 
 class QuadraticAdaptive(QuadraticStochastic):
     """Quadratic losses whose center pushes against the player's mean action.
@@ -155,6 +190,12 @@ class QuadraticAdaptive(QuadraticStochastic):
         if mean is None:
             return self.center_scale * self._draws(t, 1)[0]
         return -self.center_scale * np.sign(mean) / np.sqrt(self.dim)
+
+    def _emit_segment(self, t, n, sums):
+        rows = -self.center_scale * np.sign(self._means(sums)) / np.sqrt(self.dim)
+        if len(sums) < n:  # the first round has no history
+            rows = np.concatenate([self.center_scale * self._draws(t, 1), rows])
+        return rows
 
 
 class LinearStochastic(Adversary):
@@ -183,6 +224,9 @@ class LinearStochastic(Adversary):
 
     def _emit(self, t):
         return self.direction if self.direction is not None else self._rows(self.direction_norm)[t - 1]
+
+    def _emit_segment(self, t, n, sums):
+        return self.gradient_table()[t - 1:t - 1 + n]
 
     def gradient_table(self):
         if self.direction is not None:
@@ -217,6 +261,16 @@ class LinearAdaptive(Adversary):
             if n > 0:
                 return self.direction_norm * mean / n
         return self.direction_norm * self._draws(t, 1)[0]
+
+    def _emit_segment(self, t, n, sums):
+        # a round with no history draws, as one whose mean has norm 0 does; np.linalg.norm of a row
+        # is sqrt(np.dot(row, row)), and so is sqrt(row_dots) of it, whatever the layout of ``means``
+        means = np.concatenate([np.zeros((n - len(sums), self.dim)), self._means(sums)])
+        norms = np.sqrt(row_dots(means, means))
+        rows = self.direction_norm * means / np.where(norms > 0, norms, 1.0)[:, None]
+        for i in np.flatnonzero(~(norms > 0)):
+            rows[i] = self.direction_norm * self._draws(t + i, 1)[0]
+        return rows
 
 
 _KINDS = {

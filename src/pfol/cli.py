@@ -3,8 +3,10 @@
 Subcommands: ``run`` one game to a CSV trace, ``sweep`` a parameter grid to
 JSON summaries, ``audit`` the Monte-Carlo diagnostics, ``fit`` a power-law
 exponent from a sweep CSV, and ``bound-check`` mean regret against the
-config's guarantee. Configs are JSON files mirroring ExperimentConfig; the
-PFOL_SEED environment variable overrides the seed for smoke tests.
+config's guarantee. Configs are JSON files mirroring ExperimentConfig; only
+``sweep`` reads a ``vary`` grid, and ``run`` and ``bound-check`` reject a file
+that has one. The PFOL_SEED environment variable overrides the seed for smoke
+tests.
 
 Exit codes: 0 success, 1 failed check or aborted run, 2 config error or an
 output path that cannot be written.
@@ -34,7 +36,8 @@ from .smoothing import run_audit_suite
 __all__ = ["cli_main", "main"]
 
 
-def _load_config(path: str) -> tuple[ExperimentConfig, dict]:
+def _load_config(path: str, sweep: bool = False) -> tuple[ExperimentConfig, dict]:
+    """The config in a JSON file, and its ``vary`` grid, which only ``sweep`` reads: elsewhere it is a ConfigError."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -42,9 +45,12 @@ def _load_config(path: str) -> tuple[ExperimentConfig, dict]:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    vary = raw.pop("vary", {})
+    has_vary, vary = "vary" in raw, raw.pop("vary", {})
     if not isinstance(vary, dict):
         raise ConfigError("'vary' must map field names to value lists")
+    if has_vary and not sweep:
+        raise ConfigError("'vary' is read only by pfol sweep; this command plays the config as it is, "
+                          "so remove 'vary' from the file")
     return ExperimentConfig.from_json(raw), vary
 
 
@@ -86,7 +92,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config, vary = _load_config(args.config)
+    config, vary = _load_config(args.config, sweep=True)
     summaries = sweep(config, vary, jobs=args.jobs)
     out = args.out or "summaries.json"
     _write(summaries_to_json, summaries, out)

@@ -1,15 +1,24 @@
 """Experiment orchestration: game loop, regret accounting, sweeps, bounds.
 
 A run is fully described by (ExperimentConfig, seed) and replays to identical
-CSV bytes. One game engine serves every learner and adversary. Each round the
-learner acts, the adversary emits the round's loss parameters (a centre or a
-direction) having seen only past actions, and the loop feeds the loss's one
-gradient at the action back to the learner; it records only the actions, the
-parameter rows and the oracle count. A perturbed leader against an adversary
-whose gradients do not depend on the actions (``linear_stochastic``, drawn or
-fixed direction) skips the loop: each refresh reads only its perturbations and
-the earlier gradients, so ``PerturbedLeader.play_fixed`` asks for all the
-refreshes of a draw block in one oracle batch, the same game bit for bit.
+CSV bytes. One game engine serves every learner and adversary, by one of two
+routes that play the same game bit for bit:
+
+- ``_play_rounds``, for ``ogd``, ``ofw`` and an unblocked perturbed leader
+  (``sampled_fpl``, ``expected_fpl_mc``, ``ospf`` with k = 1) against an
+  action-dependent stream (``quadratic_stochastic``, ``quadratic_adaptive``,
+  ``linear_adaptive``). Each round the learner acts, the adversary emits the
+  round's loss parameters (a centre or a direction) having seen only past
+  actions, and the loop feeds the loss's one gradient at the action back to
+  the learner, recording the action, the parameter row and the oracle count.
+- ``PerturbedLeader.play``, for ``ospf`` with k > 1 against any stream and for
+  every perturbed leader against ``linear_stochastic`` (drawn or fixed
+  direction). Against ``linear_stochastic`` the gradients are fixed before
+  the game, so all the refreshes of a draw block are one oracle batch;
+  against the other streams the leader's action changes only at refreshes,
+  so the game goes one constant-action segment at a time, with one ``act``
+  and one ``Adversary.emit_segment`` per segment.
+
 Either way the instrumented set's count must equal the config's oracle budget,
 and one tail prices the game: losses from row-wise dot products
 (``row_dots``), then the hindsight solver on the (T, d) parameter array and
@@ -51,6 +60,7 @@ from .learners import (
     blocking_params,
     default_delta,
 )
+from .losses import row_dots
 from .sets import FeasibleSet, set_from_json
 
 __all__ = [
@@ -296,22 +306,6 @@ class RegretTrace:
         return len(self.losses)
 
 
-def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of (T, d) ``a`` with (T, d) or (d,) ``b``, equal to per-row ``np.dot`` bit for bit.
-
-    numpy's stacked matmul takes each (1, d) @ (d, 1) product as a vector dot;
-    a 2-D ``a @ b`` (a matrix-vector product) and ``einsum`` sum in other orders.
-    ``np.dot`` takes one-element vectors as scalars, so at d = 1 it is the bare
-    product, whose zero keeps its sign where the vector dot's is +0. The vector
-    dot's order also depends on the memory layout, so both inputs are read in
-    C order: an F-ordered or strided copy gives the same bits as its C copy.
-    """
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    if a.shape[1] == 1:
-        return (a * b)[:, 0]
-    return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
-
-
 def run_game(config: ExperimentConfig, seed: int) -> RegretTrace:
     """Play one full game and return its trace; deterministic in (config, seed).
 
@@ -323,12 +317,11 @@ def run_game(config: ExperimentConfig, seed: int) -> RegretTrace:
     oracle = InstrumentedSet(set_)
     learner = _make_learner(config, problem, oracle, seed)
     T = config.T
-    params = adversary.gradient_table() if isinstance(learner, PerturbedLeader) else None
-    if params is not None:
-        # linear losses: the gradients are the parameter rows, fixed up front, so play in draw blocks
-        actions = learner.play_fixed(params)
-        samples, block = problem.leader_shape
-        oracle_calls = samples * (np.arange(1, T + 1) // block) + int(block > 1)
+    if isinstance(learner, PerturbedLeader) and (learner.block > 1 or adversary.gradient_table() is not None):
+        # the action changes only at refreshes, or the gradients are fixed up front; the column is the
+        # leader's call schedule, which the count below checks
+        actions, params = learner.play(adversary, T)
+        oracle_calls = learner.samples * (np.arange(1, T + 1) // learner.block) + int(learner.block > 1)
     else:
         actions, params, oracle_calls = _play_rounds(learner, adversary, oracle, T)
     budget = expected_budgets(config, problem.k)[0]

@@ -28,12 +28,18 @@ gradient once per round and counts it, and builds each learner on an
 InstrumentedSet that counts its oracle calls, so the per-iteration budgets
 can be asserted exactly.
 
-Against gradients fixed before the game (a ``linear_stochastic`` adversary)
-the engine calls ``PerturbedLeader.play_fixed`` instead, which plays the
-whole game: a refresh reads only its perturbations and the sum of the
-earlier gradients, so every refresh of a draw block is one oracle batch,
-with the same draws, the same refresh step (``_refresh``), the same oracle
-calls and the same actions bit for bit.
+``PerturbedLeader.play(adversary, T)`` plays a whole game without the
+per-round protocol, the same game bit for bit, in one of two ways. Against
+gradients fixed before the game (a ``linear_stochastic`` adversary) a refresh
+reads only its perturbations and the sum of the earlier gradients, so every
+refresh of a draw block is one oracle batch through the same refresh step
+(``_refresh``) as ``act``. Against any other stream it steps one constant-action segment
+at a time, the rounds from one refresh to the next: one ``act``, one
+``emit_segment`` of the adversary and one ``np.cumsum`` of the segment's
+gradients. The engine takes ``play`` for a blocked leader (block > 1) on any
+stream and for every leader on a fixed stream; an unblocked leader on an
+action-dependent stream, whose segments are single rounds, steps round by
+round.
 """
 
 from __future__ import annotations
@@ -204,19 +210,36 @@ class PerturbedLeader(OnlineLearner):
         # np.mean's arithmetic, without its per-call overhead
         return np.add.reduce(points.reshape(queries.shape), axis=-2) / self.samples
 
-    def play_fixed(self, gradients: np.ndarray) -> np.ndarray:
-        """Actions of a whole game against (T, d) gradient rows fixed before it, from round 1.
+    def play(self, adversary, T: int) -> tuple[np.ndarray, np.ndarray]:
+        """(actions, parameter rows) of rounds 1..T, within the horizon of ``adversary``, from a fresh learner.
 
-        A refresh reads only its perturbations and the sum of the earlier
-        gradients, so every refresh of a draw block is asked for in one oracle
-        batch, with the same draws, queries and oracle calls as T rounds of
-        act/observe and the same actions bit for bit: ``np.cumsum`` adds the
-        rows in ``_observe``'s order. The learner ends as after round T.
+        Bit for bit the game of T rounds of ``act``, ``adversary.emit``,
+        ``observe`` and ``adversary.observe``, with the same draws and oracle
+        calls; the learner ends as after round T. Against gradients fixed
+        before the game (``adversary.gradient_table()``) a refresh reads only
+        its perturbations and the sum of the earlier gradients, so every
+        refresh of a draw block is asked for in one oracle batch, and the
+        adversary observes nothing. Otherwise the game goes one
+        constant-action segment at a time: one ``act`` at its first round,
+        then ``adversary.emit_segment`` for its rounds.
         """
         if self.round != 1 or self._awaiting_loss:
-            raise ProtocolError(f"play_fixed needs a fresh learner, not one in round {self.round}")
-        T = len(gradients)
-        sums = np.cumsum(np.concatenate([self._cum_grad[None], gradients]), axis=0)  # sums[t-1]: before round t
+            raise ProtocolError(f"play needs a fresh learner, not one in round {self.round}")
+        if not 1 <= T <= adversary.horizon:
+            raise ProtocolError(f"play needs 1 <= T <= {adversary.horizon}, the adversary's horizon, not T={T}")
+        table = adversary.gradient_table()
+        if table is None:
+            actions, params = np.empty((T, self._set.dim)), np.empty((T, self._set.dim))
+            while self.round <= T:
+                t, last = self.round, min(T, (self.round // self.block + 1) * self.block - 1)
+                x = self.act()
+                rows = adversary.emit_segment(t, x, last + 1 - t)
+                self._cum_grad = self._sums(x - rows if adversary.quadratic else rows)[-1]
+                self.round, self._awaiting_loss = last + 1, False
+                actions[t - 1:last], params[t - 1:last] = x, rows
+            return actions, params
+        params = table[:T]
+        sums = self._sums(params)  # sums[t-1]: before round t
         refreshes = T // self.block
         points = np.empty((refreshes + 1, self._set.dim))  # points[r]: played from refresh r on
         if self.block > 1:
@@ -230,7 +253,16 @@ class PerturbedLeader(OnlineLearner):
             refresh += n
         actions = points[np.arange(1, T + 1) // self.block]
         self._cum_grad, self._current, self.round = sums[-1], actions[-1], T + 1
-        return actions
+        return actions, params
+
+    def _sums(self, gradients: np.ndarray) -> np.ndarray:
+        """The gradient sums before each round of ``gradients`` and after the last, added in ``_observe``'s order.
+
+        ``np.cumsum`` of [sum, gradients...] adds one row at a time.
+        """
+        sums = np.empty((len(gradients) + 1, self._set.dim))
+        sums[0], sums[1:] = self._cum_grad, gradients
+        return sums.cumsum(axis=0)
 
 
 class OGD(OnlineLearner):

@@ -4,7 +4,9 @@ A LossFunction bundles value/gradient callables with the two constants the
 regret accounting consumes: a gradient-norm bound G valid on the action set,
 and a smoothness constant (Lipschitz constant of the gradient; 0 for linear
 losses). Pure squared-distance and pure linear losses additionally carry
-their parameter vector.
+their parameter vector. ``row_dots`` takes row-wise dot products equal to
+per-row ``np.dot`` bit for bit; the engine prices a game's losses with it and
+``linear_adaptive`` takes the norms of a segment's mean actions with it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["LossFunction", "linear_loss", "quadratic_loss"]
+__all__ = ["LossFunction", "linear_loss", "quadratic_loss", "row_dots"]
 
 
 @dataclass(frozen=True)
@@ -68,3 +70,19 @@ def quadratic_loss(center, grad_bound: float) -> LossFunction:
         smoothness=1.0,
         center=c,
     )
+
+
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of (T, d) ``a`` with (T, d) or (d,) ``b``, equal to per-row ``np.dot`` bit for bit.
+
+    numpy's stacked matmul takes each (1, d) @ (d, 1) product as a vector dot;
+    a 2-D ``a @ b`` (a matrix-vector product) and ``einsum`` sum in other orders.
+    ``np.dot`` takes one-element vectors as scalars, so at d = 1 it is the bare
+    product, whose zero keeps its sign where the vector dot's is +0. The vector
+    dot's order also depends on the memory layout, so both inputs are read in
+    C order: an F-ordered or strided copy gives the same bits as its C copy.
+    """
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    if a.shape[1] == 1:
+        return (a * b)[:, 0]
+    return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]

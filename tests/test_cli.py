@@ -254,3 +254,15 @@ def test_unwritable_output_is_config_error_naming_the_path(config_file, tmp_path
         argv += ["--config", str(config_file)]
     assert cli_main(argv) == 2
     assert capsys.readouterr().err == f"config error: cannot write {missing!r}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("vary", [{"T": [16, 64]}, {}])
+@pytest.mark.parametrize("command", ["run", "bound-check"])
+def test_vary_outside_sweep_is_config_error(tmp_path, capsys, command, vary):
+    path = write_config(tmp_path, dict(CONFIG, vary=vary))
+    out = tmp_path / "t.csv"
+    extra = ["--out", str(out)] if command == "run" else ["--jobs", "1"]
+    assert cli_main([command, "--config", path, *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: 'vary' is read only by pfol sweep") and not captured.out
+    assert not out.exists()

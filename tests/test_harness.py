@@ -235,7 +235,7 @@ def route_cases():
 
 
 def hand_played(config, seed):
-    """A game played round by round through act and observe and priced with per-row np.dot.
+    """A perturbed leader's game played round by round through act and observe and priced with per-row np.dot.
 
     Returns the actions, losses, oracle-call column, comparator point and
     value, and the final count of the instrumented set.
@@ -249,18 +249,21 @@ def hand_played(config, seed):
     oracle = InstrumentedSet(set_)
     learner = PerturbedLeader(oracle, delta=harness.resolve_delta(config, G, set_.dim, k),
                               samples=samples, block=block, seed=seed)
+    quadratic = adversary.quadratic
     actions, rows, losses, calls = [], [], [], []
     for t in range(1, config.T + 1):
         action = learner.act()
-        g = adversary.emit(t)
+        p = adversary.emit(t)
+        g = action - p if quadratic else p
         learner.observe(g)
         adversary.observe(action)
         actions.append(np.array(action))
-        rows.append(np.array(g))
-        losses.append(float(np.dot(g, action)))
+        rows.append(np.array(p))
+        losses.append(0.5 * float(np.dot(g, g)) if quadratic else float(np.dot(p, action)))
         calls.append(oracle.oracle_calls)
-    point = best_in_hindsight(np.array(rows), set_, quadratic=False)
-    value = float(np.cumsum([float(np.dot(row, point)) for row in rows])[-1])
+    point = best_in_hindsight(np.array(rows), set_, quadratic)
+    comparator = [0.5 * float(np.dot(point - p, point - p)) if quadratic else float(np.dot(p, point)) for p in rows]
+    value = float(np.cumsum(comparator)[-1])
     return np.array(actions), np.array(losses), np.array(calls), point, value, oracle.oracle_calls
 
 
@@ -308,10 +311,14 @@ class TestFixedStreamRoute:
     def test_learner_ends_as_after_the_last_round(self):
         config = cfg(adversary=LIN_STOCH, T=300, m=2)
         set_ = set_from_json(config.set)
-        table = make_adversary(config.adversary, horizon=300, seed=0, norm_bound=1.0, dim=5).gradient_table()
+        adversary = make_adversary(config.adversary, horizon=300, seed=0, norm_bound=1.0, dim=5)
+        table = adversary.gradient_table()
         batch = PerturbedLeader(set_, delta=0.3, samples=2, seed=4)
         stepped = PerturbedLeader(set_, delta=0.3, samples=2, seed=4)
-        batch.play_fixed(table[:200])
+        for T in (0, 301):
+            with pytest.raises(ProtocolError, match="horizon"):
+                batch.play(adversary, T)
+        batch.play(adversary, 200)
         for g in table[:200]:
             stepped.act()
             stepped.observe(g)
@@ -320,7 +327,111 @@ class TestFixedStreamRoute:
             batch.observe(g)
             stepped.observe(g)
         with pytest.raises(ProtocolError):
-            batch.play_fixed(table)
+            batch.play(adversary, 300)
+
+
+def block_of(config):
+    """The resolved block length of a config."""
+    set_ = set_from_json(config.set)
+    adversary = make_adversary(config.adversary, horizon=config.T, seed=0, norm_bound=set_.norm_bound, dim=set_.dim)
+    return resolve_block(config, adversary.constants()[1])
+
+
+SEGMENT_SETS = dict(ROUTE_SETS, ball1=BALL1)
+SEGMENT_ADVERSARIES = {
+    "quadratic_adaptive": QUAD_ADAPTIVE,
+    "quadratic_stochastic": {"kind": "quadratic_stochastic", "center_scale": 1.5},
+    "linear_adaptive": {"kind": "linear_adaptive", "direction_norm": 2.5},
+}
+
+
+def segment_cases():
+    # T = 1 and 5 lie below k = 7; k = 2 and 7 divide 14 but not 5, and 7 does not divide 200. The auto k
+    # is 2 at T = 5, 2 (quadratic) or 4 (linear) at 14 and 6 or 14 at 200; at T = 1 it is 1, which is
+    # played round by round, so that case is left out
+    for set_name, set_spec in SEGMENT_SETS.items():
+        for adversary_name, adversary in SEGMENT_ADVERSARIES.items():
+            for k in (2, 7, "auto"):
+                for T in (1, 5, 14, 200)[k == "auto":]:
+                    yield f"{set_name}/{adversary_name}/k{k}/T{T}", ExperimentConfig(
+                        learner="ospf", k=k, set=set_spec, adversary=adversary, T=T)
+    for adversary_name, adversary in SEGMENT_ADVERSARIES.items():
+        # 2250 refreshes, past the 2048 a draw block holds at k = 2
+        yield f"ball/{adversary_name}/k2/T4500", ExperimentConfig(
+            learner="ospf", k=2, set=BALL5, adversary=adversary, T=4500)
+
+
+def refuse(*args):
+    raise AssertionError("refused route")
+
+
+def played_by_segments(config, seed, monkeypatch):
+    """run_game with the round-by-round loop disabled, and the rounds at which PerturbedLeader.act was called."""
+    act, acts = PerturbedLeader.act, []
+
+    def counted(self):
+        acts.append(self.round)
+        return act(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(PerturbedLeader, "act", counted)
+        patch.setattr(harness, "_play_rounds", refuse)
+        return run_game(config, seed), acts
+
+
+class TestSegmentRoute:
+    @pytest.mark.parametrize("key,config", list(segment_cases()), ids=lambda v: v if isinstance(v, str) else "")
+    def test_route_equals_act_observe_bit_for_bit(self, key, config, monkeypatch):
+        trace, acts = played_by_segments(config, 3, monkeypatch)
+        actions, losses, calls, point, value, counted = hand_played(config, 3)
+        assert trace.actions.tobytes() == actions.tobytes()
+        assert trace.losses.tobytes() == losses.tobytes()
+        np.testing.assert_array_equal(trace.oracle_calls, calls)
+        assert trace.comparator_point.tobytes() == point.tobytes()
+        assert repr(trace.comparator_value) == repr(value)
+        assert trace.oracle_calls[-1] == counted
+        # act once per constant-action segment: the start point, then each refresh
+        block = block_of(config)
+        assert acts == [1, *range(block, config.T + 1, block)]
+
+    def test_route_raises_when_the_counter_disagrees(self, monkeypatch):
+        monkeypatch.setattr(harness, "InstrumentedSet", Overcounting)
+        with pytest.raises(RuntimeError, match="oracle calls counted"):
+            played_by_segments(cfg(learner="ospf", k=5, T=50), 0, monkeypatch)
+
+    @pytest.mark.parametrize("adversary", list(SEGMENT_ADVERSARIES.values()), ids=list(SEGMENT_ADVERSARIES))
+    def test_learner_and_adversary_end_as_after_the_last_round(self, adversary):
+        set_ = set_from_json(ROUTE_SETS["polytope"])
+
+        def pair():
+            return (PerturbedLeader(set_, delta=0.3, samples=7, block=7, seed=4),
+                    make_adversary(adversary, horizon=150, seed=2, norm_bound=set_.norm_bound, dim=set_.dim))
+
+        def step(learner, adversary, t):
+            action = learner.act()
+            p = adversary.emit(t)
+            learner.observe(action - p if adversary.quadratic else p)
+            adversary.observe(action)
+            return action, p
+
+        (played, played_adversary), (stepped, stepped_adversary) = pair(), pair()
+        for T in (0, 151):
+            with pytest.raises(ProtocolError, match="horizon"):
+                played.play(played_adversary, T)
+        played.play(played_adversary, 100)  # ends two rounds into a block
+        for t in range(1, 101):
+            step(stepped, stepped_adversary, t)
+        assert played.round == stepped.round == 101
+        assert played._cum_grad.tobytes() == stepped._cum_grad.tobytes()
+        assert played._current.tobytes() == stepped._current.tobytes()
+        assert played_adversary._action_sum.tobytes() == stepped_adversary._action_sum.tobytes()
+        assert played_adversary._seen == stepped_adversary._seen == 100
+        for t in range(101, 151):
+            action, p = step(played, played_adversary, t)
+            want_action, want_p = step(stepped, stepped_adversary, t)
+            assert action.tobytes() == want_action.tobytes() and p.tobytes() == want_p.tobytes()
+        with pytest.raises(ProtocolError):
+            played.play(played_adversary, 150)
 
 
 class TestRowDots:
@@ -357,11 +468,27 @@ class TestRowDots:
             assert row_dots(left, right).tobytes() == want.tobytes()
 
 
+    @pytest.mark.parametrize("d", [1, 5, 16])
+    def test_square_root_equals_per_row_linalg_norm(self, d):
+        # linear_adaptive's segment norms; running means built from a broadcast block come out F-ordered
+        rng = np.random.default_rng(40 + d)
+        start, x = rng.standard_normal(d), rng.standard_normal(d)
+        means = np.cumsum(np.concatenate([start[None], np.broadcast_to(x, (300, d))]), axis=0) / np.arange(1, 302)[:, None]
+        means[::50] = 0.0
+        assert means.flags.c_contiguous == (d == 1)
+        rows = rng.standard_normal((300, d)) * 10.0 ** rng.integers(-100, 100, (300, d))
+        rows[:20], rows[20:25] = 0.0, -0.0
+        for m in (means, rows, np.asfortranarray(rows)):
+            want = np.array([np.linalg.norm(row) for row in m])
+            assert np.sqrt(row_dots(m, m)).tobytes() == want.tobytes()
+
+
 class TestRunExperimentAndSweep:
     def test_round_by_round_game_raises_when_the_counter_disagrees(self, monkeypatch):
         monkeypatch.setattr(harness, "InstrumentedSet", Overcounting)
+        monkeypatch.setattr(PerturbedLeader, "play", refuse)
         with pytest.raises(RuntimeError, match="oracle calls counted"):
-            run_game(cfg(learner="ospf", k=5, T=50), 0)
+            run_game(cfg(T=50), 0)
 
     def test_budget_bookkeeping_matches_expected(self):
         for learner, kw in [("sampled_fpl", {"m": 3}), ("ospf", {"k": 4}),

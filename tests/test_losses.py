@@ -305,6 +305,36 @@ class TestAdversaries:
                 np.testing.assert_array_equal(engine.emit(t), loss.center if engine.quadratic else loss.direction)
                 engine.observe(action)
 
+    @pytest.mark.parametrize("kind", ["quadratic_stochastic", "quadratic_adaptive",
+                                      "linear_stochastic", "linear_adaptive"])
+    def test_emit_segment_equals_emit_and_observe(self, kind):
+        # segments of 1 to 6 rounds; an action and its negation bring the sum back to exactly 0,
+        # and a signed zero stays, so linear_adaptive draws after the first round too
+        x = np.array([0.75, -0.0])
+        actions = [x, x, -x, -x, np.array([0.25, 0.5]), x, -x, np.array([-0.0, 0.0]), np.array([0.5, -0.125])]
+        lengths = [1, 1, 1, 1, 6, 3, 3, 2, 2]
+        segmented, stepped = adv(kind, T=20, seed=3), adv(kind, T=20, seed=3)
+        t = 1
+        for action, n in zip(actions, lengths):
+            rows = segmented.emit_segment(t, action, n)
+            assert rows.shape == (n, 2)
+            for row in rows:
+                assert row.tobytes() == stepped.emit(t).tobytes()
+                stepped.observe(action)
+                t += 1
+            assert segmented._action_sum.tobytes() == stepped._action_sum.tobytes()
+            assert segmented._seen == stepped._seen
+        assert t == 21
+
+    @pytest.mark.parametrize("kind", ["quadratic_adaptive", "linear_adaptive"])
+    def test_emit_segment_rejects_rounds_outside_the_horizon(self, kind):
+        a = adv(kind, T=5)
+        for t, n in ((0, 1), (-1, 3), (4, 3), (6, 1), (1, 0)):
+            with pytest.raises(ProtocolError, match="outside"):
+                a.emit_segment(t, np.array([0.5, 0.5]), n)
+        assert a._seen == 0 and a._action_sum is None
+        assert a.emit_segment(1, np.array([0.5, 0.5]), 5).shape == (5, 2)
+
     def test_constants_need_no_draws(self):
         # the stochastic tables are drawn on the first emit, never for constants()
         for kind, G in (("quadratic_stochastic", 2.0), ("linear_stochastic", 1.0)):
