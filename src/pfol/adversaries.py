@@ -2,15 +2,19 @@
 
 An adversary emits round t's loss as its parameter vector: the centre c_t of
 f_t(x) = 0.5 ||x - c_t||^2 (quadratic families) or the direction g_t of
-f_t(x) = <g_t, x> (linear ones). The per-round engine calls ``emit(t)`` and
-then ``observe(action)``, which keeps the running action sum the adaptive
-families read. A blocked perturbed leader holds its action between
+f_t(x) = <g_t, x> (linear ones). The per-round protocol is ``emit(t)`` then
+``observe(action)``; only the adaptive families keep the running action sum
+that their rows read. A blocked perturbed leader holds its action between
 refreshes, so its engine route (``PerturbedLeader.play``) calls
 ``emit_segment(t, action, n)`` instead: the rows of the n rounds t..t+n-1 in
 which it plays ``action``, which it observes n times, bit for bit the rows
 and state of n rounds of ``emit`` and ``observe`` (a table slice for the
-stochastic families, running means from ``np.cumsum`` for the adaptive ones). ``next_loss(history)`` wraps ``emit``'s row as a LossFunction for
-callers that replay a game from its actions.
+stochastic families, running means from ``np.cumsum`` for the adaptive
+ones). Games of several seeds played side by side take round t's rows of
+all of them from ``emit_lockstep``, on action sums the caller keeps. All
+three reach an adaptive family's rows through one ``_aim`` of mean actions.
+``next_loss(history)`` wraps ``emit``'s row as a LossFunction for callers
+that replay a game from its actions.
 
 Two stochastic families draw i.i.d. loss parameters from per-round seed
 substreams, so a stream replays bitwise from (seed, t) alone; they draw the
@@ -24,6 +28,7 @@ family over the given action-set norm bound and its smoothness constant.
 from __future__ import annotations
 
 import abc
+from typing import Sequence
 
 import numpy as np
 
@@ -45,19 +50,24 @@ __all__ = [
 class Adversary(abc.ABC):
     """Emits round-t loss parameters given the player's past actions.
 
-    ``quadratic``: the rows are centres (drawn on a ball), else directions (drawn on a sphere).
+    ``quadratic``: the rows are centres (drawn on a ball), else directions
+    (drawn on a sphere). ``adaptive``: the rows read the player's past actions,
+    and only then does the adversary keep their running sum; the other
+    families serve rows from a table drawn before the game (``table``).
     """
 
     kind: str
     quadratic: bool
+    adaptive = False
     dim: int
 
-    def __init__(self, horizon: int, seed: int, norm_bound: float):
+    def __init__(self, horizon: int, seed: int, norm_bound: float, scale: float):
         if horizon < 1:
             raise ConfigError("horizon must be >= 1")
         self.horizon = int(horizon)
         self.seed = int(seed)
         self.norm_bound = float(norm_bound)
+        self._scale = scale  # of the drawn rows
         self._stream = RoundStream(self.seed, ADVERSARY_STREAM)
         self._seen = 0
         self._action_sum: np.ndarray | None = None
@@ -70,22 +80,25 @@ class Adversary(abc.ABC):
         """
         if not 1 <= t <= self.horizon:
             raise ProtocolError(f"round {t} is outside [1, {self.horizon}], the declared horizon")
-        return self._emit(t)
-
-    @abc.abstractmethod
-    def _emit(self, t: int) -> np.ndarray:
-        """``emit`` for a round already checked."""
+        if not self.adaptive:
+            return self.table()[t - 1]
+        if self._action_sum is None:
+            return self._drawn(t)
+        return self._aim((self._action_sum / self._seen)[None], lambda i: self._drawn(t))[0]
 
     def emit_segment(self, t: int, action: np.ndarray, n: int) -> np.ndarray:
         """The (n, d) rows of rounds t..t+n-1 in which the player plays ``action``; observes it n times.
 
         Bit for bit the rows and the state of n rounds of ``emit`` then
-        ``observe(action)``: the running sums are ``np.cumsum`` of [sum,
-        action, ..., action], which adds in ``observe``'s order. Rounds
-        outside [1, horizon] raise ProtocolError.
+        ``observe(action)``: an adaptive family's running sums are
+        ``np.cumsum`` of [sum, action, ..., action], which adds in
+        ``observe``'s order. Rounds outside [1, horizon] raise ProtocolError.
         """
         if not (n >= 1 and t >= 1 and t + n - 1 <= self.horizon):
             raise ProtocolError(f"rounds {t}..{t + n - 1} are outside [1, {self.horizon}], the declared horizon")
+        if not self.adaptive:
+            self._seen += n
+            return self.table()[t - 1:t - 1 + n]
         first = self._action_sum is None  # a first round has no history, and no sum before it
         sums = np.empty((n + 1 - first, self.dim))
         sums[:] = action
@@ -93,22 +106,22 @@ class Adversary(abc.ABC):
             sums[0] = self._action_sum
         sums = sums.cumsum(axis=0)
         self._action_sum, self._seen = sums[-1], self._seen + n
-        return self._emit_segment(t, n, sums[:-1])
+        # the mean actions before rounds t+first, ..., t+n-1
+        means = sums[:-1] / np.arange(self._seen - n + first, self._seen)[:, None]
+        rows = self._aim(means, lambda i: self._drawn(t + first + i))
+        return np.concatenate([self._drawn(t)[None], rows]) if first else rows
 
-    @abc.abstractmethod
-    def _emit_segment(self, t: int, n: int, sums: np.ndarray) -> np.ndarray:
-        """``emit_segment``'s rows; ``sums`` holds the action sums before its last len(sums) rounds, all but a first round."""
-
-    def _means(self, sums: np.ndarray) -> np.ndarray:
-        """The mean actions before the last len(sums) rounds observed, from their action sums."""
-        return sums / np.arange(self._seen - len(sums), self._seen)[:, None]
+    def _aim(self, means: np.ndarray, drawn) -> np.ndarray:
+        """An adaptive family's (n, d) rows against (n, d) mean actions; ``drawn(i)`` is row i where it draws."""
+        raise NotImplementedError
 
     def observe(self, action: np.ndarray) -> None:
-        """Add a played action to the running sum."""
-        if self._action_sum is None:
-            self._action_sum = np.array(action, dtype=float)
-        else:
-            self._action_sum += action
+        """Count a played action; an adaptive family adds it to its running sum."""
+        if self.adaptive:
+            if self._action_sum is None:
+                self._action_sum = np.array(action, dtype=float)
+            else:
+                self._action_sum += action
         self._seen += 1
 
     def next_loss(self, history) -> LossFunction:
@@ -130,9 +143,13 @@ class Adversary(abc.ABC):
     def constants(self) -> tuple[float, float]:
         """(G, beta) certified for every loss this adversary emits."""
 
-    def gradient_table(self) -> np.ndarray | None:
-        """The (horizon, d) loss gradients of every round if they do not depend on the actions, else None."""
-        return None
+    def table(self) -> np.ndarray | None:
+        """The (horizon, d) rows of every round if they do not read the actions, else None; drawn on first use."""
+        if self.adaptive:
+            return None
+        if self._table is None:
+            self._table = self._scale * self._draws(1, self.horizon)
+        return self._table
 
     def _draws(self, first: int, rounds: int) -> np.ndarray:
         """Unit-ball (quadratic) or unit-sphere (linear) rows of rounds first, first+1, ..., one substream each.
@@ -142,14 +159,21 @@ class Adversary(abc.ABC):
         """
         return round_rows(self._stream, range(first, first + rounds), 1, self.dim, ball=self.quadratic)[:, 0]
 
-    def _rows(self, scale: float) -> np.ndarray:
-        """Rows 1..horizon of the stochastic stream, drawn on first use."""
-        if self._table is None:
-            self._table = scale * self._draws(1, self.horizon)
-        return self._table
+    def _drawn(self, t: int) -> np.ndarray:
+        """Round t's drawn row, which an adaptive family emits where it has no usable history."""
+        return self._scale * self._draws(t, 1)[0]
 
-    def _mean_action(self) -> np.ndarray | None:
-        return None if self._action_sum is None else self._action_sum / self._seen
+
+def emit_lockstep(adversaries: Sequence[Adversary], t: int, sums: np.ndarray | None) -> np.ndarray:
+    """Round t's (S, d) rows of S adaptive adversaries of one family, bit for bit each one's ``emit(t)``.
+
+    ``sums`` holds the (S, d) sums of each game's actions in rounds
+    1..t-1 (None at t = 1), which the caller keeps; the adversaries observe
+    nothing. A row that draws comes from its own adversary's stream.
+    """
+    if sums is None:
+        return np.array([adversary._drawn(t) for adversary in adversaries])
+    return adversaries[0]._aim(sums / (t - 1), lambda s: adversaries[s]._drawn(t))
 
 
 class QuadraticStochastic(Adversary):
@@ -159,20 +183,14 @@ class QuadraticStochastic(Adversary):
     quadratic = True
 
     def __init__(self, horizon, seed, norm_bound, *, dim: int, center_scale: float = 1.0):
-        super().__init__(horizon, seed, norm_bound)
         if center_scale < 0:
             raise ConfigError("center_scale must be >= 0")
+        super().__init__(horizon, seed, norm_bound, float(center_scale))
         self.dim = int(dim)
         self.center_scale = float(center_scale)
 
     def constants(self):
         return self.norm_bound + self.center_scale, 1.0
-
-    def _emit(self, t):
-        return self._rows(self.center_scale)[t - 1]
-
-    def _emit_segment(self, t, n, sums):
-        return self._rows(self.center_scale)[t - 1:t - 1 + n]
 
 
 class QuadraticAdaptive(QuadraticStochastic):
@@ -184,18 +202,10 @@ class QuadraticAdaptive(QuadraticStochastic):
     """
 
     kind = "quadratic_adaptive"
+    adaptive = True
 
-    def _emit(self, t):
-        mean = self._mean_action()
-        if mean is None:
-            return self.center_scale * self._draws(t, 1)[0]
-        return -self.center_scale * np.sign(mean) / np.sqrt(self.dim)
-
-    def _emit_segment(self, t, n, sums):
-        rows = -self.center_scale * np.sign(self._means(sums)) / np.sqrt(self.dim)
-        if len(sums) < n:  # the first round has no history
-            rows = np.concatenate([self.center_scale * self._draws(t, 1), rows])
-        return rows
+    def _aim(self, means, drawn):
+        return -self.center_scale * np.sign(means) / np.sqrt(self.dim)
 
 
 class LinearStochastic(Adversary):
@@ -206,7 +216,6 @@ class LinearStochastic(Adversary):
 
     def __init__(self, horizon, seed, norm_bound, *, dim: int,
                  direction_norm: float = 1.0, direction=None):
-        super().__init__(horizon, seed, norm_bound)
         self.dim = int(dim)
         if direction is not None:
             self.direction = np.asarray(direction, dtype=float)
@@ -218,20 +227,15 @@ class LinearStochastic(Adversary):
                 raise ConfigError("direction_norm must be positive")
             self.direction = None
             self.direction_norm = float(direction_norm)
+        super().__init__(horizon, seed, norm_bound, self.direction_norm)
 
     def constants(self):
         return self.direction_norm, 0.0
 
-    def _emit(self, t):
-        return self.direction if self.direction is not None else self._rows(self.direction_norm)[t - 1]
-
-    def _emit_segment(self, t, n, sums):
-        return self.gradient_table()[t - 1:t - 1 + n]
-
-    def gradient_table(self):
-        if self.direction is not None:
-            return np.tile(self.direction, (self.horizon, 1))
-        return self._rows(self.direction_norm)
+    def table(self):
+        if self._table is None and self.direction is not None:
+            self._table = np.tile(self.direction, (self.horizon, 1))
+        return super().table()
 
 
 class LinearAdaptive(Adversary):
@@ -243,33 +247,25 @@ class LinearAdaptive(Adversary):
 
     kind = "linear_adaptive"
     quadratic = False
+    adaptive = True
 
     def __init__(self, horizon, seed, norm_bound, *, dim: int, direction_norm: float = 1.0):
-        super().__init__(horizon, seed, norm_bound)
         if not direction_norm > 0:
             raise ConfigError("direction_norm must be positive")
+        super().__init__(horizon, seed, norm_bound, float(direction_norm))
         self.dim = int(dim)
         self.direction_norm = float(direction_norm)
 
     def constants(self):
         return self.direction_norm, 0.0
 
-    def _emit(self, t):
-        mean = self._mean_action()
-        if mean is not None:
-            n = float(np.linalg.norm(mean))
-            if n > 0:
-                return self.direction_norm * mean / n
-        return self.direction_norm * self._draws(t, 1)[0]
-
-    def _emit_segment(self, t, n, sums):
-        # a round with no history draws, as one whose mean has norm 0 does; np.linalg.norm of a row
-        # is sqrt(np.dot(row, row)), and so is sqrt(row_dots) of it, whatever the layout of ``means``
-        means = np.concatenate([np.zeros((n - len(sums), self.dim)), self._means(sums)])
+    def _aim(self, means, drawn):
+        # a mean of norm 0 draws; np.linalg.norm of a row is sqrt(np.dot(row, row)), and so is
+        # sqrt(row_dots) of it, whatever the layout of ``means``
         norms = np.sqrt(row_dots(means, means))
         rows = self.direction_norm * means / np.where(norms > 0, norms, 1.0)[:, None]
         for i in np.flatnonzero(~(norms > 0)):
-            rows[i] = self.direction_norm * self._draws(t + i, 1)[0]
+            rows[i] = drawn(i)
         return rows
 
 

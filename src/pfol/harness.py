@@ -1,37 +1,30 @@
 """Experiment orchestration: game loop, regret accounting, sweeps, bounds.
 
 A run is fully described by (ExperimentConfig, seed) and replays to identical
-CSV bytes. One game engine serves every learner and adversary, by one of two
-routes that play the same game bit for bit:
+CSV bytes. One game engine serves every learner and adversary, by one of three
+routes that play the same game bit for bit (the learners module says how):
 
-- ``_play_rounds``, for ``ogd``, ``ofw`` and an unblocked perturbed leader
-  (``sampled_fpl``, ``expected_fpl_mc``, ``ospf`` with k = 1) against an
-  action-dependent stream (``quadratic_stochastic``, ``quadratic_adaptive``,
-  ``linear_adaptive``). Each round the learner acts, the adversary emits the
-  round's loss parameters (a centre or a direction) having seen only past
-  actions, and the loop feeds the loss's one gradient at the action back to
-  the learner, recording the action, the parameter row and the oracle count.
+- ``_play_rounds``, for ``ogd`` and ``ofw``: act, emit and observe each round,
+  recording the action, the loss parameter row and the oracle count;
 - ``PerturbedLeader.play``, for ``ospf`` with k > 1 against any stream and for
-  every perturbed leader against ``linear_stochastic`` (drawn or fixed
-  direction). Against ``linear_stochastic`` the gradients are fixed before
-  the game, so all the refreshes of a draw block are one oracle batch;
-  against the other streams the leader's action changes only at refreshes,
-  so the game goes one constant-action segment at a time, with one ``act``
-  and one ``Adversary.emit_segment`` per segment.
+  every perturbed leader against ``linear_stochastic``;
+- ``PerturbedLeader.play_lockstep``, for ``sampled_fpl``, ``expected_fpl_mc``
+  and ``ospf`` with k = 1 against ``quadratic_stochastic``,
+  ``quadratic_adaptive`` and ``linear_adaptive``: a config's seeds side by
+  side, one oracle batch a round. ``run_game`` plays it with one seed.
 
-Either way the instrumented set's count must equal the config's oracle budget,
-and one tail prices the game: losses from row-wise dot products
-(``row_dots``), then the hindsight solver on the (T, d) parameter array and
-the comparator column; the final cumulative regret equals the summed losses
-minus the comparator value by construction. Sweeps and multi-seed runs play
-all their (cell, seed) games in one process pool.
+The instrumented set's count must equal the oracle budget times the games
+played, and one tail prices each game: losses from ``row_dots``, then the
+exact hindsight comparator on the (T, d) parameter array; the final
+cumulative regret is the summed losses minus the comparator value by
+construction. Sweeps and multi-seed runs hand one process pool all their
+tasks (see ``_play_all``).
 
 Every entry point resolves its config once (``_resolve``): validated, its
 set parsed and its (G, beta), block length and perturbation scale worked out;
-the game, the summary and the bounds read that record. Expected-regret bounds
-and their high-probability counterparts are evaluated from it (never fitted).
-The comparator is exact on every set kind (see ``best_in_hindsight``), so a
-bound check passes when the computed regret is at most the bound.
+the game, the summary and the bounds read that record. Bounds are evaluated
+from it (never fitted), so a bound check passes when the computed regret is
+at most the bound.
 """
 
 from __future__ import annotations
@@ -45,7 +38,7 @@ import numbers
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -213,7 +206,10 @@ def resolve_delta(config: ExperimentConfig, G: float, dim: int, k: int) -> float
 
 @dataclass(frozen=True)
 class _Problem:
-    """A validated config's set, (G, beta), block length k, delta (None for a baseline) and leader shape."""
+    """A validated config's set, (G, beta), block length k, delta (None for a baseline), leader shape and route.
+
+    ``lockstep``: an unblocked leader against gradients that read the actions, played seeds side by side.
+    """
 
     set: FeasibleSet
     G: float
@@ -221,21 +217,23 @@ class _Problem:
     k: int
     delta: float | None
     leader_shape: tuple[int, int] | None
+    lockstep: bool
 
 
-def _resolve(config: ExperimentConfig, seed: int = 0) -> tuple[_Problem, Adversary]:
-    """Validate a config and resolve it, with the adversary it plays under ``seed``.
+def _adversary(config: ExperimentConfig, set_: FeasibleSet, seed: int) -> Adversary:
+    return make_adversary(config.adversary, horizon=config.T, seed=seed, norm_bound=set_.norm_bound, dim=set_.dim)
 
-    The set is parsed here and nowhere else; the adversary certifies G and beta.
-    """
+
+def _resolve(config: ExperimentConfig) -> _Problem:
+    """Validate and resolve a config; the set is parsed here and nowhere else, and the adversary certifies G, beta."""
     config.validate()
     set_ = set_from_json(config.set)
-    adversary = make_adversary(config.adversary, horizon=config.T, seed=seed,
-                               norm_bound=set_.norm_bound, dim=set_.dim)
+    adversary = _adversary(config, set_, 0)
     G, beta = adversary.constants()
     k = resolve_block(config, beta)
-    problem = _Problem(set_, G, beta, k, resolve_delta(config, G, set_.dim, k), leader_shape(config, k))
-    return problem, adversary
+    shape = leader_shape(config, k)
+    lockstep = shape is not None and shape[1] == 1 and (adversary.quadratic or adversary.adaptive)
+    return _Problem(set_, G, beta, k, resolve_delta(config, G, set_.dim, k), shape, lockstep)
 
 
 def _make_learner(config: ExperimentConfig, problem: _Problem, oracle: InstrumentedSet, seed: int):
@@ -312,27 +310,45 @@ def run_game(config: ExperimentConfig, seed: int) -> RegretTrace:
     Raises RuntimeError if the oracle calls counted or recorded differ from
     the config's budget (``expected_budgets``).
     """
-    problem, adversary = _resolve(config, seed)
-    set_ = problem.set
-    oracle = InstrumentedSet(set_)
-    learner = _make_learner(config, problem, oracle, seed)
+    return next(_play_games(config, (seed,)))
+
+
+def _play_games(config: ExperimentConfig, seeds: Sequence[int]) -> Iterator[RegretTrace]:
+    """The traces of a config's games under ``seeds``, in order, each bit for bit the game ``run_game`` plays.
+
+    A lockstep config plays its seeds side by side, through one instrumented
+    set; any other config takes one seed. Raises RuntimeError if the count
+    is not len(seeds) times the budget. The traces are priced as they are
+    asked for, so that a batch holds one at a time.
+    """
+    problem = _resolve(config)
+    oracle = InstrumentedSet(problem.set)
+    learners = [_make_learner(config, problem, oracle, seed) for seed in seeds]
+    adversaries = [_adversary(config, problem.set, seed) for seed in seeds]
     T = config.T
-    if isinstance(learner, PerturbedLeader) and (learner.block > 1 or adversary.gradient_table() is not None):
-        # the action changes only at refreshes, or the gradients are fixed up front; the column is the
-        # leader's call schedule, which the count below checks
-        actions, params = learner.play(adversary, T)
-        oracle_calls = learner.samples * (np.arange(1, T + 1) // learner.block) + int(learner.block > 1)
+    if problem.lockstep:
+        actions, params = PerturbedLeader.play_lockstep(learners, adversaries, T)
+        oracle_calls = learners[0].samples * np.arange(1, T + 1)
     else:
-        actions, params, oracle_calls = _play_rounds(learner, adversary, oracle, T)
+        (learner,), (adversary,) = learners, adversaries
+        if isinstance(learner, PerturbedLeader):
+            # the column is the leader's call schedule, which the count below checks
+            actions, params = learner.play(adversary, T)
+            oracle_calls = learner.samples * (np.arange(1, T + 1) // learner.block) + int(learner.block > 1)
+        else:
+            actions, params, oracle_calls = _play_rounds(learner, adversary, oracle, T)
+        actions, params = actions[None], params[None]
     budget = expected_budgets(config, problem.k)[0]
-    if oracle.oracle_calls != budget or oracle_calls[-1] != budget:
+    if oracle.oracle_calls != len(seeds) * budget or oracle_calls[-1] != budget:
         raise RuntimeError(f"oracle calls counted {oracle.oracle_calls}, recorded {oracle_calls[-1]}, "
-                           f"the budget is {budget}")
-    return _price(config, seed, problem, adversary.quadratic, actions, params, oracle_calls)
+                           f"the budget is {budget} for each of {len(seeds)} games")
+    quadratic = adversaries[0].quadratic
+    return (_price(config, seed, problem, quadratic, actions[i], params[i], oracle_calls)
+            for i, seed in enumerate(seeds))
 
 
 def _play_rounds(learner, adversary: Adversary, oracle: InstrumentedSet, T: int):
-    """(actions, parameter rows, oracle calls so far) of T rounds of act, emit and observe."""
+    """(actions, parameter rows, oracle calls so far) of a baseline's T rounds of act, emit and observe."""
     actions = np.empty((T, oracle.dim))
     params = np.empty((T, oracle.dim))
     oracle_calls = np.empty(T, dtype=np.int64)
@@ -355,7 +371,7 @@ def _price(config: ExperimentConfig, seed: int, problem: _Problem, quadratic: bo
     if quadratic:
         grads = actions - params
         losses = 0.5 * row_dots(grads, grads)
-        diffs = comparator_point - params
+        diffs = np.subtract(comparator_point, params, out=grads)
         comparator_losses = 0.5 * row_dots(diffs, diffs)
     else:
         losses = row_dots(params, actions)
@@ -384,7 +400,7 @@ def _price(config: ExperimentConfig, seed: int, problem: _Problem, quadratic: bo
 
 def theoretical_bound(config: ExperimentConfig) -> float:
     """Expected-regret guarantee (excess over the comparator) for the config."""
-    return _expected_bound(config, _resolve(config)[0])
+    return _expected_bound(config, _resolve(config))
 
 
 def _expected_bound(config: ExperimentConfig, problem: _Problem) -> float:
@@ -416,7 +432,7 @@ def high_probability_bound(config: ExperimentConfig, sigma: float) -> float:
     derivation constants: sqrt(2 log(2T/sigma)) on the general sampling term;
     in the smooth case 2GD*sqrt(2T log(4/sigma)) + (8 beta D^2 T / m) log(4T/sigma).
     """
-    problem, _ = _resolve(config)
+    problem = _resolve(config)
     if not 0 < sigma <= 1:
         raise ConfigError("sigma must lie in (0, 1]")
     shape = problem.leader_shape
@@ -455,7 +471,9 @@ class RunSummary:
     """Aggregate of one config across its seeds.
 
     ``wall_clock_s`` is the seconds spent in the config's games, summed over
-    its seeds; games played in parallel overlap in time. A sweep cell that
+    its seeds: a batch of seeds played in lockstep (see ``_play_all``) splits
+    its seconds evenly over them, so the sum is still the seconds spent.
+    Batches played in parallel overlap in time. A sweep cell that
     does not resolve keeps its ``T`` as given, which need not be an int.
     """
 
@@ -482,27 +500,46 @@ class RunSummary:
 _QUANTS = {"q05": 0.05, "q25": 0.25, "q50": 0.50, "q75": 0.75, "q95": 0.95}
 
 
-def _play(config: ExperimentConfig, seed: int) -> tuple[tuple | None, str | None, float]:
-    """(final regret, oracle calls, gradient evaluations) or None, the error or None, and seconds."""
+LOCKSTEP_CAP = 16  # most seeds in one lockstep batch: a game's cost stops falling near 5, memory grows with S
+
+
+def _play(config: ExperimentConfig, seeds: tuple[int, ...]) -> list[tuple[tuple | None, str | None, float]]:
+    """Per seed: (final regret, oracle calls, gradient evaluations) or None, the error or None, and seconds.
+
+    A batch's seconds are split evenly over its seeds. A batch that raises
+    replays its seeds one at a time, so that each error names its seed.
+    """
     start = time.perf_counter()
     try:
-        trace = run_game(config, seed)
-        payload = (trace.final_regret, int(trace.oracle_calls[-1]), int(trace.grad_evals[-1]))
-        return payload, None, time.perf_counter() - start
+        payloads = [(trace.final_regret, int(trace.oracle_calls[-1]), int(trace.grad_evals[-1]))
+                    for trace in _play_games(config, seeds)]
     except Exception as exc:  # noqa: BLE001 - reported per (cell, seed)
-        return None, f"seed {seed}: {type(exc).__name__}: {exc}", time.perf_counter() - start
+        lost = (time.perf_counter() - start) / len(seeds)
+        if len(seeds) == 1:
+            return [(None, f"seed {seeds[0]}: {type(exc).__name__}: {exc}", lost)]
+        return [(payload, error, seconds + lost)
+                for seed in seeds for payload, error, seconds in _play(config, (seed,))]
+    seconds = (time.perf_counter() - start) / len(seeds)
+    return [(payload, None, seconds) for payload in payloads]
 
 
-def _play_all(configs: Sequence[ExperimentConfig], jobs: int) -> list[dict]:
-    """Outcomes of every seed of every config, as one {seed: outcome} per config.
+def _play_all(cells: Sequence[tuple[ExperimentConfig, _Problem]], jobs: int) -> list[dict]:
+    """Outcomes of every seed of every resolved config, as one {seed: outcome} per config.
 
-    With jobs > 1 one process pool plays all (config, seed) games, longest T
-    first, so that no long game starts last. Each game is a pure function of
-    (config, seed), so the outcomes do not depend on jobs or on the order.
+    A task is a batch of one config's seeds: on the lockstep route,
+    max(ceil(jobs / configs), ceil(seeds / LOCKSTEP_CAP)) near-equal batches
+    of them, else one game each. With jobs > 1 one process pool plays all
+    tasks, longest T first, so that no long game starts last. Each game is a
+    pure function of (config, seed), so the outcomes do not depend on jobs,
+    the batches or the order.
     """
-    tasks = sorted(((i, seed) for i, config in enumerate(configs) for seed in config.seeds),
-                   key=lambda task: -configs[task[0]].T)
-    args = ([configs[i] for i, _ in tasks], [seed for _, seed in tasks])
+    tasks = []
+    for i, (config, problem) in enumerate(cells):
+        n = len(config.seeds)
+        parts = min(n, max(-(-jobs // len(cells)), -(-n // LOCKSTEP_CAP))) if problem.lockstep else n
+        tasks += [(i, tuple(config.seeds[j] for j in batch)) for batch in np.array_split(range(n), parts)]
+    tasks.sort(key=lambda task: -cells[task[0]][0].T)
+    args = ([cells[i][0] for i, _ in tasks], [batch for _, batch in tasks])
     outcomes = None
     if jobs > 1 and len(tasks) > 1:
         import concurrent.futures  # here, not at module level, so serial runs start without it
@@ -514,9 +551,9 @@ def _play_all(configs: Sequence[ExperimentConfig], jobs: int) -> list[dict]:
                 outcomes = list(pool.map(_play, *args))
     if outcomes is None:
         outcomes = list(map(_play, *args))
-    per_config = [{} for _ in configs]
-    for (i, seed), outcome in zip(tasks, outcomes):
-        per_config[i][seed] = outcome
+    per_config = [{} for _ in cells]
+    for (i, batch), batch_outcomes in zip(tasks, outcomes):
+        per_config[i].update(zip(batch, batch_outcomes))
     return per_config
 
 
@@ -565,8 +602,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunSummary:
     ``jobs`` below 1 is a ConfigError.
     """
     _check_count("jobs", jobs)
-    problem, _ = _resolve(config)
-    return _summarize(config, problem, _play_all([config], jobs)[0])
+    problem = _resolve(config)
+    return _summarize(config, problem, _play_all([(config, problem)], jobs)[0])
 
 
 def sweep(template: ExperimentConfig, vary: dict[str, list | tuple], jobs: int = 1) -> list[RunSummary]:
@@ -593,11 +630,11 @@ def sweep(template: ExperimentConfig, vary: dict[str, list | tuple], jobs: int =
         overrides = dict(zip(vary, combo))
         try:
             cell = replace(template, **overrides)
-            resolved = (cell, _resolve(cell)[0])
+            resolved = (cell, _resolve(cell))
         except Exception as exc:  # noqa: BLE001 - recorded per cell
             resolved = exc
         cells.append((overrides, resolved))
-    valid = [resolved[0] for _, resolved in cells if not isinstance(resolved, Exception)]
+    valid = [resolved for _, resolved in cells if not isinstance(resolved, Exception)]
     outcomes = iter(_play_all(valid, jobs))
     summaries: list[RunSummary] = []
     for overrides, resolved in cells:

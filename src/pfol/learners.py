@@ -36,10 +36,12 @@ refresh of a draw block is one oracle batch through the same refresh step
 (``_refresh``) as ``act``. Against any other stream it steps one constant-action segment
 at a time, the rounds from one refresh to the next: one ``act``, one
 ``emit_segment`` of the adversary and one ``np.cumsum`` of the segment's
-gradients. The engine takes ``play`` for a blocked leader (block > 1) on any
-stream and for every leader on a fixed stream; an unblocked leader on an
-action-dependent stream, whose segments are single rounds, steps round by
-round.
+gradients. An unblocked leader on such a stream refreshes every round, so
+its segments are single rounds; ``PerturbedLeader.play_lockstep`` plays the
+games of S seeds side by side instead, one ``_refresh`` of all S seeds'
+samples a round. The engine takes ``play`` for a blocked leader (block > 1)
+on any stream and for every leader on a fixed stream, and
+``play_lockstep`` for an unblocked leader on any other stream.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ import math
 
 import numpy as np
 
+from .adversaries import emit_lockstep
 from .errors import ConfigError, ProtocolError
 from .rng import LEARNER_STREAM, RoundStream
 from .sets import FeasibleSet, euclidean_project, linear_argmax, round_rows, sample_unit_ball_batch
@@ -192,23 +195,30 @@ class PerturbedLeader(OnlineLearner):
         """The point played before the first refresh: the oracle answer on the first basis direction."""
         return linear_argmax(self._set, np.eye(self._set.dim)[0])
 
-    def _draw(self, refresh: int) -> None:
-        """Draw the v/delta rows of refreshes refresh, refresh+1, ...: as many as so far, up to the cap."""
-        count = min(max(1, refresh - 1), max(1, BLOCK_ROWS // self.samples))
-        rounds = range(refresh * self.block, (refresh + count) * self.block, self.block)
-        self._rows = round_rows(self._rounds, rounds, self.samples, self._set.dim, ball=True) / self.delta
+    def _ahead(self, refresh: int) -> int:
+        """How many refreshes the draw at ``refresh`` covers: as many as so far, up to the cap."""
+        return min(max(1, refresh - 1), max(1, BLOCK_ROWS // self.samples))
+
+    def _draw(self, refresh: int, out: np.ndarray | None = None) -> None:
+        """Draw the v/delta rows of refreshes refresh, refresh+1, ... (``_ahead``), into ``out`` if given."""
+        rounds = range(refresh * self.block, (refresh + self._ahead(refresh)) * self.block, self.block)
+        rows = round_rows(self._rounds, rounds, self.samples, self._set.dim, ball=True)
+        self._rows = np.divide(rows, self.delta, out=rows if out is None else out)
         self._first = refresh
 
     def _refresh(self, rows: np.ndarray, cum_grads: np.ndarray) -> np.ndarray:
-        """Points played from refreshes: (..., samples, d) v/delta rows against their (..., d) gradient sums.
+        """Points played from refreshes: (samples, ..., d) v/delta rows against their (..., d) gradient sums.
 
         Each point is the mean of the oracle answers at rows - cum_grad; all
         refreshes are asked for in one batch.
         """
-        queries = rows - cum_grads[..., None, :]
-        points = self._set.support_argmax_many(queries.reshape(-1, queries.shape[-1]))
-        # np.mean's arithmetic, without its per-call overhead
-        return np.add.reduce(points.reshape(queries.shape), axis=-2) / self.samples
+        queries = rows - cum_grads
+        points = self._set.support_argmax_many(queries.reshape(-1, queries.shape[-1])).reshape(queries.shape)
+        # np.mean's arithmetic, without its per-call overhead: np.add.reduce adds a refresh's samples in order,
+        # but sums a single column pairwise, so in d = 1 each refresh's samples are laid out together first
+        if points.shape[-1] == 1:
+            return np.add.reduce(np.moveaxis(points, 0, -2).copy(), axis=-2) / self.samples
+        return np.add.reduce(points, axis=0) / self.samples
 
     def play(self, adversary, T: int) -> tuple[np.ndarray, np.ndarray]:
         """(actions, parameter rows) of rounds 1..T, within the horizon of ``adversary``, from a fresh learner.
@@ -216,10 +226,10 @@ class PerturbedLeader(OnlineLearner):
         Bit for bit the game of T rounds of ``act``, ``adversary.emit``,
         ``observe`` and ``adversary.observe``, with the same draws and oracle
         calls; the learner ends as after round T. Against gradients fixed
-        before the game (``adversary.gradient_table()``) a refresh reads only
-        its perturbations and the sum of the earlier gradients, so every
-        refresh of a draw block is asked for in one oracle batch, and the
-        adversary observes nothing. Otherwise the game goes one
+        before the game (a linear stream's ``adversary.table()``) a refresh
+        reads only its perturbations and the sum of the earlier gradients, so
+        every refresh of a draw block is asked for in one oracle batch, and
+        the adversary observes nothing. Otherwise the game goes one
         constant-action segment at a time: one ``act`` at its first round,
         then ``adversary.emit_segment`` for its rounds.
         """
@@ -227,7 +237,7 @@ class PerturbedLeader(OnlineLearner):
             raise ProtocolError(f"play needs a fresh learner, not one in round {self.round}")
         if not 1 <= T <= adversary.horizon:
             raise ProtocolError(f"play needs 1 <= T <= {adversary.horizon}, the adversary's horizon, not T={T}")
-        table = adversary.gradient_table()
+        table = None if adversary.quadratic else adversary.table()
         if table is None:
             actions, params = np.empty((T, self._set.dim)), np.empty((T, self._set.dim))
             while self.round <= T:
@@ -249,10 +259,51 @@ class PerturbedLeader(OnlineLearner):
             self._draw(refresh)
             n = min(len(self._rows), refreshes + 1 - refresh)
             rounds = np.arange(refresh, refresh + n) * self.block
-            points[refresh:refresh + n] = self._refresh(self._rows[:n], sums[rounds - 1])
+            points[refresh:refresh + n] = self._refresh(self._rows[:n].swapaxes(0, 1), sums[rounds - 1])
             refresh += n
         actions = points[np.arange(1, T + 1) // self.block]
         self._cum_grad, self._current, self.round = sums[-1], actions[-1], T + 1
+        return actions, params
+
+    @staticmethod
+    def play_lockstep(leaders, adversaries, T: int) -> tuple[np.ndarray, np.ndarray]:
+        """(S, T, d) actions and parameter rows of S games, one per fresh unblocked leader and adversary, in lockstep.
+
+        Game s is bit for bit T rounds of ``leaders[s].act``,
+        ``adversaries[s].emit``, ``observe`` and ``adversaries[s].observe``,
+        with the same draws and oracle calls. The leaders share one set,
+        samples and delta, and the adversaries one family. Each round asks
+        the oracle once for every game's samples (``_refresh``) and takes
+        every game's rows at once: a slice of the stacked tables, or
+        ``emit_lockstep`` on the (S, d) action sums. Each leader draws its own
+        perturbations (``_draw``) into one shared block, on a schedule that
+        depends only on the round. The leaders end as after round T; the
+        adversaries observe nothing.
+        """
+        lead, S, d = leaders[0], len(leaders), leaders[0]._set.dim
+        if lead.block != 1 or any(leader.round != 1 or leader._awaiting_loss for leader in leaders):
+            raise ProtocolError("play_lockstep needs fresh leaders with block 1")
+        if not 1 <= T <= adversaries[0].horizon:
+            raise ProtocolError(f"play_lockstep needs 1 <= T <= {adversaries[0].horizon}, the horizon, not T={T}")
+        actions = np.empty((S, T, d))
+        fixed = not adversaries[0].adaptive
+        params = np.stack([a.table()[:T] for a in adversaries]) if fixed else np.empty_like(actions)
+        cum_grads, sums, rows = np.zeros((S, d)), None, np.empty(0)
+        for t in range(1, T + 1):
+            if t - lead._first == len(lead._rows):
+                if len(rows) != lead._ahead(t):  # once the draws reach the cap, each reuses the block
+                    rows = np.empty((lead._ahead(t), lead.samples, S, d))  # rows[i]: refresh t + i
+                for s, leader in enumerate(leaders):
+                    leader._draw(t, rows[:, :, s])
+            x = actions[:, t - 1] = lead._refresh(rows[t - lead._first], cum_grads)
+            if fixed:
+                p = params[:, t - 1]
+            else:
+                p = params[:, t - 1] = emit_lockstep(adversaries, t, sums)
+                sums = x if sums is None else sums + x  # x is this round's own array
+            cum_grads += x - p if adversaries[0].quadratic else p
+        for s, leader in enumerate(leaders):
+            leader._cum_grad, leader._current, leader.round = cum_grads[s], actions[s, -1], T + 1
         return actions, params
 
     def _sums(self, gradients: np.ndarray) -> np.ndarray:

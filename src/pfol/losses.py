@@ -6,7 +6,7 @@ and a smoothness constant (Lipschitz constant of the gradient; 0 for linear
 losses). Pure squared-distance and pure linear losses additionally carry
 their parameter vector. ``row_dots`` takes row-wise dot products equal to
 per-row ``np.dot`` bit for bit; the engine prices a game's losses with it and
-``linear_adaptive`` takes the norms of a segment's mean actions with it.
+``linear_adaptive`` takes the norms of its mean actions with it.
 """
 
 from __future__ import annotations

@@ -79,8 +79,9 @@ class RoundStream:
 
     ``at(t)`` re-keys one shared Philox in place and returns a generator whose
     output is bit-identical to ``round_rng(seed, stream, t)``. The stream keeps
-    one state dict whose key array it rewrites in its round word only; setting
-    the state copies it into the generator and resets the counter and buffer.
+    one state dict whose key it rewrites in its round word only; setting the
+    state copies it into the generator and resets the counter and buffer. The
+    dict holds Python ints, which the setter reads faster than numpy scalars.
     The returned generator is only valid until the next ``at`` call, so a
     RoundStream must never be shared between concurrent consumers; one
     instance per logical stream, exactly like a plain generator.
@@ -91,9 +92,10 @@ class RoundStream:
         self.stream = int(stream)
         self._bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
         self._gen = np.random.Generator(self._bitgen)
-        self._state = self._bitgen.state
-        self._key = self._state["state"]["key"] = _key(self.seed, self.stream, 0)
-        self._stream_word = int(self._key[1])
+        self._key = [int(word) for word in _key(self.seed, self.stream, 0)]
+        self._state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": self._key},
+                       "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        self._stream_word = self._key[1]
 
     def at(self, t: int) -> np.random.Generator:
         if not 0 <= t < (1 << 48):

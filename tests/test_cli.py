@@ -91,6 +91,22 @@ def test_sweep_writes_summaries(config_file, tmp_path, capsys):
     assert len(rows) == 5
 
 
+@pytest.mark.parametrize("count", [3, 16, 33])
+def test_sweep_csv_is_the_same_for_any_jobs(tmp_path, capsys, count):
+    # seed counts below, at and above the cap on a lockstep batch
+    spec = dict(CONFIG, T=16, seeds=list(range(count)), vary={"T": [8, 16]})
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(spec))
+    written = set()
+    for jobs in (1, 2, 3):
+        csv_out = tmp_path / f"regrets-{jobs}.csv"
+        assert cli_main(["sweep", "--config", str(path), "--out", str(tmp_path / "s.json"),
+                         "--csv", str(csv_out), "--jobs", str(jobs)]) == 0
+        written.add(csv_out.read_bytes())
+    (rows,) = written
+    assert len(rows.splitlines()) == 1 + 2 * count
+
+
 def test_fit_needs_four_points(tmp_path, capsys):
     path = tmp_path / "points.csv"
     path.write_text("T,regret\n10,1.0\n100,2.0\n1000,3.0\n")

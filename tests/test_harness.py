@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -268,7 +269,11 @@ def hand_played(config, seed):
 
 
 class Overcounting(InstrumentedSet):
-    """An instrumented set that counts one call too many per batch."""
+    """An instrumented set that counts one call too many per query or batch."""
+
+    def support_argmax(self, y):
+        self.oracle_calls += 1
+        return super().support_argmax(y)
 
     def support_argmax_many(self, queries):
         self.oracle_calls += 1
@@ -304,15 +309,18 @@ class TestFixedStreamRoute:
 
     @pytest.mark.parametrize("adversary", [QUAD_ADAPTIVE, {"kind": "quadratic_stochastic"},
                                            {"kind": "linear_adaptive"}])
-    def test_action_dependent_streams_play_round_by_round(self, adversary, monkeypatch):
-        with pytest.raises(AssertionError, match="called act"):
-            played_without_act(cfg(adversary=adversary, T=5), 0, monkeypatch)
+    def test_action_dependent_streams_play_in_lockstep(self, adversary, monkeypatch):
+        monkeypatch.setattr(PerturbedLeader, "play", refuse)
+        with pytest.raises(AssertionError, match="refused route"):
+            played_without_act(cfg(adversary=LIN_STOCH, T=5), 0, monkeypatch)
+        config = cfg(adversary=adversary, T=5)
+        assert played_without_act(config, 0, monkeypatch).actions.tobytes() == hand_played(config, 0)[0].tobytes()
 
     def test_learner_ends_as_after_the_last_round(self):
         config = cfg(adversary=LIN_STOCH, T=300, m=2)
         set_ = set_from_json(config.set)
         adversary = make_adversary(config.adversary, horizon=300, seed=0, norm_bound=1.0, dim=5)
-        table = adversary.gradient_table()
+        table = adversary.table()
         batch = PerturbedLeader(set_, delta=0.3, samples=2, seed=4)
         stepped = PerturbedLeader(set_, delta=0.3, samples=2, seed=4)
         for T in (0, 301):
@@ -424,7 +432,10 @@ class TestSegmentRoute:
         assert played.round == stepped.round == 101
         assert played._cum_grad.tobytes() == stepped._cum_grad.tobytes()
         assert played._current.tobytes() == stepped._current.tobytes()
-        assert played_adversary._action_sum.tobytes() == stepped_adversary._action_sum.tobytes()
+        if played_adversary.adaptive:
+            assert played_adversary._action_sum.tobytes() == stepped_adversary._action_sum.tobytes()
+        else:  # only the adaptive families read, and so sum, the actions
+            assert played_adversary._action_sum is None and stepped_adversary._action_sum is None
         assert played_adversary._seen == stepped_adversary._seen == 100
         for t in range(101, 151):
             action, p = step(played, played_adversary, t)
@@ -432,6 +443,126 @@ class TestSegmentRoute:
             assert action.tobytes() == want_action.tobytes() and p.tobytes() == want_p.tobytes()
         with pytest.raises(ProtocolError):
             played.play(played_adversary, 150)
+
+
+LOCKSTEP_LEARNERS = {
+    "sampled_fpl-m1": {"learner": "sampled_fpl", "m": 1},
+    "sampled_fpl-m64": {"learner": "sampled_fpl", "m": 64},
+    "expected_fpl_mc-e8": {"learner": "expected_fpl_mc", "eval_samples": 8},
+    "ospf-k1": {"learner": "ospf", "k": 1},
+}
+LOCKSTEP_SEEDS = (3, 4, 5, 6, 7)
+LOCKSTEP_BATCHES = ((3,), (4, 5), LOCKSTEP_SEEDS)
+
+
+def lockstep_cases():
+    # T = 1 and 2 end inside the first draws; 65 and 300 cut a doubling draw block short, and at m = 64
+    # (64 refreshes a block) 300 also cuts a capped one
+    for set_name, set_spec in SEGMENT_SETS.items():
+        for adversary_name, adversary in SEGMENT_ADVERSARIES.items():
+            for T in (1, 2, 65, 300):
+                yield f"{set_name}/{adversary_name}/sampled_fpl-m4/T{T}", ExperimentConfig(
+                    learner="sampled_fpl", m=4, set=set_spec, adversary=adversary, T=T)
+    for learner_name, knobs in LOCKSTEP_LEARNERS.items():
+        for adversary_name, adversary in SEGMENT_ADVERSARIES.items():
+            for T in (65, 300):
+                yield f"ball/{adversary_name}/{learner_name}/T{T}", ExperimentConfig(
+                    set=BALL5, adversary=adversary, T=T, **knobs)
+    # in d = 1 np.add.reduce sums 8 or more samples pairwise, not one by one
+    for adversary_name, adversary in SEGMENT_ADVERSARIES.items():
+        yield f"ball1/{adversary_name}/sampled_fpl-m64/T65", ExperimentConfig(
+            learner="sampled_fpl", m=64, set=BALL1, adversary=adversary, T=65)
+
+
+def played_in_lockstep(config, seeds, monkeypatch):
+    """harness._play_games on a batch of seeds with the per-game routes refused, and the set's final count."""
+    sets = []
+
+    class Recorded(InstrumentedSet):
+        def __init__(self, inner):
+            super().__init__(inner)
+            sets.append(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "InstrumentedSet", Recorded)
+        patch.setattr(harness, "_play_rounds", refuse)
+        patch.setattr(PerturbedLeader, "play", refuse)
+        patch.setattr(PerturbedLeader, "act", refuse)
+        traces = list(harness._play_games(config, seeds))
+    (oracle,) = sets
+    return traces, oracle.oracle_calls
+
+
+class TestLockstepRoute:
+    @pytest.mark.parametrize("key,config", list(lockstep_cases()), ids=lambda v: v if isinstance(v, str) else "")
+    def test_every_seed_equals_act_observe_bit_for_bit(self, key, config, monkeypatch):
+        want = {seed: hand_played(config, seed) for seed in LOCKSTEP_SEEDS}
+        budget = expected_budgets(config, 1)[0]
+        for seeds in LOCKSTEP_BATCHES:
+            traces, counted = played_in_lockstep(config, seeds, monkeypatch)
+            assert counted == len(seeds) * budget
+            for seed, trace in zip(seeds, traces):
+                actions, losses, calls, point, value, alone = want[seed]
+                assert trace.seed == seed
+                assert trace.actions.tobytes() == actions.tobytes()
+                assert trace.losses.tobytes() == losses.tobytes()
+                np.testing.assert_array_equal(trace.oracle_calls, calls)
+                assert trace.comparator_point.tobytes() == point.tobytes()
+                assert repr(trace.comparator_value) == repr(value)
+                assert trace.oracle_calls[-1] == alone == budget
+
+    def test_a_zero_mean_in_one_seed_draws_for_that_seed_alone(self, monkeypatch):
+        # on a 1-d ball two samples answer +-1, so an action is -1, 0 or 1 and a mean is often exactly 0
+        config = ExperimentConfig(learner="sampled_fpl", m=2, set=BALL1,
+                                  adversary={"kind": "linear_adaptive", "direction_norm": 2.5}, T=65)
+        traces, _ = played_in_lockstep(config, (0, 1), monkeypatch)
+        zero = [np.cumsum(trace.actions[:-1, 0]) == 0 for trace in traces]  # mean before round t + 2 is 0
+        assert (zero[0] & ~zero[1]).any() and (zero[1] & ~zero[0]).any()
+        for seed, trace in zip((0, 1), traces):
+            actions, losses = hand_played(config, seed)[:2]
+            assert trace.actions.tobytes() == actions.tobytes()
+            assert trace.losses.tobytes() == losses.tobytes()
+
+    def test_route_raises_when_the_counter_disagrees(self, monkeypatch):
+        monkeypatch.setattr(harness, "InstrumentedSet", Overcounting)
+        for seeds in ((0,), (0, 1, 2)):
+            with pytest.raises(RuntimeError, match="oracle calls counted"):
+                harness._play_games(cfg(T=50), seeds)
+
+    def test_other_routes_play_one_seed_at_a_time(self):
+        for config in (cfg(adversary=LIN_STOCH, T=8), cfg(learner="ospf", k=2, T=8), cfg(learner="ogd", T=8)):
+            with pytest.raises(ValueError):
+                harness._play_games(config, (0, 1))
+
+    def test_rows_and_leaders_equal_act_observe(self):
+        set_ = set_from_json(ROUTE_SETS["polytope"])
+        lockstep = [PerturbedLeader(set_, delta=0.3, samples=3, seed=seed) for seed in (4, 5)]
+        stepped = [PerturbedLeader(set_, delta=0.3, samples=3, seed=seed) for seed in (4, 5)]
+
+        def adversaries():
+            return [make_adversary(SEGMENT_ADVERSARIES["linear_adaptive"], horizon=150, seed=seed,
+                                   norm_bound=set_.norm_bound, dim=set_.dim) for seed in (2, 3)]
+
+        with pytest.raises(ProtocolError, match="horizon"):
+            PerturbedLeader.play_lockstep(lockstep, adversaries(), 151)
+        actions, params = PerturbedLeader.play_lockstep(lockstep, adversaries(), 100)
+        for s, (learner, adversary) in enumerate(zip(stepped, adversaries())):
+            for t in range(1, 101):
+                action = learner.act()
+                p = adversary.emit(t)
+                learner.observe(p)
+                adversary.observe(action)
+                assert actions[s, t - 1].tobytes() == action.tobytes() and params[s, t - 1].tobytes() == p.tobytes()
+        for played, want in zip(lockstep, stepped):
+            assert played.round == want.round == 101
+            assert played._cum_grad.tobytes() == want._cum_grad.tobytes()
+            assert played._current.tobytes() == want._current.tobytes()
+            for _ in range(20):
+                assert played.act().tobytes() == want.act().tobytes()
+                played.observe(np.full(5, 0.125))
+                want.observe(np.full(5, 0.125))
+        with pytest.raises(ProtocolError, match="fresh"):
+            PerturbedLeader.play_lockstep(lockstep, adversaries(), 100)
 
 
 class TestRowDots:
@@ -485,10 +616,10 @@ class TestRowDots:
 
 class TestRunExperimentAndSweep:
     def test_round_by_round_game_raises_when_the_counter_disagrees(self, monkeypatch):
+        # only the baselines play round by round; ofw asks one query per round
         monkeypatch.setattr(harness, "InstrumentedSet", Overcounting)
-        monkeypatch.setattr(PerturbedLeader, "play", refuse)
         with pytest.raises(RuntimeError, match="oracle calls counted"):
-            run_game(cfg(T=50), 0)
+            run_game(cfg(learner="ofw", T=50), 0)
 
     def test_budget_bookkeeping_matches_expected(self):
         for learner, kw in [("sampled_fpl", {"m": 3}), ("ospf", {"k": 4}),
@@ -523,6 +654,65 @@ class TestRunExperimentAndSweep:
         assert [s.T for s in pooled] == [8, 24, 16]
         assert [s.final_regrets for s in pooled] == [s.final_regrets for s in serial]
         assert [s.oracle_calls for s in pooled] == [s.oracle_calls for s in serial]
+
+    @pytest.mark.parametrize("count", [3, harness.LOCKSTEP_CAP, 2 * harness.LOCKSTEP_CAP + 1])
+    def test_lockstep_batches_do_not_change_the_results(self, count):
+        # seed counts below, at and above the cap on a lockstep batch, cut differently for each jobs value
+        config = cfg(T=16, seeds=tuple(range(count)))
+        alone = {T: tuple(run_game(replace(config, T=T), seed).final_regret for seed in config.seeds) for T in (8, 16)}
+        for jobs in (1, 2, 3):
+            assert run_experiment(config, jobs=jobs).final_regrets == alone[16]
+            assert [s.final_regrets for s in sweep(config, {"T": [16, 8]}, jobs=jobs)] == [alone[16], alone[8]]
+
+    @pytest.mark.parametrize("seeds, cells, jobs, sizes", [
+        (3, 3, 2, [3, 3, 3]),  # the benchmark's sweep: one batch a cell
+        (200, 1, 2, [16] * 5 + [15] * 8),  # criterion 8: 13 batches
+        (50, 1, 2, [13, 13, 12, 12]),
+        (3, 1, 4, [1, 1, 1]),  # no more batches than seeds
+        (16, 1, 1, [16]),
+        (17, 1, 1, [9, 8]),
+    ])
+    def test_lockstep_cells_are_cut_into_near_equal_batches(self, seeds, cells, jobs, sizes, monkeypatch):
+        played = []
+
+        def play(config, batch):
+            played.append(batch)
+            return [(None, "not played", 0.0)] * len(batch)
+
+        monkeypatch.setattr(harness, "_play", play)
+        config = cfg(T=8, seeds=tuple(range(seeds)))
+        problem = harness._resolve(config)
+        with monkeypatch.context() as patch:
+            patch.setattr("multiprocessing.get_all_start_methods", lambda: [])  # serial, so that play records
+            harness._play_all([(replace(config, T=8 + i), problem) for i in range(cells)], jobs)
+        assert [len(batch) for batch in played] == sizes
+        assert sorted(sum(played, ())) == sorted(list(range(seeds)) * cells)
+
+    def test_other_routes_play_one_game_a_task(self, monkeypatch):
+        played = []
+        monkeypatch.setattr(harness, "_play", lambda config, batch: played.append(batch) or [(None, "", 0.0)])
+        config = cfg(learner="ospf", k=2, T=8, seeds=(0, 1, 2))
+        harness._play_all([(config, harness._resolve(config))], 1)
+        assert played == [(0,), (1,), (2,)]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_failing_seed_in_a_batch_is_reported_alone(self, jobs, monkeypatch):
+        make = harness._make_learner
+
+        def failing(config, problem, oracle, seed):
+            if seed == 5:
+                raise RuntimeError("seed five fails")
+            return make(config, problem, oracle, seed)
+
+        monkeypatch.setattr(harness, "_make_learner", failing)
+        config = cfg(T=16, seeds=tuple(range(20)))
+        summary = run_experiment(config, jobs=jobs)
+        assert summary.errors == ("seed 5: RuntimeError: seed five fails",)
+        assert summary.seeds == tuple(seed for seed in range(20) if seed != 5)
+        assert summary.final_regrets == tuple(run_game(config, seed).final_regret for seed in summary.seeds)
+        assert summary.wall_clock_s > 0
+        (cell,) = sweep(config, {"T": [16]}, jobs=jobs)
+        assert cell.errors == summary.errors and cell.final_regrets == summary.final_regrets
 
     def test_sweep_counts_cells(self):
         template = cfg(T=16, seeds=(0, 1))

@@ -21,6 +21,7 @@ from pfol import (
     quadratic_loss,
     run_game,
 )
+from pfol.adversaries import emit_lockstep
 from pfol.sets import round_rows
 
 BALL = Ball(dim=2, radius=1.0)
@@ -322,9 +323,29 @@ class TestAdversaries:
                 assert row.tobytes() == stepped.emit(t).tobytes()
                 stepped.observe(action)
                 t += 1
-            assert segmented._action_sum.tobytes() == stepped._action_sum.tobytes()
+            if segmented.adaptive:
+                assert segmented._action_sum.tobytes() == stepped._action_sum.tobytes()
+            else:  # only the adaptive families read, and so sum, the actions
+                assert segmented._action_sum is None and stepped._action_sum is None
             assert segmented._seen == stepped._seen
         assert t == 21
+
+    def test_lockstep_rows_equal_each_adversary_emit(self):
+        # seed 1's actions sum to exactly 0, so its linear_adaptive row draws while the others aim
+        actions = np.array([[[0.5, -0.25], [1.0, 0.0]], [[0.75, -0.0], [-0.75, 0.0]], [[-0.0, 0.0], [0.0, 0.25]]])
+        for kind in ("quadratic_adaptive", "linear_adaptive"):
+            stepped = [adv(kind, T=3, seed=seed) for seed in (7, 8, 9)]
+            lockstep = [adv(kind, T=3, seed=seed) for seed in (7, 8, 9)]
+            sums = None
+            for t in (1, 2, 3):
+                rows = emit_lockstep(lockstep, t, sums)
+                for s, adversary in enumerate(stepped):
+                    assert rows[s].tobytes() == adversary.emit(t).tobytes()
+                if t < 3:
+                    for adversary, action in zip(stepped, actions[:, t - 1]):
+                        adversary.observe(action)
+                    sums = actions[:, 0].copy() if sums is None else sums + actions[:, 1]
+            assert all(adversary._seen == 0 for adversary in lockstep)
 
     @pytest.mark.parametrize("kind", ["quadratic_adaptive", "linear_adaptive"])
     def test_emit_segment_rejects_rounds_outside_the_horizon(self, kind):
