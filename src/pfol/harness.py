@@ -501,6 +501,7 @@ _QUANTS = {"q05": 0.05, "q25": 0.25, "q50": 0.50, "q75": 0.75, "q95": 0.95}
 
 
 LOCKSTEP_CAP = 16  # most seeds in one lockstep batch: a game's cost stops falling near 5, memory grows with S
+LOCKSTEP_VALUES = 2**22  # most S*T*d entries in a batch's (S, T, d) action array (32 MB), so long games batch fewer
 
 
 def _play(config: ExperimentConfig, seeds: tuple[int, ...]) -> list[tuple[tuple | None, str | None, float]]:
@@ -527,8 +528,9 @@ def _play_all(cells: Sequence[tuple[ExperimentConfig, _Problem]], jobs: int) -> 
     """Outcomes of every seed of every resolved config, as one {seed: outcome} per config.
 
     A task is a batch of one config's seeds: on the lockstep route,
-    max(ceil(jobs / configs), ceil(seeds / LOCKSTEP_CAP)) near-equal batches
-    of them, else one game each. With jobs > 1 one process pool plays all
+    max(ceil(jobs / configs), ceil(seeds / LOCKSTEP_CAP),
+    ceil(seeds * T * d / LOCKSTEP_VALUES)) near-equal batches of them, else
+    one game each. With jobs > 1 one process pool plays all
     tasks, longest T first, so that no long game starts last. Each game is a
     pure function of (config, seed), so the outcomes do not depend on jobs,
     the batches or the order.
@@ -536,7 +538,10 @@ def _play_all(cells: Sequence[tuple[ExperimentConfig, _Problem]], jobs: int) -> 
     tasks = []
     for i, (config, problem) in enumerate(cells):
         n = len(config.seeds)
-        parts = min(n, max(-(-jobs // len(cells)), -(-n // LOCKSTEP_CAP))) if problem.lockstep else n
+        parts = n
+        if problem.lockstep:
+            values = n * config.T * problem.set.dim
+            parts = min(n, max(-(-jobs // len(cells)), -(-n // LOCKSTEP_CAP), -(-values // LOCKSTEP_VALUES)))
         tasks += [(i, tuple(config.seeds[j] for j in batch)) for batch in np.array_split(range(n), parts)]
     tasks.sort(key=lambda task: -cells[task[0]][0].T)
     args = ([cells[i][0] for i, _ in tasks], [batch for _, batch in tasks])

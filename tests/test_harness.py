@@ -664,15 +664,17 @@ class TestRunExperimentAndSweep:
             assert run_experiment(config, jobs=jobs).final_regrets == alone[16]
             assert [s.final_regrets for s in sweep(config, {"T": [16, 8]}, jobs=jobs)] == [alone[16], alone[8]]
 
-    @pytest.mark.parametrize("seeds, cells, jobs, sizes", [
-        (3, 3, 2, [3, 3, 3]),  # the benchmark's sweep: one batch a cell
-        (200, 1, 2, [16] * 5 + [15] * 8),  # criterion 8: 13 batches
-        (50, 1, 2, [13, 13, 12, 12]),
-        (3, 1, 4, [1, 1, 1]),  # no more batches than seeds
-        (16, 1, 1, [16]),
-        (17, 1, 1, [9, 8]),
+    @pytest.mark.parametrize("seeds, cells, jobs, T, sizes", [
+        (3, 3, 2, 8, [3, 3, 3]),  # the benchmark's sweep: one batch a cell
+        (200, 1, 2, 8, [16] * 5 + [15] * 8),  # criterion 8: 13 batches
+        (50, 1, 2, 8, [13, 13, 12, 12]),
+        (3, 1, 4, 8, [1, 1, 1]),  # no more batches than seeds
+        (16, 1, 1, 8, [16]),
+        (17, 1, 1, 8, [9, 8]),
+        (16, 1, 1, 2**17, [6, 5, 5]),  # 16 * 2^17 * 5 values is 2.5 times LOCKSTEP_VALUES
+        (2, 1, 1, 2**20, [1, 1]),
     ])
-    def test_lockstep_cells_are_cut_into_near_equal_batches(self, seeds, cells, jobs, sizes, monkeypatch):
+    def test_lockstep_cells_are_cut_into_near_equal_batches(self, seeds, cells, jobs, T, sizes, monkeypatch):
         played = []
 
         def play(config, batch):
@@ -680,11 +682,11 @@ class TestRunExperimentAndSweep:
             return [(None, "not played", 0.0)] * len(batch)
 
         monkeypatch.setattr(harness, "_play", play)
-        config = cfg(T=8, seeds=tuple(range(seeds)))
+        config = cfg(T=T, seeds=tuple(range(seeds)))
         problem = harness._resolve(config)
         with monkeypatch.context() as patch:
             patch.setattr("multiprocessing.get_all_start_methods", lambda: [])  # serial, so that play records
-            harness._play_all([(replace(config, T=8 + i), problem) for i in range(cells)], jobs)
+            harness._play_all([(replace(config, T=T + i), problem) for i in range(cells)], jobs)
         assert [len(batch) for batch in played] == sizes
         assert sorted(sum(played, ())) == sorted(list(range(seeds)) * cells)
 
