@@ -4,15 +4,13 @@ An adversary emits round t's loss as its parameter vector: the centre c_t of
 f_t(x) = 0.5 ||x - c_t||^2 (quadratic families) or the direction g_t of
 f_t(x) = <g_t, x> (linear ones). The per-round protocol is ``emit(t)`` then
 ``observe(action)``; only the adaptive families keep the running action sum
-that their rows read. A blocked perturbed leader holds its action between
-refreshes, so its engine route (``PerturbedLeader.play``) calls
-``emit_segment(t, action, n)`` instead: the rows of the n rounds t..t+n-1 in
-which it plays ``action``, which it observes n times, bit for bit the rows
-and state of n rounds of ``emit`` and ``observe`` (a table slice for the
-stochastic families, running means from ``np.cumsum`` for the adaptive
-ones). Games of several seeds played side by side take round t's rows of
-all of them from ``emit_lockstep``, on action sums the caller keeps. All
-three reach an adaptive family's rows through one ``_aim`` of mean actions.
+that their rows read. The perturbed-leader engine (``PerturbedLeader.play``)
+plays the games of S seeds side by side from refresh to refresh, and takes
+the rows of an adaptive family's n rounds t..t+n-1 from ``emit_lockstep``:
+each game plays one action in all n rounds, and its running action sums
+come from ``np.cumsum``, bit for bit the rows of n rounds of ``emit`` and
+``observe`` per game, on action sums the caller keeps. Both reach an
+adaptive family's rows through one ``_aim`` of mean actions.
 ``next_loss(history)`` wraps ``emit``'s row as a LossFunction for callers
 that replay a game from its actions.
 
@@ -86,31 +84,6 @@ class Adversary(abc.ABC):
             return self._drawn(t)
         return self._aim((self._action_sum / self._seen)[None], lambda i: self._drawn(t))[0]
 
-    def emit_segment(self, t: int, action: np.ndarray, n: int) -> np.ndarray:
-        """The (n, d) rows of rounds t..t+n-1 in which the player plays ``action``; observes it n times.
-
-        Bit for bit the rows and the state of n rounds of ``emit`` then
-        ``observe(action)``: an adaptive family's running sums are
-        ``np.cumsum`` of [sum, action, ..., action], which adds in
-        ``observe``'s order. Rounds outside [1, horizon] raise ProtocolError.
-        """
-        if not (n >= 1 and t >= 1 and t + n - 1 <= self.horizon):
-            raise ProtocolError(f"rounds {t}..{t + n - 1} are outside [1, {self.horizon}], the declared horizon")
-        if not self.adaptive:
-            self._seen += n
-            return self.table()[t - 1:t - 1 + n]
-        first = self._action_sum is None  # a first round has no history, and no sum before it
-        sums = np.empty((n + 1 - first, self.dim))
-        sums[:] = action
-        if not first:
-            sums[0] = self._action_sum
-        sums = sums.cumsum(axis=0)
-        self._action_sum, self._seen = sums[-1], self._seen + n
-        # the mean actions before rounds t+first, ..., t+n-1
-        means = sums[:-1] / np.arange(self._seen - n + first, self._seen)[:, None]
-        rows = self._aim(means, lambda i: self._drawn(t + first + i))
-        return np.concatenate([self._drawn(t)[None], rows]) if first else rows
-
     def _aim(self, means: np.ndarray, drawn) -> np.ndarray:
         """An adaptive family's (n, d) rows against (n, d) mean actions; ``drawn(i)`` is row i where it draws."""
         raise NotImplementedError
@@ -164,16 +137,34 @@ class Adversary(abc.ABC):
         return self._scale * self._draws(t, 1)[0]
 
 
-def emit_lockstep(adversaries: Sequence[Adversary], t: int, sums: np.ndarray | None) -> np.ndarray:
-    """Round t's (S, d) rows of S adaptive adversaries of one family, bit for bit each one's ``emit(t)``.
+def emit_lockstep(adversaries: Sequence[Adversary], t: int, n: int, actions: np.ndarray,
+                  sums: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The (S, n, d) rows of rounds t..t+n-1 of S adaptive adversaries of one family, and the new action sums.
 
-    ``sums`` holds the (S, d) sums of each game's actions in rounds
-    1..t-1 (None at t = 1), which the caller keeps; the adversaries observe
-    nothing. A row that draws comes from its own adversary's stream.
+    Game s plays ``actions[s]`` in each of the n rounds. ``sums`` holds the
+    (S, d) sums of each game's actions in rounds 1..t-1 (None at t = 1),
+    which the caller keeps; the adversaries observe nothing. Bit for bit
+    each adversary's n rounds of ``emit`` then ``observe``: the running sums
+    are ``np.cumsum`` of [sum, action, ..., action], which adds in
+    ``observe``'s order. A row that draws comes from its own adversary's
+    stream.
     """
-    if sums is None:
-        return np.array([adversary._drawn(t) for adversary in adversaries])
-    return adversaries[0]._aim(sums / (t - 1), lambda s: adversaries[s]._drawn(t))
+    if n == 1 and sums is not None:  # one round: one mean and one addition
+        return adversaries[0]._aim(sums / (t - 1), lambda s: adversaries[s]._drawn(t))[:, None], sums + actions
+    first = sums is None  # a first round has no history, and no sum before it
+    S, d = actions.shape
+    running = np.empty((S, n + 1 - first, d))
+    running[:] = actions[:, None]
+    if not first:
+        running[:, 0] = sums
+    running = running.cumsum(axis=1)
+    # the mean actions before rounds t+first, ..., t+n-1, each game's rounds together
+    means = (running[:, :-1] / np.arange(t - 1 + first, t + n - 1)[:, None]).reshape(-1, d)
+    m = n - first
+    rows = adversaries[0]._aim(means, lambda i: adversaries[i // m]._drawn(t + first + i % m)).reshape(S, m, d)
+    if first:
+        rows = np.concatenate([np.array([adversary._drawn(t) for adversary in adversaries])[:, None], rows], axis=1)
+    return rows, running[:, -1]
 
 
 class QuadraticStochastic(Adversary):

@@ -1,17 +1,15 @@
 """Experiment orchestration: game loop, regret accounting, sweeps, bounds.
 
 A run is fully described by (ExperimentConfig, seed) and replays to identical
-CSV bytes. One game engine serves every learner and adversary, by one of three
+CSV bytes. One game engine serves every learner and adversary, by one of two
 routes that play the same game bit for bit (the learners module says how):
 
-- ``_play_rounds``, for ``ogd`` and ``ofw``: act, emit and observe each round,
-  recording the action, the loss parameter row and the oracle count;
-- ``PerturbedLeader.play``, for ``ospf`` with k > 1 against any stream and for
-  every perturbed leader against ``linear_stochastic``;
-- ``PerturbedLeader.play_lockstep``, for ``sampled_fpl``, ``expected_fpl_mc``
-  and ``ospf`` with k = 1 against ``quadratic_stochastic``,
-  ``quadratic_adaptive`` and ``linear_adaptive``: a config's seeds side by
-  side, one oracle batch a round. ``run_game`` plays it with one seed.
+- ``_play_rounds``, for the baselines ``ogd`` and ``ofw``: act, emit and
+  observe each round, recording the action, the loss parameter row and the
+  oracle count;
+- ``PerturbedLeader.play``, for every perturbed leader (``sampled_fpl``,
+  ``expected_fpl_mc`` and ``ospf``) against every stream: a config's seeds
+  side by side, from refresh to refresh. ``run_game`` plays it with one seed.
 
 The instrumented set's count must equal the oracle budget times the games
 played, and one tail prices each game: losses from ``row_dots``, then the
@@ -206,10 +204,7 @@ def resolve_delta(config: ExperimentConfig, G: float, dim: int, k: int) -> float
 
 @dataclass(frozen=True)
 class _Problem:
-    """A validated config's set, (G, beta), block length k, delta (None for a baseline), leader shape and route.
-
-    ``lockstep``: an unblocked leader against gradients that read the actions, played seeds side by side.
-    """
+    """A validated config's set, (G, beta), block length k, delta (None for a baseline) and leader shape."""
 
     set: FeasibleSet
     G: float
@@ -217,7 +212,6 @@ class _Problem:
     k: int
     delta: float | None
     leader_shape: tuple[int, int] | None
-    lockstep: bool
 
 
 def _adversary(config: ExperimentConfig, set_: FeasibleSet, seed: int) -> Adversary:
@@ -231,9 +225,7 @@ def _resolve(config: ExperimentConfig) -> _Problem:
     adversary = _adversary(config, set_, 0)
     G, beta = adversary.constants()
     k = resolve_block(config, beta)
-    shape = leader_shape(config, k)
-    lockstep = shape is not None and shape[1] == 1 and (adversary.quadratic or adversary.adaptive)
-    return _Problem(set_, G, beta, k, resolve_delta(config, G, set_.dim, k), shape, lockstep)
+    return _Problem(set_, G, beta, k, resolve_delta(config, G, set_.dim, k), leader_shape(config, k))
 
 
 def _make_learner(config: ExperimentConfig, problem: _Problem, oracle: InstrumentedSet, seed: int):
@@ -316,27 +308,24 @@ def run_game(config: ExperimentConfig, seed: int) -> RegretTrace:
 def _play_games(config: ExperimentConfig, seeds: Sequence[int]) -> Iterator[RegretTrace]:
     """The traces of a config's games under ``seeds``, in order, each bit for bit the game ``run_game`` plays.
 
-    A lockstep config plays its seeds side by side, through one instrumented
-    set; any other config takes one seed. Raises RuntimeError if the count
-    is not len(seeds) times the budget. The traces are priced as they are
-    asked for, so that a batch holds one at a time.
+    A perturbed leader plays its seeds side by side through one instrumented
+    set (``PerturbedLeader.play``); a baseline takes one seed. Raises
+    RuntimeError if the count is not len(seeds) times the budget. The traces
+    are priced as they are asked for, so that a batch holds one at a time.
     """
     problem = _resolve(config)
     oracle = InstrumentedSet(problem.set)
     learners = [_make_learner(config, problem, oracle, seed) for seed in seeds]
     adversaries = [_adversary(config, problem.set, seed) for seed in seeds]
     T = config.T
-    if problem.lockstep:
-        actions, params = PerturbedLeader.play_lockstep(learners, adversaries, T)
-        oracle_calls = learners[0].samples * np.arange(1, T + 1)
+    if problem.leader_shape is not None:
+        actions, params = PerturbedLeader.play(learners, adversaries, T)
+        # the column is the leaders' call schedule, which the count below checks
+        samples, block = problem.leader_shape
+        oracle_calls = samples * (np.arange(1, T + 1) // block) + int(block > 1)
     else:
         (learner,), (adversary,) = learners, adversaries
-        if isinstance(learner, PerturbedLeader):
-            # the column is the leader's call schedule, which the count below checks
-            actions, params = learner.play(adversary, T)
-            oracle_calls = learner.samples * (np.arange(1, T + 1) // learner.block) + int(learner.block > 1)
-        else:
-            actions, params, oracle_calls = _play_rounds(learner, adversary, oracle, T)
+        actions, params, oracle_calls = _play_rounds(learner, adversary, oracle, T)
         actions, params = actions[None], params[None]
     budget = expected_budgets(config, problem.k)[0]
     if oracle.oracle_calls != len(seeds) * budget or oracle_calls[-1] != budget:
@@ -471,10 +460,11 @@ class RunSummary:
     """Aggregate of one config across its seeds.
 
     ``wall_clock_s`` is the seconds spent in the config's games, summed over
-    its seeds: a batch of seeds played in lockstep (see ``_play_all``) splits
-    its seconds evenly over them, so the sum is still the seconds spent.
-    Batches played in parallel overlap in time. A sweep cell that
-    does not resolve keeps its ``T`` as given, which need not be an int.
+    its seeds: a batch of a perturbed leader's seeds played side by side (see
+    ``_play_all``) splits its seconds evenly over them, so the sum is still
+    the seconds spent. Batches played in parallel overlap in time. A sweep
+    cell that does not resolve keeps its ``T`` as given, which need not be an
+    int.
     """
 
     config_hash: str
@@ -500,7 +490,7 @@ class RunSummary:
 _QUANTS = {"q05": 0.05, "q25": 0.25, "q50": 0.50, "q75": 0.75, "q95": 0.95}
 
 
-LOCKSTEP_CAP = 16  # most seeds in one lockstep batch: a game's cost stops falling near 5, memory grows with S
+LOCKSTEP_CAP = 16  # most seeds in a perturbed leader's batch: a game's cost stops falling near 5, memory grows with S
 LOCKSTEP_VALUES = 2**22  # most S*T*d entries in a batch's (S, T, d) action array (32 MB), so long games batch fewer
 
 
@@ -527,10 +517,10 @@ def _play(config: ExperimentConfig, seeds: tuple[int, ...]) -> list[tuple[tuple 
 def _play_all(cells: Sequence[tuple[ExperimentConfig, _Problem]], jobs: int) -> list[dict]:
     """Outcomes of every seed of every resolved config, as one {seed: outcome} per config.
 
-    A task is a batch of one config's seeds: on the lockstep route,
+    A task is a batch of one config's seeds: for a perturbed leader,
     max(ceil(jobs / configs), ceil(seeds / LOCKSTEP_CAP),
-    ceil(seeds * T * d / LOCKSTEP_VALUES)) near-equal batches of them, else
-    one game each. With jobs > 1 one process pool plays all
+    ceil(seeds * T * d / LOCKSTEP_VALUES)) near-equal batches of them, and
+    for a baseline one game each. With jobs > 1 one process pool plays all
     tasks, longest T first, so that no long game starts last. Each game is a
     pure function of (config, seed), so the outcomes do not depend on jobs,
     the batches or the order.
@@ -539,7 +529,7 @@ def _play_all(cells: Sequence[tuple[ExperimentConfig, _Problem]], jobs: int) -> 
     for i, (config, problem) in enumerate(cells):
         n = len(config.seeds)
         parts = n
-        if problem.lockstep:
+        if problem.leader_shape is not None:
             values = n * config.T * problem.set.dim
             parts = min(n, max(-(-jobs // len(cells)), -(-n // LOCKSTEP_CAP), -(-values // LOCKSTEP_VALUES)))
         tasks += [(i, tuple(config.seeds[j] for j in batch)) for batch in np.array_split(range(n), parts)]
@@ -700,13 +690,20 @@ class ExponentFit:
 def fit_exponent(T_grid: Sequence[float], regrets: Sequence[float]) -> ExponentFit:
     """Least-squares slope of log(regret) against log(T).
 
-    Nonpositive regrets cannot be log-transformed; they are dropped with a
-    warning, and fewer than 4 usable points is a config error.
+    Every T must be positive and finite and every regret finite, else
+    ConfigError. Nonpositive regrets cannot be log-transformed; they are
+    dropped with a warning, and fewer than 4 usable points is a config error.
     """
     T_grid = list(T_grid)
     regrets = list(regrets)
     if len(T_grid) != len(regrets):
         raise ConfigError("T grid and regrets must have equal length")
+    bad = [t for t in T_grid if not (math.isfinite(t) and t > 0)]
+    if bad:
+        raise ConfigError(f"every T of a fit must be positive and finite, got {bad}")
+    bad = [r for r in regrets if not math.isfinite(r)]
+    if bad:
+        raise ConfigError(f"every regret of a fit must be finite, got {bad}")
     usable = [(t, r) for t, r in zip(T_grid, regrets) if r > 0]
     dropped = len(regrets) - len(usable)
     if dropped:

@@ -28,20 +28,17 @@ gradient once per round and counts it, and builds each learner on an
 InstrumentedSet that counts its oracle calls, so the per-iteration budgets
 can be asserted exactly.
 
-``PerturbedLeader.play(adversary, T)`` plays a whole game without the
-per-round protocol, the same game bit for bit, in one of two ways. Against
-gradients fixed before the game (a ``linear_stochastic`` adversary) a refresh
+``PerturbedLeader.play(leaders, adversaries, T)`` plays the games of S
+seeds side by side without the per-round protocol, each bit for bit its
+game of ``act`` and ``observe``, stepping from refresh to refresh. Against
+gradients fixed before the game (``linear_stochastic`` tables) a refresh
 reads only its perturbations and the sum of the earlier gradients, so every
 refresh of a draw block is one oracle batch through the same refresh step
-(``_refresh``) as ``act``. Against any other stream it steps one constant-action segment
-at a time, the rounds from one refresh to the next: one ``act``, one
-``emit_segment`` of the adversary and one ``np.cumsum`` of the segment's
-gradients. An unblocked leader on such a stream refreshes every round, so
-its segments are single rounds; ``PerturbedLeader.play_lockstep`` plays the
-games of S seeds side by side instead, one ``_refresh`` of all S seeds'
-samples a round. The engine takes ``play`` for a blocked leader (block > 1)
-on any stream and for every leader on a fixed stream, and
-``play_lockstep`` for an unblocked leader on any other stream.
+(``_refresh``) as ``act``. Against any other stream each refresh is one
+oracle batch of every seed's samples, followed by the rounds of its
+constant-action segment: ``block`` rounds whose rows come from the tables
+or from ``emit_lockstep``, and whose gradients are added in ``observe``'s
+order. An unblocked leader's segments are single rounds.
 """
 
 from __future__ import annotations
@@ -220,100 +217,90 @@ class PerturbedLeader(OnlineLearner):
             return np.add.reduce(np.moveaxis(points, 0, -2).copy(), axis=-2) / self.samples
         return np.add.reduce(points, axis=0) / self.samples
 
-    def play(self, adversary, T: int) -> tuple[np.ndarray, np.ndarray]:
-        """(actions, parameter rows) of rounds 1..T, within the horizon of ``adversary``, from a fresh learner.
-
-        Bit for bit the game of T rounds of ``act``, ``adversary.emit``,
-        ``observe`` and ``adversary.observe``, with the same draws and oracle
-        calls; the learner ends as after round T. Against gradients fixed
-        before the game (a linear stream's ``adversary.table()``) a refresh
-        reads only its perturbations and the sum of the earlier gradients, so
-        every refresh of a draw block is asked for in one oracle batch, and
-        the adversary observes nothing. Otherwise the game goes one
-        constant-action segment at a time: one ``act`` at its first round,
-        then ``adversary.emit_segment`` for its rounds.
-        """
-        if self.round != 1 or self._awaiting_loss:
-            raise ProtocolError(f"play needs a fresh learner, not one in round {self.round}")
-        if not 1 <= T <= adversary.horizon:
-            raise ProtocolError(f"play needs 1 <= T <= {adversary.horizon}, the adversary's horizon, not T={T}")
-        table = None if adversary.quadratic else adversary.table()
-        if table is None:
-            actions, params = np.empty((T, self._set.dim)), np.empty((T, self._set.dim))
-            while self.round <= T:
-                t, last = self.round, min(T, (self.round // self.block + 1) * self.block - 1)
-                x = self.act()
-                rows = adversary.emit_segment(t, x, last + 1 - t)
-                self._cum_grad = self._sums(x - rows if adversary.quadratic else rows)[-1]
-                self.round, self._awaiting_loss = last + 1, False
-                actions[t - 1:last], params[t - 1:last] = x, rows
-            return actions, params
-        params = table[:T]
-        sums = self._sums(params)  # sums[t-1]: before round t
-        refreshes = T // self.block
-        points = np.empty((refreshes + 1, self._set.dim))  # points[r]: played from refresh r on
-        if self.block > 1:
-            points[0] = self._start()
-        refresh = 1
-        while refresh <= refreshes:
-            self._draw(refresh)
-            n = min(len(self._rows), refreshes + 1 - refresh)
-            rounds = np.arange(refresh, refresh + n) * self.block
-            points[refresh:refresh + n] = self._refresh(self._rows[:n].swapaxes(0, 1), sums[rounds - 1])
-            refresh += n
-        actions = points[np.arange(1, T + 1) // self.block]
-        self._cum_grad, self._current, self.round = sums[-1], actions[-1], T + 1
-        return actions, params
-
     @staticmethod
-    def play_lockstep(leaders, adversaries, T: int) -> tuple[np.ndarray, np.ndarray]:
-        """(S, T, d) actions and parameter rows of S games, one per fresh unblocked leader and adversary, in lockstep.
+    def play(leaders, adversaries, T: int) -> tuple[np.ndarray, np.ndarray]:
+        """(S, T, d) actions and parameter rows of S games, one per fresh leader and adversary, side by side.
 
         Game s is bit for bit T rounds of ``leaders[s].act``,
         ``adversaries[s].emit``, ``observe`` and ``adversaries[s].observe``,
         with the same draws and oracle calls. The leaders share one set,
-        samples and delta, and the adversaries one family. Each round asks
-        the oracle once for every game's samples (``_refresh``) and takes
-        every game's rows at once: a slice of the stacked tables, or
-        ``emit_lockstep`` on the (S, d) action sums. Each leader draws its own
-        perturbations (``_draw``) into one shared block, on a schedule that
-        depends only on the round. The leaders end as after round T; the
-        adversaries observe nothing.
+        samples, block and delta, and the adversaries one family. Each leader
+        draws its own perturbations (``_draw``) into one shared block, on a
+        schedule that depends only on the refresh. Against gradients fixed
+        before the game (linear streams' tables) a refresh reads only its
+        perturbations and the sum of the earlier gradients, so every refresh
+        of a draw block is one oracle batch. Otherwise each refresh is one
+        oracle batch of every game's samples (``_refresh``), followed by the
+        rows of its constant-action segment (a slice of the tables, or
+        ``emit_lockstep`` on the (S, d) action sums) and their gradient sums.
+        The leaders end as after round T; the adversaries observe nothing.
         """
-        lead, S, d = leaders[0], len(leaders), leaders[0]._set.dim
-        if lead.block != 1 or any(leader.round != 1 or leader._awaiting_loss for leader in leaders):
-            raise ProtocolError("play_lockstep needs fresh leaders with block 1")
-        if not 1 <= T <= adversaries[0].horizon:
-            raise ProtocolError(f"play_lockstep needs 1 <= T <= {adversaries[0].horizon}, the horizon, not T={T}")
-        actions = np.empty((S, T, d))
-        fixed = not adversaries[0].adaptive
-        params = np.stack([a.table()[:T] for a in adversaries]) if fixed else np.empty_like(actions)
-        cum_grads, sums, rows = np.zeros((S, d)), None, np.empty(0)
-        for t in range(1, T + 1):
-            if t - lead._first == len(lead._rows):
-                if len(rows) != lead._ahead(t):  # once the draws reach the cap, each reuses the block
-                    rows = np.empty((lead._ahead(t), lead.samples, S, d))  # rows[i]: refresh t + i
-                for s, leader in enumerate(leaders):
-                    leader._draw(t, rows[:, :, s])
-            x = actions[:, t - 1] = lead._refresh(rows[t - lead._first], cum_grads)
-            if fixed:
-                p = params[:, t - 1]
-            else:
-                p = params[:, t - 1] = emit_lockstep(adversaries, t, sums)
-                sums = x if sums is None else sums + x  # x is this round's own array
-            cum_grads += x - p if adversaries[0].quadratic else p
+        lead, S, d, block = leaders[0], len(leaders), leaders[0]._set.dim, leaders[0].block
+        if any(leader.round != 1 or leader._awaiting_loss for leader in leaders):
+            raise ProtocolError("play needs fresh leaders")
+        adversary = adversaries[0]
+        adaptive, quadratic = adversary.adaptive, adversary.quadratic
+        if not 1 <= T <= adversary.horizon:
+            raise ProtocolError(f"play needs 1 <= T <= {adversary.horizon}, the adversaries' horizon, not T={T}")
+        if adaptive:
+            params = np.empty((S, T, d))
+        else:  # a single game reads its table in place
+            params = adversary.table()[None, :T] if S == 1 else np.stack([a.table()[:T] for a in adversaries])
+        refreshes, rows = T // block, np.empty(0)
+        points = np.empty((S, refreshes + 1, d))  # points[:, r]: played from refresh r on
+        if block > 1:
+            points[:, 0] = [leader._start() for leader in leaders]
+        if not (adaptive or quadratic):  # gradients fixed before the game
+            sums = np.zeros((S, T + 1, d))  # sums[:, t-1]: before round t, added in ``_observe``'s order
+            sums[:, 1:] = params
+            sums = sums.cumsum(axis=1)
+            refresh = 1
+            while refresh <= refreshes:
+                rows = PerturbedLeader._draw_all(leaders, refresh, rows)
+                n = min(len(rows), refreshes + 1 - refresh)
+                before = sums[:, np.arange(refresh, refresh + n) * block - 1]
+                points[:, refresh:refresh + n] = lead._refresh(rows[:n].transpose(1, 2, 0, 3), before)
+                refresh += n
+            cum_grads = sums[:, -1].copy()
+        else:
+            cum_grads, action_sums = np.zeros((S, d)), None
+            for refresh in range(block == 1, refreshes + 1):
+                t, last = refresh * block or 1, min(T, refresh * block + block - 1)
+                if refresh:
+                    if refresh - lead._first == len(lead._rows):
+                        rows = PerturbedLeader._draw_all(leaders, refresh, rows)
+                    x = points[:, refresh] = lead._refresh(rows[refresh - lead._first], cum_grads)
+                else:
+                    x = points[:, 0]
+                n = last + 1 - t
+                if adaptive:
+                    params[:, t - 1:last], action_sums = emit_lockstep(adversaries, t, n, x, action_sums)
+                if n == 1:
+                    p = params[:, t - 1]
+                    cum_grads += x - p if quadratic else p
+                else:  # np.cumsum of [sum, gradients...] adds one round at a time
+                    p = params[:, t - 1:last]
+                    grads = x[:, None] - p if quadratic else p
+                    cum_grads = np.concatenate([cum_grads[:, None], grads], axis=1).cumsum(axis=1)[:, -1]
+        # an unblocked leader plays refresh t's point in round t
+        actions = points[:, 1:] if block == 1 else np.take(points, np.arange(1, T + 1) // block, axis=1)
         for s, leader in enumerate(leaders):
             leader._cum_grad, leader._current, leader.round = cum_grads[s], actions[s, -1], T + 1
         return actions, params
 
-    def _sums(self, gradients: np.ndarray) -> np.ndarray:
-        """The gradient sums before each round of ``gradients`` and after the last, added in ``_observe``'s order.
+    @staticmethod
+    def _draw_all(leaders, refresh: int, rows: np.ndarray) -> np.ndarray:
+        """Every leader's ``_draw`` at ``refresh`` into one (ahead, samples, S, d) block, ``rows`` if it fits.
 
-        ``np.cumsum`` of [sum, gradients...] adds one row at a time.
+        Once the draws reach the cap each reuses the block, whose rows the
+        leaders' earlier draws no longer need.
         """
-        sums = np.empty((len(gradients) + 1, self._set.dim))
-        sums[0], sums[1:] = self._cum_grad, gradients
-        return sums.cumsum(axis=0)
+        lead = leaders[0]
+        if len(rows) != lead._ahead(refresh):
+            rows = np.empty((lead._ahead(refresh), lead.samples, len(leaders), lead._set.dim))
+        for s, leader in enumerate(leaders):
+            leader._draw(refresh, rows[:, :, s])
+        return rows
 
 
 class OGD(OnlineLearner):

@@ -240,6 +240,25 @@ def test_fit_csv_errors(tmp_path, capsys, text, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("T,regret,message", [
+    ("0", "2.0", "positive and finite"),
+    ("-20", "2.0", "positive and finite"),
+    ("inf", "2.0", "positive and finite"),
+    ("nan", "2.0", "positive and finite"),
+    ("20", "inf", "must be finite"),
+    ("20", "nan", "must be finite"),
+    ("20", "-inf", "must be finite"),
+])
+def test_fit_rejects_a_nonpositive_or_nonfinite_T_and_a_nonfinite_regret(tmp_path, capsys, T, regret, message):
+    path = tmp_path / "points.csv"
+    path.write_text(f"T,regret\n10,1.0\n{T},{regret}\n40,3.0\n80,4.0\n160,5.0\n")
+    assert cli_main(["fit", "--csv", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:") and message in captured.err
+    assert "Traceback" not in captured.err and "SVD" not in captured.err
+
+
 def test_fit_reads_only_T_and_regret(tmp_path):
     path = tmp_path / "points.csv"
     path.write_text("T,final_regret\n10,1\n20,2\n40,3\n80,4\n")

@@ -1,5 +1,6 @@
 """Game loop, regret accounting, bounds, sweeps, and exponent fits."""
 
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -139,6 +140,16 @@ class TestFitExponent:
     def test_length_mismatch(self):
         with pytest.raises(ConfigError):
             fit_exponent([1, 2], [1.0])
+
+    @pytest.mark.parametrize("T", [0, -10, math.inf, -math.inf, math.nan])
+    def test_a_nonpositive_or_nonfinite_T_is_a_config_error(self, T):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            fit_exponent([10, 100, T, 1000, 10_000], [1.0, 2.0, 3.0, 4.0, 5.0])
+
+    @pytest.mark.parametrize("regret", [math.inf, -math.inf, math.nan])
+    def test_a_nonfinite_regret_is_a_config_error(self, regret):
+        with pytest.raises(ConfigError, match="finite"):
+            fit_exponent([10, 100, 1000, 10_000, 100_000], [1.0, 2.0, regret, 4.0, 5.0])
 
 
 class TestRunGame:
@@ -280,71 +291,6 @@ class Overcounting(InstrumentedSet):
         return super().support_argmax_many(queries)
 
 
-def played_without_act(config, seed, monkeypatch):
-    """run_game with PerturbedLeader.act disabled, so that only the fixed-stream route can play it."""
-    def refuse(self):
-        raise AssertionError("the fixed-stream route called act")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(PerturbedLeader, "act", refuse)
-        return run_game(config, seed)
-
-
-class TestFixedStreamRoute:
-    @pytest.mark.parametrize("key,config", list(route_cases()), ids=lambda v: v if isinstance(v, str) else "")
-    def test_route_equals_act_observe_bit_for_bit(self, key, config, monkeypatch):
-        trace = played_without_act(config, 3, monkeypatch)
-        actions, losses, calls, point, value, counted = hand_played(config, 3)
-        assert trace.actions.tobytes() == actions.tobytes()
-        assert trace.losses.tobytes() == losses.tobytes()
-        np.testing.assert_array_equal(trace.oracle_calls, calls)
-        assert trace.comparator_point.tobytes() == point.tobytes()
-        assert repr(trace.comparator_value) == repr(value)
-        assert trace.oracle_calls[-1] == counted
-
-    def test_route_raises_when_the_counter_disagrees(self, monkeypatch):
-        monkeypatch.setattr(harness, "InstrumentedSet", Overcounting)
-        with pytest.raises(RuntimeError, match="oracle calls counted"):
-            played_without_act(cfg(adversary=LIN_STOCH, T=50, m=1), 0, monkeypatch)
-
-    @pytest.mark.parametrize("adversary", [QUAD_ADAPTIVE, {"kind": "quadratic_stochastic"},
-                                           {"kind": "linear_adaptive"}])
-    def test_action_dependent_streams_play_in_lockstep(self, adversary, monkeypatch):
-        monkeypatch.setattr(PerturbedLeader, "play", refuse)
-        with pytest.raises(AssertionError, match="refused route"):
-            played_without_act(cfg(adversary=LIN_STOCH, T=5), 0, monkeypatch)
-        config = cfg(adversary=adversary, T=5)
-        assert played_without_act(config, 0, monkeypatch).actions.tobytes() == hand_played(config, 0)[0].tobytes()
-
-    def test_learner_ends_as_after_the_last_round(self):
-        config = cfg(adversary=LIN_STOCH, T=300, m=2)
-        set_ = set_from_json(config.set)
-        adversary = make_adversary(config.adversary, horizon=300, seed=0, norm_bound=1.0, dim=5)
-        table = adversary.table()
-        batch = PerturbedLeader(set_, delta=0.3, samples=2, seed=4)
-        stepped = PerturbedLeader(set_, delta=0.3, samples=2, seed=4)
-        for T in (0, 301):
-            with pytest.raises(ProtocolError, match="horizon"):
-                batch.play(adversary, T)
-        batch.play(adversary, 200)
-        for g in table[:200]:
-            stepped.act()
-            stepped.observe(g)
-        for g in table[200:]:
-            assert batch.act().tobytes() == stepped.act().tobytes()
-            batch.observe(g)
-            stepped.observe(g)
-        with pytest.raises(ProtocolError):
-            batch.play(adversary, 300)
-
-
-def block_of(config):
-    """The resolved block length of a config."""
-    set_ = set_from_json(config.set)
-    adversary = make_adversary(config.adversary, horizon=config.T, seed=0, norm_bound=set_.norm_bound, dim=set_.dim)
-    return resolve_block(config, adversary.constants()[1])
-
-
 SEGMENT_SETS = dict(ROUTE_SETS, ball1=BALL1)
 SEGMENT_ADVERSARIES = {
     "quadratic_adaptive": QUAD_ADAPTIVE,
@@ -355,8 +301,8 @@ SEGMENT_ADVERSARIES = {
 
 def segment_cases():
     # T = 1 and 5 lie below k = 7; k = 2 and 7 divide 14 but not 5, and 7 does not divide 200. The auto k
-    # is 2 at T = 5, 2 (quadratic) or 4 (linear) at 14 and 6 or 14 at 200; at T = 1 it is 1, which is
-    # played round by round, so that case is left out
+    # is 2 at T = 5, 2 (quadratic) or 4 (linear) at 14 and 6 or 14 at 200; at T = 1 it is 1, which the
+    # unblocked cases cover, so that case is left out
     for set_name, set_spec in SEGMENT_SETS.items():
         for adversary_name, adversary in SEGMENT_ADVERSARIES.items():
             for k in (2, 7, "auto"):
@@ -367,82 +313,6 @@ def segment_cases():
         # 2250 refreshes, past the 2048 a draw block holds at k = 2
         yield f"ball/{adversary_name}/k2/T4500", ExperimentConfig(
             learner="ospf", k=2, set=BALL5, adversary=adversary, T=4500)
-
-
-def refuse(*args):
-    raise AssertionError("refused route")
-
-
-def played_by_segments(config, seed, monkeypatch):
-    """run_game with the round-by-round loop disabled, and the rounds at which PerturbedLeader.act was called."""
-    act, acts = PerturbedLeader.act, []
-
-    def counted(self):
-        acts.append(self.round)
-        return act(self)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(PerturbedLeader, "act", counted)
-        patch.setattr(harness, "_play_rounds", refuse)
-        return run_game(config, seed), acts
-
-
-class TestSegmentRoute:
-    @pytest.mark.parametrize("key,config", list(segment_cases()), ids=lambda v: v if isinstance(v, str) else "")
-    def test_route_equals_act_observe_bit_for_bit(self, key, config, monkeypatch):
-        trace, acts = played_by_segments(config, 3, monkeypatch)
-        actions, losses, calls, point, value, counted = hand_played(config, 3)
-        assert trace.actions.tobytes() == actions.tobytes()
-        assert trace.losses.tobytes() == losses.tobytes()
-        np.testing.assert_array_equal(trace.oracle_calls, calls)
-        assert trace.comparator_point.tobytes() == point.tobytes()
-        assert repr(trace.comparator_value) == repr(value)
-        assert trace.oracle_calls[-1] == counted
-        # act once per constant-action segment: the start point, then each refresh
-        block = block_of(config)
-        assert acts == [1, *range(block, config.T + 1, block)]
-
-    def test_route_raises_when_the_counter_disagrees(self, monkeypatch):
-        monkeypatch.setattr(harness, "InstrumentedSet", Overcounting)
-        with pytest.raises(RuntimeError, match="oracle calls counted"):
-            played_by_segments(cfg(learner="ospf", k=5, T=50), 0, monkeypatch)
-
-    @pytest.mark.parametrize("adversary", list(SEGMENT_ADVERSARIES.values()), ids=list(SEGMENT_ADVERSARIES))
-    def test_learner_and_adversary_end_as_after_the_last_round(self, adversary):
-        set_ = set_from_json(ROUTE_SETS["polytope"])
-
-        def pair():
-            return (PerturbedLeader(set_, delta=0.3, samples=7, block=7, seed=4),
-                    make_adversary(adversary, horizon=150, seed=2, norm_bound=set_.norm_bound, dim=set_.dim))
-
-        def step(learner, adversary, t):
-            action = learner.act()
-            p = adversary.emit(t)
-            learner.observe(action - p if adversary.quadratic else p)
-            adversary.observe(action)
-            return action, p
-
-        (played, played_adversary), (stepped, stepped_adversary) = pair(), pair()
-        for T in (0, 151):
-            with pytest.raises(ProtocolError, match="horizon"):
-                played.play(played_adversary, T)
-        played.play(played_adversary, 100)  # ends two rounds into a block
-        for t in range(1, 101):
-            step(stepped, stepped_adversary, t)
-        assert played.round == stepped.round == 101
-        assert played._cum_grad.tobytes() == stepped._cum_grad.tobytes()
-        assert played._current.tobytes() == stepped._current.tobytes()
-        if played_adversary.adaptive:
-            assert played_adversary._action_sum.tobytes() == stepped_adversary._action_sum.tobytes()
-        else:  # only the adaptive families read, and so sum, the actions
-            assert played_adversary._action_sum is None and stepped_adversary._action_sum is None
-        assert played_adversary._seen == stepped_adversary._seen == 100
-        for t in range(101, 151):
-            action, p = step(played, played_adversary, t)
-            want_action, want_p = step(stepped, stepped_adversary, t)
-            assert action.tobytes() == want_action.tobytes() and p.tobytes() == want_p.tobytes()
-        with pytest.raises(ProtocolError):
-            played.play(played_adversary, 150)
 
 
 LOCKSTEP_LEARNERS = {
@@ -474,8 +344,35 @@ def lockstep_cases():
             learner="sampled_fpl", m=64, set=BALL1, adversary=adversary, T=65)
 
 
-def played_in_lockstep(config, seeds, monkeypatch):
-    """harness._play_games on a batch of seeds with the per-game routes refused, and the set's final count."""
+def block_of(config):
+    """The resolved block length of a config."""
+    set_ = set_from_json(config.set)
+    adversary = make_adversary(config.adversary, horizon=config.T, seed=0, norm_bound=set_.norm_bound, dim=set_.dim)
+    return resolve_block(config, adversary.constants()[1])
+
+
+def leader_cases():
+    """(key, config, seed batches) of every engine case: fixed streams, blocked leaders and unblocked leaders.
+
+    Each seed is hand-played once, however many batches it is in. A short
+    game plays seed 3 alone and then with seed 4 (the unblocked cases play
+    ``LOCKSTEP_BATCHES``). A long game (a few thousand rounds, past the draw
+    cap) plays seed 3 alone, except for one case of each family, which also
+    plays (3, 4) past the cap.
+    """
+    batched = ("ball-fixed/sampled_fpl-m64/T8200", "ball/quadratic_adaptive/k2/T4500")
+    for key, config in itertools.chain(route_cases(), segment_cases()):
+        yield key, config, ((3,),) if config.T > 1000 and key not in batched else ((3,), (3, 4))
+    for key, config in lockstep_cases():
+        yield key, config, LOCKSTEP_BATCHES
+
+
+def refuse(*args):
+    raise AssertionError("refused route")
+
+
+def played_in_batches(config, seeds, monkeypatch):
+    """harness._play_games on a batch of seeds with the per-round protocol refused, and the set's final count."""
     sets = []
 
     class Recorded(InstrumentedSet):
@@ -486,22 +383,35 @@ def played_in_lockstep(config, seeds, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(harness, "InstrumentedSet", Recorded)
         patch.setattr(harness, "_play_rounds", refuse)
-        patch.setattr(PerturbedLeader, "play", refuse)
         patch.setattr(PerturbedLeader, "act", refuse)
+        patch.setattr(PerturbedLeader, "observe", refuse)
         traces = list(harness._play_games(config, seeds))
     (oracle,) = sets
     return traces, oracle.oracle_calls
 
 
-class TestLockstepRoute:
-    @pytest.mark.parametrize("key,config", list(lockstep_cases()), ids=lambda v: v if isinstance(v, str) else "")
-    def test_every_seed_equals_act_observe_bit_for_bit(self, key, config, monkeypatch):
-        want = {seed: hand_played(config, seed) for seed in LOCKSTEP_SEEDS}
-        budget = expected_budgets(config, 1)[0]
-        for seeds in LOCKSTEP_BATCHES:
-            traces, counted = played_in_lockstep(config, seeds, monkeypatch)
+def stepped(leader, adversary, t):
+    """One round of act, emit, observe and the adversary's observe; the action and the row."""
+    action = leader.act()
+    p = adversary.emit(t)
+    leader.observe(action - p if adversary.quadratic else p)
+    adversary.observe(action)
+    return action, p
+
+
+ENGINE_ADVERSARIES = dict(SEGMENT_ADVERSARIES, linear_stochastic=LIN_STOCH)
+
+
+class TestLeaderEngine:
+    @pytest.mark.parametrize("key,config,batches", list(leader_cases()),
+                             ids=lambda v: v if isinstance(v, str) else "")
+    def test_every_seed_equals_act_observe_bit_for_bit(self, key, config, batches, monkeypatch):
+        want = {seed: hand_played(config, seed) for seed in sorted(set(sum(batches, ())))}
+        budget = expected_budgets(config, block_of(config))[0]
+        for seeds in batches:
+            traces, counted = played_in_batches(config, seeds, monkeypatch)
             assert counted == len(seeds) * budget
-            for seed, trace in zip(seeds, traces):
+            for seed, trace in zip(seeds, traces, strict=True):
                 actions, losses, calls, point, value, alone = want[seed]
                 assert trace.seed == seed
                 assert trace.actions.tobytes() == actions.tobytes()
@@ -515,7 +425,7 @@ class TestLockstepRoute:
         # on a 1-d ball two samples answer +-1, so an action is -1, 0 or 1 and a mean is often exactly 0
         config = ExperimentConfig(learner="sampled_fpl", m=2, set=BALL1,
                                   adversary={"kind": "linear_adaptive", "direction_norm": 2.5}, T=65)
-        traces, _ = played_in_lockstep(config, (0, 1), monkeypatch)
+        traces, _ = played_in_batches(config, (0, 1), monkeypatch)
         zero = [np.cumsum(trace.actions[:-1, 0]) == 0 for trace in traces]  # mean before round t + 2 is 0
         assert (zero[0] & ~zero[1]).any() and (zero[1] & ~zero[0]).any()
         for seed, trace in zip((0, 1), traces):
@@ -523,46 +433,68 @@ class TestLockstepRoute:
             assert trace.actions.tobytes() == actions.tobytes()
             assert trace.losses.tobytes() == losses.tobytes()
 
-    def test_route_raises_when_the_counter_disagrees(self, monkeypatch):
+    @pytest.mark.parametrize("config", [cfg(adversary=LIN_STOCH, T=50, m=1), cfg(learner="ospf", k=5, T=50),
+                                        cfg(T=50)], ids=["fixed", "blocked", "unblocked"])
+    def test_engine_raises_when_the_counter_disagrees(self, config, monkeypatch):
         monkeypatch.setattr(harness, "InstrumentedSet", Overcounting)
         for seeds in ((0,), (0, 1, 2)):
             with pytest.raises(RuntimeError, match="oracle calls counted"):
-                harness._play_games(cfg(T=50), seeds)
+                harness._play_games(config, seeds)
 
-    def test_other_routes_play_one_seed_at_a_time(self):
-        for config in (cfg(adversary=LIN_STOCH, T=8), cfg(learner="ospf", k=2, T=8), cfg(learner="ogd", T=8)):
+    def test_every_leader_plays_through_play(self, monkeypatch):
+        monkeypatch.setattr(PerturbedLeader, "play", refuse)
+        for learner in ("sampled_fpl", "expected_fpl_mc", "ospf"):
+            for adversary in ENGINE_ADVERSARIES.values():
+                with pytest.raises(AssertionError, match="refused route"):
+                    run_game(cfg(learner=learner, adversary=adversary, k=3, eval_samples=4, T=8), 0)
+
+    def test_baselines_play_one_seed_at_a_time(self):
+        for learner in ("ogd", "ofw"):
             with pytest.raises(ValueError):
-                harness._play_games(config, (0, 1))
+                harness._play_games(cfg(learner=learner, T=8), (0, 1))
 
-    def test_rows_and_leaders_equal_act_observe(self):
+    @pytest.mark.parametrize("adversary", list(ENGINE_ADVERSARIES.values()), ids=list(ENGINE_ADVERSARIES))
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("seeds", [(4,), (4, 5)])
+    def test_leaders_end_as_after_the_last_round(self, adversary, block, seeds):
         set_ = set_from_json(ROUTE_SETS["polytope"])
-        lockstep = [PerturbedLeader(set_, delta=0.3, samples=3, seed=seed) for seed in (4, 5)]
-        stepped = [PerturbedLeader(set_, delta=0.3, samples=3, seed=seed) for seed in (4, 5)]
+        spec = adversary
 
-        def adversaries():
-            return [make_adversary(SEGMENT_ADVERSARIES["linear_adaptive"], horizon=150, seed=seed,
-                                   norm_bound=set_.norm_bound, dim=set_.dim) for seed in (2, 3)]
+        def games():
+            return ([PerturbedLeader(set_, delta=0.3, samples=3, block=block, seed=seed) for seed in seeds],
+                    [make_adversary(spec, horizon=150, seed=seed - 2, norm_bound=set_.norm_bound,
+                                    dim=set_.dim) for seed in seeds])
 
-        with pytest.raises(ProtocolError, match="horizon"):
-            PerturbedLeader.play_lockstep(lockstep, adversaries(), 151)
-        actions, params = PerturbedLeader.play_lockstep(lockstep, adversaries(), 100)
-        for s, (learner, adversary) in enumerate(zip(stepped, adversaries())):
+        (played, played_adversaries), (want, want_adversaries) = games(), games()
+        actions, params = PerturbedLeader.play(played, played_adversaries, 100)  # two rounds into a block of 7
+        assert actions.shape == params.shape == (len(seeds), 100, set_.dim)
+        assert all(a._seen == 0 for a in played_adversaries)  # the adversaries observe nothing
+        for s, (leader, adversary) in enumerate(zip(want, want_adversaries)):
             for t in range(1, 101):
-                action = learner.act()
-                p = adversary.emit(t)
-                learner.observe(p)
-                adversary.observe(action)
+                action, p = stepped(leader, adversary, t)
                 assert actions[s, t - 1].tobytes() == action.tobytes() and params[s, t - 1].tobytes() == p.tobytes()
-        for played, want in zip(lockstep, stepped):
-            assert played.round == want.round == 101
-            assert played._cum_grad.tobytes() == want._cum_grad.tobytes()
-            assert played._current.tobytes() == want._current.tobytes()
-            for _ in range(20):
-                assert played.act().tobytes() == want.act().tobytes()
-                played.observe(np.full(5, 0.125))
-                want.observe(np.full(5, 0.125))
+        for leader, other, adversary in zip(played, want, want_adversaries):
+            assert leader.round == other.round == 101
+            assert leader._cum_grad.tobytes() == other._cum_grad.tobytes()
+            assert leader._current.tobytes() == other._current.tobytes()
+            for t in range(101, 151):  # the played leader goes on with the stepped game's gradients
+                action, p = stepped(other, adversary, t)
+                assert leader.act().tobytes() == action.tobytes()
+                leader.observe(action - p if adversary.quadratic else p)
         with pytest.raises(ProtocolError, match="fresh"):
-            PerturbedLeader.play_lockstep(lockstep, adversaries(), 100)
+            PerturbedLeader.play(played, games()[1], 100)
+
+    @pytest.mark.parametrize("adversary", list(ENGINE_ADVERSARIES.values()), ids=list(ENGINE_ADVERSARIES))
+    def test_play_rejects_T_outside_the_horizon(self, adversary):
+        set_ = set_from_json(BALL2)
+        leaders = [PerturbedLeader(set_, delta=0.3, samples=2, block=block, seed=0) for block in (1, 3)]
+        adversaries = [make_adversary(adversary, horizon=5, seed=0, norm_bound=1.0, dim=2)]
+        for leader in leaders:
+            for T in (0, -1, 6):
+                with pytest.raises(ProtocolError, match="horizon"):
+                    PerturbedLeader.play([leader], adversaries, T)
+            assert leader.round == 1 and adversaries[0]._seen == 0 and adversaries[0]._action_sum is None
+            assert PerturbedLeader.play([leader], adversaries, 5)[0].shape == (1, 5, 2)
 
 
 class TestRowDots:
@@ -690,12 +622,18 @@ class TestRunExperimentAndSweep:
         assert [len(batch) for batch in played] == sizes
         assert sorted(sum(played, ())) == sorted(list(range(seeds)) * cells)
 
-    def test_other_routes_play_one_game_a_task(self, monkeypatch):
+    def test_baselines_play_one_game_a_task(self, monkeypatch):
         played = []
-        monkeypatch.setattr(harness, "_play", lambda config, batch: played.append(batch) or [(None, "", 0.0)])
-        config = cfg(learner="ospf", k=2, T=8, seeds=(0, 1, 2))
-        harness._play_all([(config, harness._resolve(config))], 1)
-        assert played == [(0,), (1,), (2,)]
+        monkeypatch.setattr(harness, "_play",
+                            lambda config, batch: played.append(batch) or [(None, "", 0.0)] * len(batch))
+        for config in (cfg(learner="ofw", T=8, seeds=(0, 1, 2)), cfg(learner="ogd", T=8, seeds=(0, 1, 2))):
+            harness._play_all([(config, harness._resolve(config))], 1)
+        assert played == [(0,), (1,), (2,)] * 2
+        # every perturbed leader batches its seeds, blocked or on a fixed stream
+        played.clear()
+        for config in (cfg(learner="ospf", k=2, T=8, seeds=(0, 1, 2)), cfg(adversary=LIN_STOCH, T=8, seeds=(0, 1, 2))):
+            harness._play_all([(config, harness._resolve(config))], 1)
+        assert played == [(0, 1, 2)] * 2
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_a_failing_seed_in_a_batch_is_reported_alone(self, jobs, monkeypatch):

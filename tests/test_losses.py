@@ -306,55 +306,34 @@ class TestAdversaries:
                 np.testing.assert_array_equal(engine.emit(t), loss.center if engine.quadratic else loss.direction)
                 engine.observe(action)
 
-    @pytest.mark.parametrize("kind", ["quadratic_stochastic", "quadratic_adaptive",
-                                      "linear_stochastic", "linear_adaptive"])
-    def test_emit_segment_equals_emit_and_observe(self, kind):
-        # segments of 1 to 6 rounds; an action and its negation bring the sum back to exactly 0,
-        # and a signed zero stays, so linear_adaptive draws after the first round too
-        x = np.array([0.75, -0.0])
-        actions = [x, x, -x, -x, np.array([0.25, 0.5]), x, -x, np.array([-0.0, 0.0]), np.array([0.5, -0.125])]
-        lengths = [1, 1, 1, 1, 6, 3, 3, 2, 2]
-        segmented, stepped = adv(kind, T=20, seed=3), adv(kind, T=20, seed=3)
-        t = 1
-        for action, n in zip(actions, lengths):
-            rows = segmented.emit_segment(t, action, n)
-            assert rows.shape == (n, 2)
-            for row in rows:
-                assert row.tobytes() == stepped.emit(t).tobytes()
-                stepped.observe(action)
-                t += 1
-            if segmented.adaptive:
-                assert segmented._action_sum.tobytes() == stepped._action_sum.tobytes()
-            else:  # only the adaptive families read, and so sum, the actions
-                assert segmented._action_sum is None and stepped._action_sum is None
-            assert segmented._seen == stepped._seen
-        assert t == 21
-
-    def test_lockstep_rows_equal_each_adversary_emit(self):
-        # seed 1's actions sum to exactly 0, so its linear_adaptive row draws while the others aim
-        actions = np.array([[[0.5, -0.25], [1.0, 0.0]], [[0.75, -0.0], [-0.75, 0.0]], [[-0.0, 0.0], [0.0, 0.25]]])
-        for kind in ("quadratic_adaptive", "linear_adaptive"):
-            stepped = [adv(kind, T=3, seed=seed) for seed in (7, 8, 9)]
-            lockstep = [adv(kind, T=3, seed=seed) for seed in (7, 8, 9)]
-            sums = None
-            for t in (1, 2, 3):
-                rows = emit_lockstep(lockstep, t, sums)
-                for s, adversary in enumerate(stepped):
-                    assert rows[s].tobytes() == adversary.emit(t).tobytes()
-                if t < 3:
-                    for adversary, action in zip(stepped, actions[:, t - 1]):
-                        adversary.observe(action)
-                    sums = actions[:, 0].copy() if sums is None else sums + actions[:, 1]
-            assert all(adversary._seen == 0 for adversary in lockstep)
-
     @pytest.mark.parametrize("kind", ["quadratic_adaptive", "linear_adaptive"])
-    def test_emit_segment_rejects_rounds_outside_the_horizon(self, kind):
-        a = adv(kind, T=5)
-        for t, n in ((0, 1), (-1, 3), (4, 3), (6, 1), (1, 0)):
-            with pytest.raises(ProtocolError, match="outside"):
-                a.emit_segment(t, np.array([0.5, 0.5]), n)
-        assert a._seen == 0 and a._action_sum is None
-        assert a.emit_segment(1, np.array([0.5, 0.5]), 5).shape == (5, 2)
+    @pytest.mark.parametrize("schedule", ["segment-first", "round-first"])
+    def test_emit_lockstep_equals_each_adversary_emit_and_observe(self, kind, schedule):
+        # three games in segments of 1 to 6 rounds, the first round in a segment of 3 or of 1; game 1's actions
+        # and their negations (signed zeros kept) bring its sum back to exactly 0, so its linear_adaptive rows
+        # draw after the first round while the other games, whose sums are never 0, aim
+        x, w, zero = np.array([0.75, -0.0]), np.array([0.5, -0.125]), np.array([-0.0, 0.0])
+        lengths, game1 = {
+            "segment-first": ([3, 3, 1, 1, 6, 2, 2, 1, 1], [x, -x, x, -x, zero, w, -w, x, -x]),
+            "round-first": ([1, 1, 1, 3, 3, 6, 2, 2, 1], [x, -x, zero, x, -x, zero, w, -w, x]),
+        }[schedule]
+        stepped = [adv(kind, T=20, seed=seed) for seed in (7, 8, 9)]
+        lockstep = [adv(kind, T=20, seed=seed) for seed in (7, 8, 9)]
+        sums, t, zeros = None, 1, 0
+        for i, n in enumerate(lengths):
+            actions = np.array([[0.25 * (i + 1), 0.5 - 0.125 * i], game1[i], [-0.5, 0.25 * i - 0.5]])
+            zeros += sums is not None and not sums[1].any()
+            rows, sums = emit_lockstep(lockstep, t, n, actions, sums)
+            assert rows.shape == (3, n, 2)
+            for j in range(n):
+                for s, adversary in enumerate(stepped):
+                    assert rows[s, j].tobytes() == adversary.emit(t + j).tobytes()
+                    adversary.observe(actions[s])
+            t += n
+            for s, adversary in enumerate(stepped):
+                assert sums[s].tobytes() == adversary._action_sum.tobytes()
+        assert t == 21 and zeros >= 3
+        assert all(adversary._seen == 0 and adversary._action_sum is None for adversary in lockstep)
 
     def test_constants_need_no_draws(self):
         # the stochastic tables are drawn on the first emit, never for constants()
