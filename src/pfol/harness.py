@@ -40,6 +40,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from ._csv import write_rows
 from .adversaries import Adversary, make_adversary
 from .errors import ConfigError, is_int
 from .learners import (
@@ -692,7 +693,8 @@ def fit_exponent(T_grid: Sequence[float], regrets: Sequence[float]) -> ExponentF
 
     Every T must be positive and finite and every regret finite, else
     ConfigError. Nonpositive regrets cannot be log-transformed; they are
-    dropped with a warning, and fewer than 4 usable points is a config error.
+    dropped with a warning, and fewer than 4 usable points, or usable points
+    at fewer than 2 distinct T, is a config error.
     """
     T_grid = list(T_grid)
     regrets = list(regrets)
@@ -710,6 +712,8 @@ def fit_exponent(T_grid: Sequence[float], regrets: Sequence[float]) -> ExponentF
         warnings.warn(f"excluded {dropped} nonpositive regret point(s) from the fit", stacklevel=2)
     if len(usable) < 4:
         raise ConfigError(f"need >= 4 positive points for a power-law fit, have {len(usable)}")
+    if len({t for t, _ in usable}) < 2:
+        raise ConfigError(f"a power-law fit needs at least 2 distinct T, got only T = {usable[0][0]}")
     x = np.log([t for t, _ in usable])
     y = np.log([r for _, r in usable])
     slope, intercept = np.polyfit(x, y, 1)
@@ -742,14 +746,13 @@ def bound_check(config: ExperimentConfig, jobs: int = 1) -> dict:
 
 
 def trace_to_csv(trace: RegretTrace, path) -> None:
-    """Write the fixed-schema per-round CSV; run_id is ``algorithm-seed``, floats carry 17 significant digits."""
-    prefix = f"{trace.algorithm}-{trace.seed},{trace.algorithm},{trace.seed}"
-    columns = (trace.losses, trace.cum_loss, trace.cum_regret, trace.oracle_calls, trace.grad_evals)
-    rows = zip(range(1, trace.horizon + 1), *(c.tolist() for c in columns))
+    """Write the fixed-schema per-round CSV; run_id is ``algorithm-seed``, each float is ``format(x, ".17g")``."""
+    prefix = f"{trace.algorithm}-{trace.seed},{trace.algorithm},{trace.seed},"
+    columns = (np.arange(1, trace.horizon + 1), trace.losses, trace.cum_loss, trace.cum_regret,
+               trace.oracle_calls, trace.grad_evals)
     with open(path, "w", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
-        fh.writelines(f"{prefix},{t},{loss:.17g},{cum:.17g},{regret:.17g},{calls},{grads}\n"
-                      for t, loss, cum, regret, calls, grads in rows)
+        write_rows(fh, prefix, columns)
 
 
 def summaries_to_json(summaries: Sequence[RunSummary], path) -> None:

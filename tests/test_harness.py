@@ -141,6 +141,16 @@ class TestFitExponent:
         with pytest.raises(ConfigError):
             fit_exponent([1, 2], [1.0])
 
+    @pytest.mark.parametrize("T, regrets", [
+        ([10, 10, 10, 10], [1.0, 2.0, 3.0, 4.0]),
+        ([10, 100, 10, 10, 10], [1.0, -2.0, 3.0, 4.0, 5.0]),  # the one other T is dropped with its regret
+    ])
+    def test_fewer_than_two_distinct_T_is_a_config_error(self, T, regrets):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the dropped point's warning
+            with pytest.raises(ConfigError, match="2 distinct T"):
+                fit_exponent(T, regrets)
+
     @pytest.mark.parametrize("T", [0, -10, math.inf, -math.inf, math.nan])
     def test_a_nonpositive_or_nonfinite_T_is_a_config_error(self, T):
         with pytest.raises(ConfigError, match="positive and finite"):
