@@ -36,14 +36,15 @@ _E16, _E17 = _U(10**16), _U(10**17)
 _POW5 = np.array([5**s for s in range(21)], dtype=np.uint64)  # 5^s for s = 16 - X, X from -4 to 16
 _POW10 = np.array([10**k for k in range(20)], dtype=np.uint64)
 _ROWS = np.arange(_TEXT, dtype=np.uint8)[:, None]
-# the four ASCII digits of 0..9999 as one uint32 each
-_QUADS = (np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48).astype(np.uint8).view(np.uint32).ravel()
+# the four ASCII digits of 0..9999 as one uint32 each, built from 10 KB pieces
+_DIGITS = np.arange(48, 58, dtype=np.uint8)
+_QUADS = np.stack(np.meshgrid(*[_DIGITS] * 4, indexing="ij"), axis=-1).view(np.uint32).ravel()
 
 
 def _digits(n: np.ndarray, width: int) -> np.ndarray:
     """(width, len(n)) ASCII digits of each uint64 n < 10^width, most significant first."""
     quads = -(-width // 4)
-    groups = np.empty((quads, len(n)), dtype=np.uint64)
+    groups = np.empty((quads, len(n)), dtype=np.intp)  # each < 10^4, the index type of np.take
     for k in range(quads - 1, 0, -1):
         rest = n // _U(10_000)
         groups[k] = n - rest * _U(10_000)
