@@ -30,7 +30,7 @@ def halfway(rng, per_exponent=300):
         lo = 5.0**X * 2**17  # c * 2^(X - 17) lies in [10^X, 10^(X + 1))
         c = rng.integers(int(np.ceil(lo)), int(10 * lo), per_exponent) | 1
         out.append(np.ldexp(c[c < 2**53].astype(float), X - 17))
-    # the same near the ends of 53-bit significands: k * 2^-j
+    # and k * 2^j with a full 53-bit k across the fast range, ties or not
     k = rng.integers(2**52, 2**53, 2000)
     out.append(np.ldexp(k.astype(float), rng.integers(-66, 4, 2000)))
     return np.concatenate(out)
