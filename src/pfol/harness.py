@@ -1,22 +1,19 @@
 """Experiment orchestration: game loop, regret accounting, sweeps, bounds.
 
 A run is fully described by (ExperimentConfig, seed) and replays to identical
-CSV bytes. One game engine serves every learner and adversary, by one of two
-routes that play the same game bit for bit (the learners module says how):
+CSV bytes. One game engine serves every learner and adversary:
+``_play_games`` builds a config's learners and adversaries for a batch of
+seeds and makes one call to their class's ``play``, which plays the seeds
+side by side, each game bit for bit its game of act and observe (the
+learners module says how). ``run_game`` plays it with one seed.
 
-- ``_play_rounds``, for the baselines ``ogd`` and ``ofw``: act, emit and
-  observe each round, recording the action, the loss parameter row and the
-  oracle count;
-- ``PerturbedLeader.play``, for every perturbed leader (``sampled_fpl``,
-  ``expected_fpl_mc`` and ``ospf``) against every stream: a config's seeds
-  side by side, from refresh to refresh. ``run_game`` plays it with one seed.
-
-The instrumented set's count must equal the oracle budget times the games
-played, and one tail prices each game: losses from ``row_dots``, then the
-exact hindsight comparator on the (T, d) parameter array; the final
-cumulative regret is the summed losses minus the comparator value by
-construction. Sweeps and multi-seed runs hand one process pool all their
-tasks (see ``_play_all``).
+A trace's oracle-call column is the config's call schedule
+(``_oracle_schedule``), and the instrumented set's count must equal the
+schedule's total times the games played. One tail prices each game: losses
+from ``row_dots``, then the exact hindsight comparator on the (T, d)
+parameter array; the final cumulative regret is the summed losses minus the
+comparator value by construction. Sweeps and multi-seed runs hand one
+process pool all their tasks (see ``_play_all``).
 
 Every entry point resolves its config once (``_resolve``): validated, its
 set parsed and its (G, beta), block length and perturbation scale worked out;
@@ -236,17 +233,23 @@ def _make_learner(config: ExperimentConfig, problem: _Problem, oracle: Instrumen
     return {"ogd": OGD, "ofw": OFW}[config.learner](oracle, grad_bound=problem.G)
 
 
-def expected_budgets(config: ExperimentConfig, k: int) -> tuple[int, int]:
-    """(oracle calls, gradient evaluations) a full run must consume exactly.
+def _oracle_schedule(config: ExperimentConfig, k: int, t):
+    """Oracle calls a game makes through round t, an int or an array of rounds.
 
-    ofw, and a perturbed leader with block > 1, make one extra call for
-    their start point."""
-    T = config.T
+    A perturbed leader makes samples * floor(t/block), ofw one a round and
+    ogd none; ofw, and a perturbed leader with block > 1, make one extra
+    call for their start point.
+    """
     shape = leader_shape(config, k)
     if shape is not None:
         samples, block = shape
-        return samples * (T // block) + int(block > 1), T
-    return {"ofw": T + 1, "ogd": 0}[config.learner], T
+        return samples * (t // block) + int(block > 1)
+    return t + 1 if config.learner == "ofw" else 0 * t
+
+
+def expected_budgets(config: ExperimentConfig, k: int) -> tuple[int, int]:
+    """(oracle calls, gradient evaluations) a full run must consume exactly."""
+    return _oracle_schedule(config, k, config.T), config.T
 
 
 # ---------------------------------------------------------------------------
@@ -309,25 +312,18 @@ def run_game(config: ExperimentConfig, seed: int) -> RegretTrace:
 def _play_games(config: ExperimentConfig, seeds: Sequence[int]) -> Iterator[RegretTrace]:
     """The traces of a config's games under ``seeds``, in order, each bit for bit the game ``run_game`` plays.
 
-    A perturbed leader plays its seeds side by side through one instrumented
-    set (``PerturbedLeader.play``); a baseline takes one seed. Raises
-    RuntimeError if the count is not len(seeds) times the budget. The traces
-    are priced as they are asked for, so that a batch holds one at a time.
+    The learners' class plays the seeds side by side through one
+    instrumented set (``OnlineLearner.play``). Raises RuntimeError if the
+    count is not len(seeds) times the budget. The traces are priced as they
+    are asked for, so that a batch holds one at a time.
     """
     problem = _resolve(config)
     oracle = InstrumentedSet(problem.set)
     learners = [_make_learner(config, problem, oracle, seed) for seed in seeds]
     adversaries = [_adversary(config, problem.set, seed) for seed in seeds]
-    T = config.T
-    if problem.leader_shape is not None:
-        actions, params = PerturbedLeader.play(learners, adversaries, T)
-        # the column is the leaders' call schedule, which the count below checks
-        samples, block = problem.leader_shape
-        oracle_calls = samples * (np.arange(1, T + 1) // block) + int(block > 1)
-    else:
-        (learner,), (adversary,) = learners, adversaries
-        actions, params, oracle_calls = _play_rounds(learner, adversary, oracle, T)
-        actions, params = actions[None], params[None]
+    actions, params = type(learners[0]).play(learners, adversaries, config.T)
+    # the column is the config's call schedule, which the count below checks
+    oracle_calls = _oracle_schedule(config, problem.k, np.arange(1, config.T + 1))
     budget = expected_budgets(config, problem.k)[0]
     if oracle.oracle_calls != len(seeds) * budget or oracle_calls[-1] != budget:
         raise RuntimeError(f"oracle calls counted {oracle.oracle_calls}, recorded {oracle_calls[-1]}, "
@@ -335,23 +331,6 @@ def _play_games(config: ExperimentConfig, seeds: Sequence[int]) -> Iterator[Regr
     quadratic = adversaries[0].quadratic
     return (_price(config, seed, problem, quadratic, actions[i], params[i], oracle_calls)
             for i, seed in enumerate(seeds))
-
-
-def _play_rounds(learner, adversary: Adversary, oracle: InstrumentedSet, T: int):
-    """(actions, parameter rows, oracle calls so far) of a baseline's T rounds of act, emit and observe."""
-    actions = np.empty((T, oracle.dim))
-    params = np.empty((T, oracle.dim))
-    oracle_calls = np.empty(T, dtype=np.int64)
-    for i in range(T):
-        action = learner.act()
-        p = adversary.emit(i + 1)
-        # the round's one gradient evaluation, at the action played
-        learner.observe(action - p if adversary.quadratic else p)
-        adversary.observe(action)
-        actions[i] = action
-        params[i] = p
-        oracle_calls[i] = oracle.oracle_calls
-    return actions, params, oracle_calls
 
 
 def _price(config: ExperimentConfig, seed: int, problem: _Problem, quadratic: bool,
@@ -461,11 +440,10 @@ class RunSummary:
     """Aggregate of one config across its seeds.
 
     ``wall_clock_s`` is the seconds spent in the config's games, summed over
-    its seeds: a batch of a perturbed leader's seeds played side by side (see
-    ``_play_all``) splits its seconds evenly over them, so the sum is still
-    the seconds spent. Batches played in parallel overlap in time. A sweep
-    cell that does not resolve keeps its ``T`` as given, which need not be an
-    int.
+    its seeds: a batch of seeds played side by side (see ``_play_all``)
+    splits its seconds evenly over them, so the sum is still the seconds
+    spent. Batches played in parallel overlap in time. A sweep cell that
+    does not resolve keeps its ``T`` as given, which need not be an int.
     """
 
     config_hash: str
@@ -491,7 +469,7 @@ class RunSummary:
 _QUANTS = {"q05": 0.05, "q25": 0.25, "q50": 0.50, "q75": 0.75, "q95": 0.95}
 
 
-LOCKSTEP_CAP = 16  # most seeds in a perturbed leader's batch: a game's cost stops falling near 5, memory grows with S
+LOCKSTEP_CAP = 16  # most seeds in a batch: a game's cost stops falling near 5, memory grows with S
 LOCKSTEP_VALUES = 2**22  # most S*T*d entries in a batch's (S, T, d) action array (32 MB), so long games batch fewer
 
 
@@ -518,21 +496,19 @@ def _play(config: ExperimentConfig, seeds: tuple[int, ...]) -> list[tuple[tuple 
 def _play_all(cells: Sequence[tuple[ExperimentConfig, _Problem]], jobs: int) -> list[dict]:
     """Outcomes of every seed of every resolved config, as one {seed: outcome} per config.
 
-    A task is a batch of one config's seeds: for a perturbed leader,
+    A task is a batch of one config's seeds, cut into
     max(ceil(jobs / configs), ceil(seeds / LOCKSTEP_CAP),
-    ceil(seeds * T * d / LOCKSTEP_VALUES)) near-equal batches of them, and
-    for a baseline one game each. With jobs > 1 one process pool plays all
-    tasks, longest T first, so that no long game starts last. Each game is a
-    pure function of (config, seed), so the outcomes do not depend on jobs,
-    the batches or the order.
+    ceil(seeds * T * d / LOCKSTEP_VALUES)) near-equal batches, whatever the
+    learner. With jobs > 1 one process pool plays all tasks, longest T
+    first, so that no long game starts last. Each game is a pure function
+    of (config, seed), so the outcomes do not depend on jobs, the batches or
+    the order.
     """
     tasks = []
     for i, (config, problem) in enumerate(cells):
         n = len(config.seeds)
-        parts = n
-        if problem.leader_shape is not None:
-            values = n * config.T * problem.set.dim
-            parts = min(n, max(-(-jobs // len(cells)), -(-n // LOCKSTEP_CAP), -(-values // LOCKSTEP_VALUES)))
+        values = n * config.T * problem.set.dim
+        parts = min(n, max(-(-jobs // len(cells)), -(-n // LOCKSTEP_CAP), -(-values // LOCKSTEP_VALUES)))
         tasks += [(i, tuple(config.seeds[j] for j in batch)) for batch in np.array_split(range(n), parts)]
     tasks.sort(key=lambda task: -cells[task[0]][0].T)
     args = ([cells[i][0] for i, _ in tasks], [batch for _, batch in tasks])

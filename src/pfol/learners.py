@@ -28,12 +28,16 @@ gradient once per round and counts it, and builds each learner on an
 InstrumentedSet that counts its oracle calls, so the per-iteration budgets
 can be asserted exactly.
 
-``PerturbedLeader.play(leaders, adversaries, T)`` plays the games of S
-seeds side by side without the per-round protocol, each bit for bit its
-game of ``act`` and ``observe``, stepping from refresh to refresh. Against
-gradients fixed before the game (``linear_stochastic`` tables) a refresh
-reads only its perturbations and the sum of the earlier gradients, so every
-refresh of a draw block is one oracle batch through the same refresh step
+Every learner class plays the games of S seeds side by side through its
+``play(learners, adversaries, T)``, each game bit for bit its game of
+``act`` and ``observe``. The base ``OnlineLearner.play``, which the
+baselines ``OGD`` and ``OFW`` use, has every learner act and observe each
+round; the rows come from the adversaries' tables or from one
+``emit_lockstep`` of all S games. ``PerturbedLeader.play`` steps from
+refresh to refresh without the per-round protocol. Against gradients fixed
+before the game (``linear_stochastic`` tables) a refresh reads only its
+perturbations and the sum of the earlier gradients, so every refresh of a
+draw block is one oracle batch through the same refresh step
 (``_refresh``) as ``act``. Against any other stream each refresh is one
 oracle batch of every seed's samples, followed by the rounds of its
 constant-action segment: ``block`` rounds whose rows come from the tables
@@ -144,6 +148,46 @@ class OnlineLearner(abc.ABC):
     def _observe(self, gradient: np.ndarray) -> None:
         self._cum_grad += gradient
 
+    @classmethod
+    def play(cls, learners, adversaries, T: int) -> tuple[np.ndarray, np.ndarray]:
+        """(S, T, d) actions and parameter rows of S games, one per fresh learner and adversary, side by side.
+
+        Game s is T rounds of ``learners[s].act``, ``adversaries[s].emit``,
+        ``observe`` and ``adversaries[s].observe``: each round every learner
+        acts and observes the gradient at its action. The adversaries share
+        one family, and their rows come from their tables or from one
+        ``emit_lockstep`` of all S games. The learners end as after round T;
+        the adversaries observe nothing.
+        """
+        params = _game_rows(learners, adversaries, T)
+        adaptive, quadratic = adversaries[0].adaptive, adversaries[0].quadratic
+        actions, sums = np.empty(params.shape), None
+        for t in range(1, T + 1):
+            x = actions[:, t - 1] = np.array([learner.act() for learner in learners])
+            if adaptive:
+                params[:, t - 1:t], sums = emit_lockstep(adversaries, t, 1, x, sums)
+            p = params[:, t - 1]
+            for learner, gradient in zip(learners, x - p if quadratic else p):
+                learner.observe(gradient)
+        return actions, params
+
+
+def _game_rows(learners, adversaries, T: int) -> np.ndarray:
+    """The (S, T, d) parameter rows that ``play`` returns: the adversaries' tables, or an array for it to fill.
+
+    Raises ProtocolError unless every learner is fresh and 1 <= T <= the
+    adversaries' horizon.
+    """
+    if any(learner.round != 1 or learner._awaiting_loss for learner in learners):
+        raise ProtocolError("play needs fresh learners")
+    adversary = adversaries[0]
+    if not 1 <= T <= adversary.horizon:
+        raise ProtocolError(f"play needs 1 <= T <= {adversary.horizon}, the adversaries' horizon, not T={T}")
+    if adversary.adaptive:
+        return np.empty((len(learners), T, learners[0]._set.dim))
+    # a single game reads its table in place
+    return adversary.table()[None, :T] if len(adversaries) == 1 else np.stack([a.table()[:T] for a in adversaries])
+
 
 class PerturbedLeader(OnlineLearner):
     """Follow-the-perturbed-leader refreshed every ``block`` rounds from ``samples`` oracle answers.
@@ -217,8 +261,8 @@ class PerturbedLeader(OnlineLearner):
             return np.add.reduce(np.moveaxis(points, 0, -2).copy(), axis=-2) / self.samples
         return np.add.reduce(points, axis=0) / self.samples
 
-    @staticmethod
-    def play(leaders, adversaries, T: int) -> tuple[np.ndarray, np.ndarray]:
+    @classmethod
+    def play(cls, leaders, adversaries, T: int) -> tuple[np.ndarray, np.ndarray]:
         """(S, T, d) actions and parameter rows of S games, one per fresh leader and adversary, side by side.
 
         Game s is bit for bit T rounds of ``leaders[s].act``,
@@ -235,17 +279,9 @@ class PerturbedLeader(OnlineLearner):
         ``emit_lockstep`` on the (S, d) action sums) and their gradient sums.
         The leaders end as after round T; the adversaries observe nothing.
         """
+        params = _game_rows(leaders, adversaries, T)
         lead, S, d, block = leaders[0], len(leaders), leaders[0]._set.dim, leaders[0].block
-        if any(leader.round != 1 or leader._awaiting_loss for leader in leaders):
-            raise ProtocolError("play needs fresh leaders")
-        adversary = adversaries[0]
-        adaptive, quadratic = adversary.adaptive, adversary.quadratic
-        if not 1 <= T <= adversary.horizon:
-            raise ProtocolError(f"play needs 1 <= T <= {adversary.horizon}, the adversaries' horizon, not T={T}")
-        if adaptive:
-            params = np.empty((S, T, d))
-        else:  # a single game reads its table in place
-            params = adversary.table()[None, :T] if S == 1 else np.stack([a.table()[:T] for a in adversaries])
+        adaptive, quadratic = adversaries[0].adaptive, adversaries[0].quadratic
         refreshes, rows = T // block, np.empty(0)
         points = np.empty((S, refreshes + 1, d))  # points[:, r]: played from refresh r on
         if block > 1:
@@ -256,7 +292,7 @@ class PerturbedLeader(OnlineLearner):
             sums = sums.cumsum(axis=1)
             refresh = 1
             while refresh <= refreshes:
-                rows = PerturbedLeader._draw_all(leaders, refresh, rows)
+                rows = cls._draw_all(leaders, refresh, rows)
                 n = min(len(rows), refreshes + 1 - refresh)
                 before = sums[:, np.arange(refresh, refresh + n) * block - 1]
                 points[:, refresh:refresh + n] = lead._refresh(rows[:n].transpose(1, 2, 0, 3), before)
@@ -268,7 +304,7 @@ class PerturbedLeader(OnlineLearner):
                 t, last = refresh * block or 1, min(T, refresh * block + block - 1)
                 if refresh:
                     if refresh - lead._first == len(lead._rows):
-                        rows = PerturbedLeader._draw_all(leaders, refresh, rows)
+                        rows = cls._draw_all(leaders, refresh, rows)
                     x = points[:, refresh] = lead._refresh(rows[refresh - lead._first], cum_grads)
                 else:
                     x = points[:, 0]

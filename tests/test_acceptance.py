@@ -157,10 +157,12 @@ def test_criterion_06_blocked_learner_scaling():
         means.append(s.mean_regret)
         ok &= s.mean_regret <= s.theoretical_bound
     fit = fit_exponent(T_GRID, means)
-    slope_ok = 0.45 <= fit.slope <= 0.78
+    # a bootstrap over the 20 seeds (4,000 resamples) puts the slope in [0.653, 0.666]; the window keeps
+    # room around that and excludes the T^(3/4) rate of earlier projection-free learners
+    slope_ok = 0.60 <= fit.slope <= 0.72
     elapsed = time.perf_counter() - start
     report(6, "blocked-learner regret scaling", ok and slope_ok,
-           f"slope {fit.slope:.3f} in [0.45, 0.78] (theory 2/3 ~= 0.667, r2={fit.r_squared:.3f}); "
+           f"slope {fit.slope:.3f} in [0.60, 0.72] (theory 2/3 ~= 0.667, r2={fit.r_squared:.3f}); "
            f"all {len(summaries)} means below bound", elapsed, 600.0)
 
 

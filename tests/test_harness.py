@@ -23,7 +23,17 @@ from pfol import (
     theoretical_bound,
     trace_to_csv,
 )
-from pfol import InstrumentedSet, PerturbedLeader, ProtocolError, harness, make_adversary, set_from_json
+from pfol import (
+    OFW,
+    OGD,
+    InstrumentedSet,
+    OnlineLearner,
+    PerturbedLeader,
+    ProtocolError,
+    harness,
+    make_adversary,
+    set_from_json,
+)
 from pfol.harness import (
     CSV_HEADER,
     best_in_hindsight,
@@ -257,20 +267,17 @@ def route_cases():
 
 
 def hand_played(config, seed):
-    """A perturbed leader's game played round by round through act and observe and priced with per-row np.dot.
+    """A config's game played round by round through act and observe and priced with per-row np.dot.
 
     Returns the actions, losses, oracle-call column, comparator point and
     value, and the final count of the instrumented set.
     """
-    set_ = set_from_json(config.set)
+    problem = harness._resolve(config)
+    set_ = problem.set
     adversary = make_adversary(config.adversary, horizon=config.T, seed=seed,
                                norm_bound=set_.norm_bound, dim=set_.dim)
-    G, beta = adversary.constants()
-    k = resolve_block(config, beta)
-    samples, block = harness.leader_shape(config, k)
     oracle = InstrumentedSet(set_)
-    learner = PerturbedLeader(oracle, delta=harness.resolve_delta(config, G, set_.dim, k),
-                              samples=samples, block=block, seed=seed)
+    learner = harness._make_learner(config, problem, oracle, seed)
     quadratic = adversary.quadratic
     actions, rows, losses, calls = [], [], [], []
     for t in range(1, config.T + 1):
@@ -361,19 +368,29 @@ def block_of(config):
     return resolve_block(config, adversary.constants()[1])
 
 
-def leader_cases():
-    """(key, config, seed batches) of every engine case: fixed streams, blocked leaders and unblocked leaders.
+def baseline_cases():
+    # T = 1 is the start point alone; 65 rounds on every set, and 300 on the ball, against every family
+    for set_name, set_spec in SEGMENT_SETS.items():
+        for adversary_name, adversary in ENGINE_ADVERSARIES.items():
+            for learner in ("ogd", "ofw"):
+                for T in (1, 2, 65, 300)[:3 + (set_name == "ball")]:
+                    yield f"{set_name}/{adversary_name}/{learner}/T{T}", ExperimentConfig(
+                        learner=learner, set=set_spec, adversary=adversary, T=T)
+
+
+def engine_cases():
+    """(key, config, seed batches) of every engine case: fixed streams, blocked and unblocked leaders, baselines.
 
     Each seed is hand-played once, however many batches it is in. A short
-    game plays seed 3 alone and then with seed 4 (the unblocked cases play
-    ``LOCKSTEP_BATCHES``). A long game (a few thousand rounds, past the draw
-    cap) plays seed 3 alone, except for one case of each family, which also
-    plays (3, 4) past the cap.
+    game plays seed 3 alone and then with seed 4 (the unblocked leaders and
+    the baselines play ``LOCKSTEP_BATCHES``). A long game (a few thousand
+    rounds, past the draw cap) plays seed 3 alone, except for one case of
+    each family, which also plays (3, 4) past the cap.
     """
     batched = ("ball-fixed/sampled_fpl-m64/T8200", "ball/quadratic_adaptive/k2/T4500")
     for key, config in itertools.chain(route_cases(), segment_cases()):
         yield key, config, ((3,),) if config.T > 1000 and key not in batched else ((3,), (3, 4))
-    for key, config in lockstep_cases():
+    for key, config in itertools.chain(lockstep_cases(), baseline_cases()):
         yield key, config, LOCKSTEP_BATCHES
 
 
@@ -382,7 +399,7 @@ def refuse(*args):
 
 
 def played_in_batches(config, seeds, monkeypatch):
-    """harness._play_games on a batch of seeds with the per-round protocol refused, and the set's final count."""
+    """harness._play_games on a batch of seeds with a leader's per-round protocol refused, and the set's final count."""
     sets = []
 
     class Recorded(InstrumentedSet):
@@ -392,7 +409,6 @@ def played_in_batches(config, seeds, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(harness, "InstrumentedSet", Recorded)
-        patch.setattr(harness, "_play_rounds", refuse)
         patch.setattr(PerturbedLeader, "act", refuse)
         patch.setattr(PerturbedLeader, "observe", refuse)
         traces = list(harness._play_games(config, seeds))
@@ -413,7 +429,7 @@ ENGINE_ADVERSARIES = dict(SEGMENT_ADVERSARIES, linear_stochastic=LIN_STOCH)
 
 
 class TestLeaderEngine:
-    @pytest.mark.parametrize("key,config,batches", list(leader_cases()),
+    @pytest.mark.parametrize("key,config,batches", list(engine_cases()),
                              ids=lambda v: v if isinstance(v, str) else "")
     def test_every_seed_equals_act_observe_bit_for_bit(self, key, config, batches, monkeypatch):
         want = {seed: hand_played(config, seed) for seed in sorted(set(sum(batches, ())))}
@@ -444,67 +460,71 @@ class TestLeaderEngine:
             assert trace.losses.tobytes() == losses.tobytes()
 
     @pytest.mark.parametrize("config", [cfg(adversary=LIN_STOCH, T=50, m=1), cfg(learner="ospf", k=5, T=50),
-                                        cfg(T=50)], ids=["fixed", "blocked", "unblocked"])
+                                        cfg(T=50), cfg(learner="ofw", T=50)],
+                             ids=["fixed", "blocked", "unblocked", "ofw"])
     def test_engine_raises_when_the_counter_disagrees(self, config, monkeypatch):
         monkeypatch.setattr(harness, "InstrumentedSet", Overcounting)
         for seeds in ((0,), (0, 1, 2)):
             with pytest.raises(RuntimeError, match="oracle calls counted"):
                 harness._play_games(config, seeds)
 
-    def test_every_leader_plays_through_play(self, monkeypatch):
+    def test_every_learner_plays_through_its_play(self, monkeypatch):
         monkeypatch.setattr(PerturbedLeader, "play", refuse)
-        for learner in ("sampled_fpl", "expected_fpl_mc", "ospf"):
+        monkeypatch.setattr(OnlineLearner, "play", refuse)
+        for learner in ("sampled_fpl", "expected_fpl_mc", "ospf", "ogd", "ofw"):
             for adversary in ENGINE_ADVERSARIES.values():
                 with pytest.raises(AssertionError, match="refused route"):
                     run_game(cfg(learner=learner, adversary=adversary, k=3, eval_samples=4, T=8), 0)
 
-    def test_baselines_play_one_seed_at_a_time(self):
-        for learner in ("ogd", "ofw"):
-            with pytest.raises(ValueError):
-                harness._play_games(cfg(learner=learner, T=8), (0, 1))
-
     @pytest.mark.parametrize("adversary", list(ENGINE_ADVERSARIES.values()), ids=list(ENGINE_ADVERSARIES))
-    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("learner", [1, 7, "ogd", "ofw"])  # a perturbed leader's block, or a baseline
     @pytest.mark.parametrize("seeds", [(4,), (4, 5)])
-    def test_leaders_end_as_after_the_last_round(self, adversary, block, seeds):
+    def test_leaders_end_as_after_the_last_round(self, adversary, learner, seeds):
         set_ = set_from_json(ROUTE_SETS["polytope"])
         spec = adversary
 
+        def make(seed):
+            if learner in ("ogd", "ofw"):
+                return {"ogd": OGD, "ofw": OFW}[learner](set_, grad_bound=2.5)
+            return PerturbedLeader(set_, delta=0.3, samples=3, block=learner, seed=seed)
+
         def games():
-            return ([PerturbedLeader(set_, delta=0.3, samples=3, block=block, seed=seed) for seed in seeds],
+            return ([make(seed) for seed in seeds],
                     [make_adversary(spec, horizon=150, seed=seed - 2, norm_bound=set_.norm_bound,
                                     dim=set_.dim) for seed in seeds])
 
         (played, played_adversaries), (want, want_adversaries) = games(), games()
-        actions, params = PerturbedLeader.play(played, played_adversaries, 100)  # two rounds into a block of 7
+        actions, params = type(played[0]).play(played, played_adversaries, 100)  # two rounds into a block of 7
         assert actions.shape == params.shape == (len(seeds), 100, set_.dim)
         assert all(a._seen == 0 for a in played_adversaries)  # the adversaries observe nothing
         for s, (leader, adversary) in enumerate(zip(want, want_adversaries)):
             for t in range(1, 101):
                 action, p = stepped(leader, adversary, t)
                 assert actions[s, t - 1].tobytes() == action.tobytes() and params[s, t - 1].tobytes() == p.tobytes()
+        state = ("_cum_grad", "_x") if learner in ("ogd", "ofw") else ("_cum_grad", "_current")
         for leader, other, adversary in zip(played, want, want_adversaries):
             assert leader.round == other.round == 101
-            assert leader._cum_grad.tobytes() == other._cum_grad.tobytes()
-            assert leader._current.tobytes() == other._current.tobytes()
+            for name in state:
+                assert getattr(leader, name).tobytes() == getattr(other, name).tobytes()
             for t in range(101, 151):  # the played leader goes on with the stepped game's gradients
                 action, p = stepped(other, adversary, t)
                 assert leader.act().tobytes() == action.tobytes()
                 leader.observe(action - p if adversary.quadratic else p)
         with pytest.raises(ProtocolError, match="fresh"):
-            PerturbedLeader.play(played, games()[1], 100)
+            type(played[0]).play(played, games()[1], 100)
 
     @pytest.mark.parametrize("adversary", list(ENGINE_ADVERSARIES.values()), ids=list(ENGINE_ADVERSARIES))
     def test_play_rejects_T_outside_the_horizon(self, adversary):
         set_ = set_from_json(BALL2)
-        leaders = [PerturbedLeader(set_, delta=0.3, samples=2, block=block, seed=0) for block in (1, 3)]
+        learners = [PerturbedLeader(set_, delta=0.3, samples=2, block=block, seed=0) for block in (1, 3)]
+        learners += [OGD(set_, grad_bound=1.0), OFW(set_, grad_bound=1.0)]
         adversaries = [make_adversary(adversary, horizon=5, seed=0, norm_bound=1.0, dim=2)]
-        for leader in leaders:
+        for learner in learners:
             for T in (0, -1, 6):
                 with pytest.raises(ProtocolError, match="horizon"):
-                    PerturbedLeader.play([leader], adversaries, T)
-            assert leader.round == 1 and adversaries[0]._seen == 0 and adversaries[0]._action_sum is None
-            assert PerturbedLeader.play([leader], adversaries, 5)[0].shape == (1, 5, 2)
+                    type(learner).play([learner], adversaries, T)
+            assert learner.round == 1 and adversaries[0]._seen == 0 and adversaries[0]._action_sum is None
+            assert type(learner).play([learner], adversaries, 5)[0].shape == (1, 5, 2)
 
 
 class TestRowDots:
@@ -557,12 +577,6 @@ class TestRowDots:
 
 
 class TestRunExperimentAndSweep:
-    def test_round_by_round_game_raises_when_the_counter_disagrees(self, monkeypatch):
-        # only the baselines play round by round; ofw asks one query per round
-        monkeypatch.setattr(harness, "InstrumentedSet", Overcounting)
-        with pytest.raises(RuntimeError, match="oracle calls counted"):
-            run_game(cfg(learner="ofw", T=50), 0)
-
     def test_budget_bookkeeping_matches_expected(self):
         for learner, kw in [("sampled_fpl", {"m": 3}), ("ospf", {"k": 4}),
                             ("ofw", {}), ("ogd", {}),
@@ -632,18 +646,19 @@ class TestRunExperimentAndSweep:
         assert [len(batch) for batch in played] == sizes
         assert sorted(sum(played, ())) == sorted(list(range(seeds)) * cells)
 
-    def test_baselines_play_one_game_a_task(self, monkeypatch):
+    @pytest.mark.parametrize("seeds, jobs, T", [(3, 1, 8), (3, 2, 8), (17, 1, 8), (40, 3, 8), (16, 1, 2**17)])
+    def test_baselines_are_cut_like_leaders(self, seeds, jobs, T, monkeypatch):
         played = []
         monkeypatch.setattr(harness, "_play",
                             lambda config, batch: played.append(batch) or [(None, "", 0.0)] * len(batch))
-        for config in (cfg(learner="ofw", T=8, seeds=(0, 1, 2)), cfg(learner="ogd", T=8, seeds=(0, 1, 2))):
-            harness._play_all([(config, harness._resolve(config))], 1)
-        assert played == [(0,), (1,), (2,)] * 2
-        # every perturbed leader batches its seeds, blocked or on a fixed stream
-        played.clear()
-        for config in (cfg(learner="ospf", k=2, T=8, seeds=(0, 1, 2)), cfg(adversary=LIN_STOCH, T=8, seeds=(0, 1, 2))):
-            harness._play_all([(config, harness._resolve(config))], 1)
-        assert played == [(0, 1, 2)] * 2
+        monkeypatch.setattr("multiprocessing.get_all_start_methods", lambda: [])  # serial, so that _play records
+        cuts = []
+        for knobs in ({}, {"learner": "ospf", "k": 2}, {"adversary": LIN_STOCH}, {"learner": "ofw"}, {"learner": "ogd"}):
+            config = cfg(T=T, seeds=tuple(range(seeds)), **knobs)
+            harness._play_all([(config, harness._resolve(config))], jobs)
+            cuts.append(played[:])
+            played.clear()
+        assert all(cut == cuts[0] for cut in cuts)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_a_failing_seed_in_a_batch_is_reported_alone(self, jobs, monkeypatch):
@@ -655,14 +670,15 @@ class TestRunExperimentAndSweep:
             return make(config, problem, oracle, seed)
 
         monkeypatch.setattr(harness, "_make_learner", failing)
-        config = cfg(T=16, seeds=tuple(range(20)))
-        summary = run_experiment(config, jobs=jobs)
-        assert summary.errors == ("seed 5: RuntimeError: seed five fails",)
-        assert summary.seeds == tuple(seed for seed in range(20) if seed != 5)
-        assert summary.final_regrets == tuple(run_game(config, seed).final_regret for seed in summary.seeds)
-        assert summary.wall_clock_s > 0
-        (cell,) = sweep(config, {"T": [16]}, jobs=jobs)
-        assert cell.errors == summary.errors and cell.final_regrets == summary.final_regrets
+        for learner in ("sampled_fpl", "ogd"):
+            config = cfg(learner=learner, T=16, seeds=tuple(range(20)))
+            summary = run_experiment(config, jobs=jobs)
+            assert summary.errors == ("seed 5: RuntimeError: seed five fails",)
+            assert summary.seeds == tuple(seed for seed in range(20) if seed != 5)
+            assert summary.final_regrets == tuple(run_game(config, seed).final_regret for seed in summary.seeds)
+            assert summary.wall_clock_s > 0
+            (cell,) = sweep(config, {"T": [16]}, jobs=jobs)
+            assert cell.errors == summary.errors and cell.final_regrets == summary.final_regrets
 
     def test_sweep_counts_cells(self):
         template = cfg(T=16, seeds=(0, 1))
