@@ -11,8 +11,9 @@ each game plays one action in all n rounds, and its running action sums
 come from ``np.cumsum``, bit for bit the rows of n rounds of ``emit`` and
 ``observe`` per game, on action sums the caller keeps. Both reach an
 adaptive family's rows through one ``_aim`` of mean actions.
-``next_loss(history)`` wraps ``emit``'s row as a LossFunction for callers
-that replay a game from its actions.
+``next_loss(history)`` wraps ``emit``'s row as a LossFunction, a slotted
+object holding a read-only copy of the row, for callers that replay a game
+from its actions.
 
 Two stochastic families draw i.i.d. loss parameters from per-round seed
 substreams, so a stream replays bitwise from (seed, t) alone; they draw the
@@ -98,7 +99,7 @@ class Adversary(abc.ABC):
         self._seen += 1
 
     def next_loss(self, history) -> LossFunction:
-        """Loss for round t = len(history) + 1; sees only past actions.
+        """Loss for round t = len(history) + 1, from ``linear_loss`` or ``quadratic_loss``; sees only past actions.
 
         Each call's history must extend the previous one: only the actions
         not yet observed are added, and a history shorter than the actions
@@ -179,6 +180,7 @@ class QuadraticStochastic(Adversary):
         super().__init__(horizon, seed, norm_bound, float(center_scale))
         self.dim = int(dim)
         self.center_scale = float(center_scale)
+        self._root_dim = float(np.sqrt(self.dim))  # read by the adaptive family's _aim
 
     def constants(self):
         return self.norm_bound + self.center_scale, 1.0
@@ -196,7 +198,7 @@ class QuadraticAdaptive(QuadraticStochastic):
     adaptive = True
 
     def _aim(self, means, drawn):
-        return -self.center_scale * np.sign(means) / np.sqrt(self.dim)
+        return -self.center_scale * np.sign(means) / self._root_dim
 
 
 class LinearStochastic(Adversary):

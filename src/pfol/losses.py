@@ -1,39 +1,87 @@
 """Convex loss objects.
 
-A LossFunction bundles value/gradient callables with the two constants the
-regret accounting consumes: a gradient-norm bound G valid on the action set,
-and a smoothness constant (Lipschitz constant of the gradient; 0 for linear
-losses). Pure squared-distance and pure linear losses additionally carry
-their parameter vector. ``row_dots`` takes row-wise dot products equal to
-per-row ``np.dot`` bit for bit; the engine prices a game's losses with it and
-``linear_adaptive`` takes the norms of its mean actions with it.
+A LossFunction holds the two constants the regret accounting consumes: a
+gradient-norm bound G valid on the action set, and a smoothness constant
+(Lipschitz constant of the gradient; 0 for linear losses), with ``evaluate``
+and ``gradient`` as methods. ``linear_loss`` and ``quadratic_loss`` build
+slotted losses that hold their parameter row, a read-only copy, and no
+closure, so a replayed game of T rounds holds T small objects;
+``LossFunction(evaluate, gradient, ...)`` builds a generic loss from two
+callables. Every loss refuses attribute assignment. ``row_dots`` takes
+row-wise dot products equal to per-row ``np.dot`` bit for bit; the engine
+prices a game's losses with it and ``linear_adaptive`` takes the norms of its
+mean actions with it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 __all__ = ["LossFunction", "linear_loss", "quadratic_loss", "row_dots"]
 
 
-@dataclass(frozen=True)
 class LossFunction:
     """Convex differentiable loss with its certified constants.
 
+    ``LossFunction(evaluate, gradient, grad_bound, smoothness=0.0,
+    center=None, direction=None)`` builds a generic loss from two callables.
     ``center`` is set iff the loss is exactly 0.5 * ||x - center||^2 and
     ``direction`` iff it is exactly <direction, x>; generic losses leave both
     unset and forgo the closed-form shortcuts.
     """
 
-    evaluate: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray]
-    grad_bound: float
-    smoothness: float = 0.0
-    center: np.ndarray | None = None
-    direction: np.ndarray | None = None
+    __slots__ = ("grad_bound",)
+    smoothness = 0.0
+    center = direction = None
+
+    def __new__(cls, *args, **kwargs):
+        # LossFunction itself holds no callables: a call to it builds the generic loss below
+        return object.__new__(_Generic if cls is LossFunction else cls)
+
+    def __init__(self, grad_bound, **fields):
+        for name, value in (("grad_bound", grad_bound), *fields.items()):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("a LossFunction is immutable")
+
+    __delattr__ = __setattr__
+
+
+class _Generic(LossFunction):
+    """A loss from two callables, which ``LossFunction(...)`` builds."""
+
+    __slots__ = ("evaluate", "gradient", "smoothness", "center", "direction")
+
+    def __init__(self, evaluate, gradient, grad_bound, smoothness=0.0, center=None, direction=None):
+        super().__init__(grad_bound, evaluate=evaluate, gradient=gradient, smoothness=smoothness,
+                         center=center, direction=direction)
+
+
+class _Linear(LossFunction):
+    """<direction, x>; ``linear_loss`` builds it."""
+
+    __slots__ = ("direction",)
+
+    def evaluate(self, x) -> float:
+        return float(np.dot(self.direction, x))
+
+    def gradient(self, x) -> np.ndarray:
+        return self.direction
+
+
+class _Quadratic(LossFunction):
+    """0.5 * ||x - center||^2; ``quadratic_loss`` builds it."""
+
+    __slots__ = ("center",)
+    smoothness = 1.0
+
+    def evaluate(self, x) -> float:
+        diff = x - self.center
+        return 0.5 * float(np.dot(diff, diff))
+
+    def gradient(self, x) -> np.ndarray:
+        return x - self.center
 
 
 def _frozen(vec) -> np.ndarray:
@@ -45,31 +93,12 @@ def _frozen(vec) -> np.ndarray:
 def linear_loss(direction) -> LossFunction:
     """f(x) = <g, x> with G = ||g|| and zero smoothness."""
     g = _frozen(direction)
-
-    return LossFunction(
-        evaluate=lambda x: float(np.dot(g, x)),
-        gradient=lambda x: g,
-        grad_bound=float(np.linalg.norm(g)),
-        smoothness=0.0,
-        direction=g,
-    )
+    return _Linear(float(np.linalg.norm(g)), direction=g)
 
 
 def quadratic_loss(center, grad_bound: float) -> LossFunction:
     """f(x) = 0.5 * ||x - c||^2, 1-smooth; the caller certifies G over its set."""
-    c = _frozen(center)
-
-    def evaluate(x):
-        diff = x - c
-        return 0.5 * float(np.dot(diff, diff))
-
-    return LossFunction(
-        evaluate=evaluate,
-        gradient=lambda x: x - c,
-        grad_bound=float(grad_bound),
-        smoothness=1.0,
-        center=c,
-    )
+    return _Quadratic(float(grad_bound), center=_frozen(center))
 
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -90,6 +90,9 @@ class FeasibleSet(abc.ABC):
         """How far x sits outside the set; 0 (up to fp noise) means feasible."""
 
 
+_NORMAL_NORM = 2.0**-511  # the smallest norm whose square is a normal float
+
+
 @dataclass(frozen=True, eq=False)
 class Ball(FeasibleSet):
     """Euclidean ball {||x|| <= radius}."""
@@ -110,11 +113,14 @@ class Ball(FeasibleSet):
 
     def support_argmax_many(self, queries: np.ndarray) -> np.ndarray:
         norms = np.sqrt(np.einsum("ij,ij->i", queries, queries))
-        if norms.all():
+        if (norms >= _NORMAL_NORM).all():
             return queries * (self.radius / norms)[:, None]
         zero = norms == 0.0
         norms[zero] = 1.0
         out = queries * (self.radius / norms)[:, None]
+        # a tiny row's squared norm is subnormal and lost bits, so its scaled row is scaled once more
+        tiny = norms < _NORMAL_NORM
+        out[tiny] *= (self.radius / np.sqrt(np.einsum("ij,ij->i", out[tiny], out[tiny])))[:, None]
         out[zero] = 0.0
         out[zero, 0] = self.radius
         return out
@@ -425,6 +431,22 @@ def unit_sphere_rows(z: np.ndarray) -> np.ndarray:
     return z / norms[:, None]
 
 
+def _fast_normals(words: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Decode (n, k) raw words into ``out`` by the ziggurat's fast path; True for each row with a miss.
+
+    Word w's layer is i = w & 0xff and its value r * WI[i], with
+    r = (w >> 9) & (2^52 - 1), negated when bit 8 is set; r >= KI[i] misses.
+    r * WI[i] >= 0, so OR-ing bit 8 into the float's sign bit (bit 63) negates
+    it as numpy does, and r = 0 gives -0.0.
+    """
+    idx = (words & np.uint64(0xFF)).astype(np.intp)
+    rabs = ((words >> np.uint64(9)) & np.uint64((1 << 52) - 1)).view(np.int64)
+    np.multiply(rabs, WI[idx], out=out)
+    bits = out.view(np.uint64)
+    bits |= (words & np.uint64(0x100)) << np.uint64(55)
+    return (rabs >= KI.view(np.int64)[idx]).any(axis=1)  # int64 against uint64 would compare as float64
+
+
 def round_rows(stream, rounds: range, count: int, dim: int, *, ball: bool) -> np.ndarray:
     """(len(rounds), count, dim) unit-ball (or unit-sphere) rows for the given rounds of a RoundStream.
 
@@ -463,12 +485,7 @@ def round_rows(stream, rounds: range, count: int, dim: int, *, ball: bool) -> np
         for lo in range(0, len(rounds), step):
             w = philox_words(stream.seed, stream.stream, rounds[lo:lo + step], blocks)
             part = slice(lo, lo + len(w))
-            normal = w[:, :normals]
-            idx = (normal & np.uint64(0xFF)).astype(np.intp)
-            rabs = (normal >> np.uint64(9)) & np.uint64((1 << 52) - 1)
-            x = rabs * WI[idx]
-            flat[part] = np.where(normal & np.uint64(0x100), -x, x)
-            redo.append(lo + np.flatnonzero((rabs >= KI[idx]).any(axis=1)))
+            redo.append(lo + np.flatnonzero(_fast_normals(w[:, :normals], flat[part])))
             if ball:
                 u[part] = (w[:, normals:words] >> np.uint64(11)) * 2.0**-53
         slow = np.concatenate(redo)

@@ -1,5 +1,7 @@
 """Losses, adversaries, and the hindsight comparator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from pfol import (
     ExperimentConfig,
     InstrumentedSet,
     L1Ball,
+    LossFunction,
     Polytope,
     ProtocolError,
     Simplex,
@@ -20,6 +23,7 @@ from pfol import (
     make_adversary,
     quadratic_loss,
     run_game,
+    smooth_inequality_audit,
 )
 from pfol.adversaries import emit_lockstep
 from pfol.sets import round_rows
@@ -91,6 +95,85 @@ class TestLossConstructors:
                 if loss.smoothness > 0:
                     lhs = np.linalg.norm(loss.gradient(xi) - loss.gradient(yi))
                     assert lhs <= loss.smoothness * np.linalg.norm(xi - yi) * (1 + 1e-9)
+
+
+def generic_quadratic(center):
+    """0.5 * ||x - center||^2 built from two callables, without the closed-form shortcut."""
+    return LossFunction(evaluate=lambda x: 0.5 * float(np.dot(x - center, x - center)),
+                        gradient=lambda x: x - center, grad_bound=2.0, smoothness=1.0)
+
+
+class TestSlottedLosses:
+    """A loss is a slotted object that holds its parameter row; no closure, no per-instance dict."""
+
+    @pytest.mark.parametrize("build", [linear_loss, lambda row: quadratic_loss(row, 2.0)], ids=["linear", "quadratic"])
+    def test_bytes_per_loss(self, build):
+        rows = np.random.default_rng(0).standard_normal((16_384, 5))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            losses = [build(row) for row in rows]
+            per_loss = (tracemalloc.get_traced_memory()[0] - before) / len(losses)
+        finally:
+            tracemalloc.stop()
+        assert per_loss <= 256, f"{per_loss:.0f} B per loss"
+
+    @pytest.mark.parametrize("dim", [1, 5])
+    def test_values_equal_the_closed_forms_bit_for_bit(self, dim):
+        rng = np.random.default_rng(dim)
+        rows, xs = rng.standard_normal((2, 300, dim))
+        rows[:10], xs[5:15] = -0.0, 0.0  # signed zeros, alone and against nonzero rows
+        for row, x in zip(rows, xs):
+            lin, quad = linear_loss(row), quadratic_loss(row, 3.0)
+            for got, want in ((lin.evaluate(x), float(np.dot(row, x))),
+                              (quad.evaluate(x), 0.5 * float(np.dot(x - row, x - row)))):
+                assert type(got) is float and got.hex() == want.hex()
+            assert lin.gradient(x).tobytes() == row.tobytes()
+            assert quad.gradient(x).tobytes() == (x - row).tobytes()
+
+    @pytest.mark.parametrize("build", [lambda: linear_loss([3.0, 4.0]), lambda: quadratic_loss([1.0, 2.0], 3.0),
+                                       lambda: generic_quadratic(np.array([1.0, 2.0]))],
+                             ids=["linear", "quadratic", "generic"])
+    def test_losses_are_immutable(self, build):
+        loss = build()
+        assert not hasattr(loss, "__dict__")
+        for name in ("grad_bound", "smoothness", "center", "direction", "evaluate", "gradient", "extra"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(loss, name, 0.0)
+        with pytest.raises(AttributeError, match="immutable"):
+            del loss.grad_bound
+        for row in (loss.center, loss.direction):
+            if row is not None:
+                with pytest.raises(ValueError):
+                    row[0] = 9.0
+
+    def test_rows_are_read_only_copies(self):
+        row = np.array([3.0, 4.0])
+        held = [linear_loss(row).direction, quadratic_loss(row, 3.0).center]
+        row[0] = 9.0
+        for kept in held:
+            assert not kept.flags.writeable and not np.shares_memory(kept, row)
+            np.testing.assert_array_equal(kept, [3.0, 4.0])
+
+    def test_generic_constructor_drives_the_smoothness_audit(self):
+        center = np.array([0.2, 0.1])
+        generic = generic_quadratic(center)
+        assert isinstance(generic, LossFunction)
+        assert (generic.center, generic.direction, generic.smoothness, generic.grad_bound) == (None, None, 1.0, 2.0)
+        audits = [smooth_inequality_audit(loss, BALL, 300, np.random.default_rng(3))
+                  for loss in (generic, quadratic_loss(center, 2.0))]
+        assert audits[0] == audits[1] <= 1e-12
+        positional = LossFunction(generic.evaluate, generic.gradient, 2.0)
+        assert (positional.smoothness, positional.center, positional.direction) == (0.0, None, None)
+
+    @pytest.mark.parametrize("kind", ["quadratic_stochastic", "quadratic_adaptive", "linear_stochastic",
+                                      "linear_adaptive"])
+    def test_next_loss_builds_slotted_losses(self, kind):
+        for loss in realized(kind, BALL, 8):
+            assert isinstance(loss, LossFunction) and not hasattr(loss, "__dict__")
+            row = loss.center if kind.startswith("quadratic") else loss.direction
+            assert (loss.center is None) != (loss.direction is None)
+            assert not row.flags.writeable
 
 
 class TestOfflineFrankWolfe:

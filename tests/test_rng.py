@@ -120,6 +120,34 @@ def fast_path_misses(seed, stream, rounds, normals):
     return [idx[i][miss[i]] for i in range(len(rounds))]
 
 
+def where_decode(words):
+    """The fast-path decode with the sign taken by ``np.where``, and each row's misses."""
+    idx = (words & np.uint64(0xFF)).astype(np.intp)
+    rabs = (words >> np.uint64(9)) & np.uint64((1 << 52) - 1)
+    x = rabs * WI[idx]
+    return np.where(words & np.uint64(0x100), -x, x), (rabs >= KI[idx]).any(axis=1)
+
+
+def test_fast_normals_equal_the_where_decode_on_crafted_words():
+    # every layer at r = 0, at each side of its edge KI[i] and at the top, with either sign,
+    # and with the bits above r (61-63) set or clear
+    words = [(r << 9) | (sign << 8) | i | (top << 61)
+             for i, ki in enumerate(KI.tolist())
+             for r in sorted({0, max(ki - 1, 0), ki, min(ki + 1, 2**52 - 1), 2**52 - 1})
+             for sign in (0, 1) for top in (0, 7)]
+    words = np.array(words, dtype=np.uint64)
+    for shape in ((-1, 1), (-1, 4)):
+        w = words[:len(words) // 4 * 4].reshape(shape)
+        out = np.full(w.shape, np.nan)
+        misses = sets._fast_normals(w, out)
+        want, want_misses = where_decode(w)
+        assert out.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+        np.testing.assert_array_equal(misses, want_misses)
+    out = np.empty((1, 2))
+    sets._fast_normals(np.array([[0x100, 0x105]], dtype=np.uint64), out)  # r = 0 with the sign bit set
+    assert (out == 0).all() and np.signbit(out).all()
+
+
 @pytest.mark.parametrize("ball", [True, False])
 @pytest.mark.parametrize("count", [1, 2])
 @pytest.mark.parametrize("dim", [1, 5, 16])

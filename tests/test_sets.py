@@ -71,6 +71,16 @@ class TestLinearArgmax:
         out = linear_argmax(Ball(dim=3, radius=2.0), np.zeros(3))
         np.testing.assert_array_equal(out, [2.0, 0.0, 0.0])
 
+    def test_ball_tiny_queries_stay_on_the_sphere(self):
+        # squared norms below the smallest normal float lose bits; a power of 2 rescales them exactly
+        queries = np.array([[0.0, 0.0, 5.837251477872647e-159], [1e-160, -3e-160, 2e-155],
+                            [0.6, 0.8, 0.0], [0.0, 0.0, 0.0]])
+        out = Ball(dim=3, radius=2.0).support_argmax_many(queries)
+        scaled = queries[:2] * 2.0**600
+        np.testing.assert_allclose(out[:2], 2.0 * scaled / np.linalg.norm(scaled, axis=1)[:, None], rtol=1e-15)
+        assert out[2].tobytes() == linear_argmax(Ball(dim=3, radius=2.0), queries[2]).tobytes()
+        np.testing.assert_array_equal(out[3], [2.0, 0.0, 0.0])
+
     def test_ball_batch_with_zero_rows(self):
         ball = Ball(dim=3, radius=2.0)
         ys = np.array([[0.0, 0.0, 0.0], [3.0, -4.0, 0.5], [0.0, 0.0, 0.0], [1e-300, 0.0, 0.0]])
