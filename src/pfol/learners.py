@@ -17,7 +17,8 @@ that round's own substream, with r the number of refreshes so far (at least
 1, at most BLOCK_ROWS // samples), so draws double up to the cap. Round t's
 perturbations are therefore the same bits whatever the sample count, the
 draw length or the rounds drawn before it, and every trace replays as if
-each round had been drawn alone. A game draws at most one block past T.
+each round had been drawn alone. ``play`` draws no refresh past the game's
+last; a leader acted on past it draws what it needs.
 Which of these draws take round_rows' vectorized Philox path is stated in
 its docstring.
 
@@ -236,13 +237,15 @@ class PerturbedLeader(OnlineLearner):
         """The point played before the first refresh: the oracle answer on the first basis direction."""
         return linear_argmax(self._set, np.eye(self._set.dim)[0])
 
-    def _ahead(self, refresh: int) -> int:
-        """How many refreshes the draw at ``refresh`` covers: as many as so far, up to the cap."""
-        return min(max(1, refresh - 1), max(1, BLOCK_ROWS // self.samples))
+    def _ahead(self, refresh: int, last: int | None = None) -> int:
+        """How many refreshes the draw at ``refresh`` covers: as many as so far, up to the cap and to ``last``."""
+        ahead = min(max(1, refresh - 1), max(1, BLOCK_ROWS // self.samples))
+        return ahead if last is None else min(ahead, last + 1 - refresh)
 
     def _draw(self, refresh: int, out: np.ndarray | None = None) -> None:
-        """Draw the v/delta rows of refreshes refresh, refresh+1, ... (``_ahead``), into ``out`` if given."""
-        rounds = range(refresh * self.block, (refresh + self._ahead(refresh)) * self.block, self.block)
+        """Draw the v/delta rows of refreshes refresh, refresh+1, ... (``_ahead``, or len(out)), into ``out`` if given."""
+        ahead = self._ahead(refresh) if out is None else len(out)
+        rounds = range(refresh * self.block, (refresh + ahead) * self.block, self.block)
         rows = round_rows(self._rounds, rounds, self.samples, self._set.dim, ball=True)
         self._rows = np.divide(rows, self.delta, out=rows if out is None else out)
         self._first = refresh
@@ -292,19 +295,20 @@ class PerturbedLeader(OnlineLearner):
             sums = sums.cumsum(axis=1)
             refresh = 1
             while refresh <= refreshes:
-                rows = cls._draw_all(leaders, refresh, rows)
-                n = min(len(rows), refreshes + 1 - refresh)
+                rows = cls._draw_all(leaders, refresh, rows, refreshes)
+                n = len(rows)
                 before = sums[:, np.arange(refresh, refresh + n) * block - 1]
                 points[:, refresh:refresh + n] = lead._refresh(rows[:n].transpose(1, 2, 0, 3), before)
                 refresh += n
             cum_grads = sums[:, -1].copy()
         else:
             cum_grads, action_sums = np.zeros((S, d)), None
+            segment = np.empty((S, block + 1, d))  # a refresh's gradient sum, then its segment's gradients
             for refresh in range(block == 1, refreshes + 1):
                 t, last = refresh * block or 1, min(T, refresh * block + block - 1)
                 if refresh:
                     if refresh - lead._first == len(lead._rows):
-                        rows = cls._draw_all(leaders, refresh, rows)
+                        rows = cls._draw_all(leaders, refresh, rows, refreshes)
                     x = points[:, refresh] = lead._refresh(rows[refresh - lead._first], cum_grads)
                 else:
                     x = points[:, 0]
@@ -314,10 +318,15 @@ class PerturbedLeader(OnlineLearner):
                 if n == 1:
                     p = params[:, t - 1]
                     cum_grads += x - p if quadratic else p
-                else:  # np.cumsum of [sum, gradients...] adds one round at a time
-                    p = params[:, t - 1:last]
-                    grads = x[:, None] - p if quadratic else p
-                    cum_grads = np.concatenate([cum_grads[:, None], grads], axis=1).cumsum(axis=1)[:, -1]
+                else:  # [sum, gradients...] added one round at a time, as ``observe`` adds them
+                    seg, p = segment[:, :n + 1], params[:, t - 1:last]
+                    seg[:, 0] = cum_grads
+                    if quadratic:
+                        np.subtract(x[:, None], p, out=seg[:, 1:])
+                    else:
+                        seg[:, 1:] = p
+                    # np.add.reduce adds rows in order for d >= 2, but sums a single column pairwise
+                    cum_grads = np.add.reduce(seg, axis=1) if d > 1 else seg.cumsum(axis=1)[:, -1]
         # an unblocked leader plays refresh t's point in round t
         actions = points[:, 1:] if block == 1 else np.take(points, np.arange(1, T + 1) // block, axis=1)
         for s, leader in enumerate(leaders):
@@ -325,15 +334,15 @@ class PerturbedLeader(OnlineLearner):
         return actions, params
 
     @staticmethod
-    def _draw_all(leaders, refresh: int, rows: np.ndarray) -> np.ndarray:
-        """Every leader's ``_draw`` at ``refresh`` into one (ahead, samples, S, d) block, ``rows`` if it fits.
+    def _draw_all(leaders, refresh: int, rows: np.ndarray, last: int) -> np.ndarray:
+        """Every leader's ``_draw`` at ``refresh``, up to refresh ``last``, into one (ahead, samples, S, d) block.
 
-        Once the draws reach the cap each reuses the block, whose rows the
-        leaders' earlier draws no longer need.
+        The block is ``rows`` if that fits: once the draws reach the cap each
+        reuses it, as the leaders' earlier draws no longer need its rows.
         """
-        lead = leaders[0]
-        if len(rows) != lead._ahead(refresh):
-            rows = np.empty((lead._ahead(refresh), lead.samples, len(leaders), lead._set.dim))
+        lead, ahead = leaders[0], leaders[0]._ahead(refresh, last)
+        if len(rows) != ahead:
+            rows = np.empty((ahead, lead.samples, len(leaders), lead._set.dim))
         for s, leader in enumerate(leaders):
             leader._draw(refresh, rows[:, :, s])
         return rows

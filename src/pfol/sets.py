@@ -16,12 +16,13 @@ for boxes, first vertex otherwise), so replays see identical oracle answers.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
 import numpy as np
 
-from ._ziggurat import KI, WI
+from ._ziggurat import FI, INV_R, KI, R, WI
 from .errors import ConfigError, is_int
 from .rng import philox_words
 
@@ -116,6 +117,10 @@ class Ball(FeasibleSet):
         if (norms >= _NORMAL_NORM).all():
             return queries * (self.radius / norms)[:, None]
         zero = norms == 0.0
+        if zero.any():  # a nonzero row whose squared norm underflows to 0 is scaled by 2^600 (exactly) first
+            queries = np.where(zero[:, None], queries * 2.0**600, queries)
+            norms[zero] = np.sqrt(np.einsum("ij,ij->i", queries[zero], queries[zero]))
+            zero = norms == 0.0
         norms[zero] = 1.0
         out = queries * (self.radius / norms)[:, None]
         # a tiny row's squared norm is subnormal and lost bits, so its scaled row is scaled once more
@@ -289,7 +294,7 @@ class Polytope(FeasibleSet):
 
     def support_argmax_many(self, queries: np.ndarray) -> np.ndarray:
         scores = queries @ self.vertices.T
-        return self.vertices[np.argmax(scores, axis=1)]
+        return self.vertices[scores.argmax(axis=1)]
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Euclidean projection by Wolfe's min-norm-point algorithm (Math. Programming 11, 1976).
@@ -431,20 +436,117 @@ def unit_sphere_rows(z: np.ndarray) -> np.ndarray:
     return z / norms[:, None]
 
 
+# the fast path's tables indexed by a word's low 9 bits, its layer i and sign bit 8: +-WI[i], and KI[i] as int64
+_SIGNED_WI = np.concatenate((WI, -WI))
+_KI_TWICE = np.tile(KI.view(np.int64), 2)
+
+
 def _fast_normals(words: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Decode (n, k) raw words into ``out`` by the ziggurat's fast path; True for each row with a miss.
+    """Decode (n, k) raw words into ``out`` by the ziggurat's fast path; True for each word that misses.
 
     Word w's layer is i = w & 0xff and its value r * WI[i], with
     r = (w >> 9) & (2^52 - 1), negated when bit 8 is set; r >= KI[i] misses.
-    r * WI[i] >= 0, so OR-ing bit 8 into the float's sign bit (bit 63) negates
-    it as numpy does, and r = 0 gives -0.0.
+    The product with -WI[i] is the negated one bit for bit, and r = 0 gives -0.0.
     """
-    idx = (words & np.uint64(0xFF)).astype(np.intp)
+    idx = (words & np.uint64(0x1FF)).astype(np.intp)
     rabs = ((words >> np.uint64(9)) & np.uint64((1 << 52) - 1)).view(np.int64)
-    np.multiply(rabs, WI[idx], out=out)
-    bits = out.view(np.uint64)
-    bits |= (words & np.uint64(0x100)) << np.uint64(55)
-    return (rabs >= KI.view(np.int64)[idx]).any(axis=1)  # int64 against uint64 would compare as float64
+    np.multiply(rabs, _SIGNED_WI[idx], out=out)
+    return rabs >= _KI_TWICE[idx]  # int64 against uint64 would compare as float64
+
+
+def _doubles(words: np.ndarray) -> np.ndarray:
+    """numpy's uniform doubles (w >> 11) * 2^-53 from raw words."""
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+_TIE = 2.0**-40  # relative gap below which a wedge test is settled by libm's exp
+
+
+def _wedge_accepts(layer: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """numpy's wedge test for misses x in layers i > 0: FI[i] + (FI[i-1] - FI[i]) * u < exp(-x*x/2).
+
+    np.exp may differ by an ulp from libm's exp, which numpy's C code calls,
+    so tests within ``_TIE`` of a tie are settled by ``math.exp``, libm's.
+    """
+    lhs = (FI[layer - 1] - FI[layer]) * u + FI[layer]
+    rhs = np.exp(-0.5 * x * x)
+    accept = lhs < rhs
+    for i in np.flatnonzero(np.abs(lhs - rhs) <= _TIE * rhs):
+        accept[i] = float(lhs[i]) < math.exp(-0.5 * float(x[i]) * float(x[i]))
+    return accept
+
+
+def _missed_draws(stream, rounds: np.ndarray, words: np.ndarray, vals: np.ndarray, miss: np.ndarray,
+                  normals: int, uniforms: int):
+    """(normals, uniforms) of rounds with a fast-path miss, decoded from their raw words ``words`` and more.
+
+    ``vals`` and ``miss`` are ``_fast_normals`` of the first words. Each
+    round's draws follow numpy's ``random_standard_normal`` (Marsaglia & Tsang
+    2000). A normal is the next word's fast-path value unless that word
+    misses. A miss in layer i > 0 reads the next word as a uniform for the
+    wedge test (``_wedge_accepts``) and, if rejected, draws the normal again
+    from the word after. A miss in layer 0 draws from the tail, two uniforms
+    an attempt, with ``math.log1p`` as numpy's C code does. The uniforms
+    follow the last normal. The outcome of every miss is found for all rounds
+    at once; then the rounds step through their misses in lockstep, one miss
+    each a step, and a miss read as a test's uniform is passed over. A round
+    that runs out of words is decoded again with one more block from
+    ``philox_words`` at the counter past its words.
+    """
+    m, width = words.shape
+    rest = np.empty((m, width - vals.shape[1]))
+    miss = np.hstack((miss, _fast_normals(words[:, vals.shape[1]:], rest)))
+    vals = np.hstack((vals, rest))
+    flat_words, flat_vals = words.ravel(), vals.ravel()
+    at = np.flatnonzero(miss)  # flat indices; 2-d fancy indexing is several times slower
+    mr, mq = np.divmod(at, width)
+    # each miss's outcome were it a normal's draw: accepted or not, and the word after its test, or
+    # ``past`` if the test runs past the words
+    past = 2 * width
+    layer = (flat_words[at] & np.uint64(0xFF)).astype(np.intp)
+    accept, after = np.zeros(len(at), dtype=bool), np.where(mq + 1 < width, mq + 2, past)
+    wedge = np.flatnonzero((layer > 0) & (after < past))
+    accept[wedge] = _wedge_accepts(layer[wedge], flat_vals[at[wedge]], _doubles(flat_words[at[wedge] + 1]))
+    for i in np.flatnonzero(layer == 0).tolist():
+        r, q, after[i] = int(mr[i]), int(mq[i]), past
+        for a in range(q + 1, width - 1, 2):
+            xx = -INV_R * math.log1p(-(int(words[r, a]) >> 11) * 2.0**-53)
+            yy = -math.log1p(-(int(words[r, a + 1]) >> 11) * 2.0**-53)
+            if yy + yy > xx * xx:  # the sign is bit 8 of the miss's r, bit 17 of its word
+                vals[r, q] = -(R + xx) if int(words[r, q]) >> 17 & 1 else R + xx
+                accept[i], after[i] = True, a + 2
+                break
+    skip = after - mq - accept  # how far the normal after a drawn miss moves: past the test's words
+    # walk every round through its misses in order, one miss each a step: p is the next word to read and
+    # count the normals drawn so far; a miss before p was read as a test's uniform, one at or past the
+    # last normal's word is not drawn
+    p, count = np.zeros((2, m), dtype=np.intp)
+    step = np.zeros((normals + 1, m), dtype=np.intp)  # how far each normal's word moves from the last one's
+    rank = np.arange(len(mr)) - np.searchsorted(mr, mr)  # a miss's place among its round's misses
+    order = np.argsort(rank, kind="stable")
+    bounds = np.searchsorted(rank[order], np.arange(rank.max(initial=0) + 2))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        i = order[lo:hi]
+        r = mr[i]
+        run = mq[i] - p[r]
+        drawn = (run >= 0) & (run < normals - count[r])
+        i, r = i[drawn], r[drawn]
+        count[r] += run[drawn] + accept[i]  # a rejected miss draws its normal again from the word after
+        step[count[r], r] += skip[i]
+        p[r] = after[i]
+    first_uniform = p + normals - count
+    short = first_uniform + uniforms > width
+    rows = np.arange(0, m * width, width)
+    for k in range(1, normals):  # np.cumsum along either axis is several times slower here
+        step[k] += step[k - 1]
+    at = np.minimum(np.arange(normals)[:, None] + step[:normals], width - 1)
+    z = flat_vals[at.T + rows[:, None]]
+    u = _doubles(flat_words[np.minimum(first_uniform[:, None] + np.arange(uniforms), width - 1) + rows[:, None]])
+    if short.any():
+        more = philox_words(stream.seed, stream.stream, rounds[short], 1, first=width // 4 + 1)
+        z[short], u[short] = _missed_draws(stream, rounds[short], np.hstack((words[short], more)),
+                                           vals[short], miss[short], normals, uniforms)
+    return z, u
 
 
 def round_rows(stream, rounds: range, count: int, dim: int, *, ball: bool) -> np.ndarray:
@@ -457,17 +559,18 @@ def round_rows(stream, rounds: range, count: int, dim: int, *, ball: bool) -> np
 
     A call of at least ``_VECTOR_MIN_ROUNDS`` (256) rounds of at most
     ``_VECTOR_MAX_WORDS`` (32) raw words each (count * dim normals, plus count
-    uniforms for the ball) reads every round's words from one vectorized
-    Philox pass (``philox_words``), in chunks of about ``_VECTOR_CHUNK_BLOCKS``
-    counter blocks. It decodes them as numpy does: a normal by the fast path
-    of numpy's 256-layer ziggurat (Marsaglia & Tsang 2000; tables in
-    ``_ziggurat``), a uniform as (w >> 11) * 2^-53. A round with a normal outside
-    the fast path (the tail layer, or a wedge test) would use more words, so
-    that whole round is redrawn through ``stream.at(t)``, numpy's own code;
-    at d = 5 about 7% of rounds are. Shorter calls and wider rounds go
-    through ``stream.at(t)`` round by round. So a perturbed leader's draws of
-    256 or more refreshes take the vectorized path when samples * (d + 1) is
-    at most 32 (samples = 1 up to d = 31), and so do the stochastic
+    uniforms for the ball) reads every round's words from vectorized Philox
+    passes (``philox_words``), in near-equal chunks of about
+    ``_VECTOR_CHUNK_BLOCKS`` counter blocks. It decodes them as numpy does: a
+    normal by the fast path of numpy's 256-layer ziggurat (Marsaglia & Tsang
+    2000; tables in ``_ziggurat``), a uniform as (w >> 11) * 2^-53. A round
+    with a normal outside the fast path (the tail layer, or a wedge test;
+    about 1 round in 5 at d = 16) is decoded again from its own words by
+    ``_missed_draws``, with more words computed for it where it needs them, so
+    no round of such a call goes through numpy. Shorter calls and wider rounds
+    go through ``stream.at(t)`` round by round. So a perturbed leader's draws
+    of 256 or more refreshes take the vectorized path when samples * (d + 1)
+    is at most 32 (samples = 1 up to d = 31), and so do the stochastic
     adversaries' tables of 256 or more rounds (ball rows up to d = 31, sphere
     rows up to d = 32); a game's first draws, and wider rounds such as 64
     samples, stay on numpy.
@@ -476,24 +579,33 @@ def round_rows(stream, rounds: range, count: int, dim: int, *, ball: bool) -> np
     u = np.empty(z.shape[:2])
     normals = count * dim
     words = normals + count * ball
-    slow = range(len(rounds))
     if words <= _VECTOR_MAX_WORDS and len(rounds) >= _VECTOR_MIN_ROUNDS:
         blocks = -(-words // 4)
-        step = max(1, _VECTOR_CHUNK_BLOCKS // blocks)
+        passes = max(1, round(len(rounds) * blocks / _VECTOR_CHUNK_BLOCKS))
         flat = z.reshape(len(rounds), normals)
-        redo = []
-        for lo in range(0, len(rounds), step):
-            w = philox_words(stream.seed, stream.stream, rounds[lo:lo + step], blocks)
-            part = slice(lo, lo + len(w))
-            redo.append(lo + np.flatnonzero(_fast_normals(w[:, :normals], flat[part])))
+        missed, spare, hits = [], [], []
+        for k in range(passes):
+            lo, hi = len(rounds) * k // passes, len(rounds) * (k + 1) // passes
+            w = philox_words(stream.seed, stream.stream, rounds[lo:hi], blocks)
+            part = slice(lo, hi)
+            hit = _fast_normals(w[:, :normals], flat[part])
+            rows = np.flatnonzero(hit.any(axis=1))
             if ball:
-                u[part] = (w[:, normals:words] >> np.uint64(11)) * 2.0**-53
-        slow = np.concatenate(redo)
-    for i in slow:
-        rng = stream.at(rounds[i])
-        rng.standard_normal(out=z[i])
+                u[part] = _doubles(w[:, normals:words])
+            missed.append(lo + rows)
+            spare.append(w[rows])
+            hits.append(hit[rows])
+        missed = np.concatenate(missed)
+        flat[missed], uniforms = _missed_draws(stream, rounds.start + rounds.step * missed, np.concatenate(spare),
+                                               flat[missed], np.concatenate(hits), normals, count * ball)
         if ball:
-            rng.random(out=u[i])
+            u[missed] = uniforms
+    else:
+        for i, t in enumerate(rounds):
+            rng = stream.at(t)
+            rng.standard_normal(out=z[i])
+            if ball:
+                rng.random(out=u[i])
     flat = z.reshape(-1, dim)
     return (unit_ball_rows(flat, u.ravel()) if ball else unit_sphere_rows(flat)).reshape(z.shape)
 

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import pfol.learners
 from pfol import (
     Ball,
     ConfigError,
@@ -512,6 +513,25 @@ class TestLeaderEngine:
                 leader.observe(action - p if adversary.quadratic else p)
         with pytest.raises(ProtocolError, match="fresh"):
             type(played[0]).play(played, games()[1], 100)
+
+    @pytest.mark.parametrize("adversary", list(ENGINE_ADVERSARIES.values()), ids=list(ENGINE_ADVERSARIES))
+    @pytest.mark.parametrize("block,T", [(1, 700), (3, 2000), (3, 2002)])
+    def test_play_draws_no_refresh_past_the_last(self, adversary, block, T, monkeypatch):
+        drawn, draw = [], pfol.learners.round_rows
+
+        def recording(stream, rounds, *args, **kwargs):
+            drawn.append(list(rounds))
+            return draw(stream, rounds, *args, **kwargs)
+
+        monkeypatch.setattr(pfol.learners, "round_rows", recording)
+        set_ = set_from_json(BALL2)
+        leaders = [PerturbedLeader(set_, delta=0.3, samples=2, block=block, seed=seed) for seed in (4, 5)]
+        adversaries = [make_adversary(adversary, horizon=T, seed=seed, norm_bound=1.0, dim=2) for seed in (4, 5)]
+        PerturbedLeader.play(leaders, adversaries, T)
+        # each leader draws every refresh round once, up to the last refresh, some in vectorized 256-round draws
+        refreshes = list(range(block, T // block * block + 1, block))
+        assert sorted(sum(drawn, [])) == sorted(refreshes * 2)
+        assert max(map(len, drawn)) >= 256
 
     @pytest.mark.parametrize("adversary", list(ENGINE_ADVERSARIES.values()), ids=list(ENGINE_ADVERSARIES))
     def test_play_rejects_T_outside_the_horizon(self, adversary):

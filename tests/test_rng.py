@@ -3,14 +3,15 @@ pass both equal a fresh numpy generator, and ``round_rows`` equals drawing
 each round alone."""
 
 import importlib.util
+import math
 import pathlib
 
 import numpy as np
 import pytest
 
 from pfol import RoundStream, round_rng, sets
-from pfol._ziggurat import KI, WI
-from pfol.rng import _key, philox_words
+from pfol._ziggurat import FI, INV_R, KI, R, WI
+from pfol.rng import _SCALAR_BLOCKS, _key, philox_words
 from pfol.sets import round_rows, unit_ball_rows, unit_sphere_rows
 
 OUT_OF_RANGE = r"round index 281474976710656 out of the supported range \[0, 2\^48\)"
@@ -73,12 +74,35 @@ def test_philox_words_mask_seeds_as_key_does(seed):
     np.testing.assert_array_equal(words[0], np.random.Philox(key=_key(seed, 0, 3)).random_raw(8))
 
 
+@pytest.mark.parametrize("first", [1, 2, 6])
+@pytest.mark.parametrize("rounds", [range(5, 8), range(3000, 2000, -1)])
+def test_philox_words_from_a_later_counter_and_round_arrays(first, rounds):
+    # 3 rounds stay in Python integers and 1000 take the vectorized pass
+    words = philox_words(2**64 - 1, 1, rounds, 2, first=first)
+    listed = philox_words(2**64 - 1, 1, np.array(list(rounds)), 2, first=first)
+    np.testing.assert_array_equal(words, listed)
+    for row, t in zip(words, rounds):
+        raw = round_rng(2**64 - 1, 1, t).bit_generator.random_raw(4 * (first + 1))
+        np.testing.assert_array_equal(row, raw[4 * (first - 1):])
+
+
+@pytest.mark.parametrize("count", [_SCALAR_BLOCKS, _SCALAR_BLOCKS + 1])
+def test_philox_words_scalar_and_vectorized_paths_agree(count):
+    rounds = np.arange(2**48 - count, 2**48) if count > _SCALAR_BLOCKS else np.arange(count) * 977
+    words = philox_words(2**63 + 5, 0, rounds, 1, first=9)
+    for i in (0, count // 2, count - 1):
+        t = int(rounds[i])
+        np.testing.assert_array_equal(words[i], round_rng(2**63 + 5, 0, t).bit_generator.random_raw(36)[32:])
+
+
 def test_philox_words_round_range_checked():
     with pytest.raises(ValueError, match=OUT_OF_RANGE):
         philox_words(0, 0, range(2**48 - 3, 2**48 + 1), 1)
     with pytest.raises(ValueError, match="round index -1 out of the supported range"):
         philox_words(0, 0, range(-1, 5), 1)
     assert philox_words(0, 0, range(4, 4), 2).shape == (0, 8)
+    with pytest.raises(ValueError, match=OUT_OF_RANGE):
+        philox_words(0, 0, np.array([5, 2**48, 7]), 1)
 
 
 def test_vectorized_block_reaching_round_limit_raises():
@@ -121,11 +145,11 @@ def fast_path_misses(seed, stream, rounds, normals):
 
 
 def where_decode(words):
-    """The fast-path decode with the sign taken by ``np.where``, and each row's misses."""
+    """The fast-path decode with the sign taken by ``np.where``, and each word's miss."""
     idx = (words & np.uint64(0xFF)).astype(np.intp)
     rabs = (words >> np.uint64(9)) & np.uint64((1 << 52) - 1)
     x = rabs * WI[idx]
-    return np.where(words & np.uint64(0x100), -x, x), (rabs >= KI[idx]).any(axis=1)
+    return np.where(words & np.uint64(0x100), -x, x), rabs >= KI[idx]
 
 
 def test_fast_normals_equal_the_where_decode_on_crafted_words():
@@ -148,24 +172,131 @@ def test_fast_normals_equal_the_where_decode_on_crafted_words():
     assert (out == 0).all() and np.signbit(out).all()
 
 
+def ziggurat_walk(words, normals, uniforms):
+    """numpy's ``random_standard_normal`` and uniforms on a list of raw words, in Python; and the branches taken.
+
+    A third decode, independent of ``round_rows``: it finds the rounds whose
+    draws take the ziggurat's rare branches.
+    """
+    words, taken = iter(words), {"words": 0, "tails": 0, "tail_rejects": 0, "wedges": 0, "wedge_rejects": 0}
+
+    def word():
+        taken["words"] += 1
+        return next(words)
+
+    out = []
+    while len(out) < normals:
+        w = word()
+        i, rabs = w & 0xFF, (w >> 9) & (2**52 - 1)
+        x = -(rabs * float(WI[i])) if w >> 8 & 1 else rabs * float(WI[i])
+        if rabs < int(KI[i]):
+            out.append(x)
+        elif i == 0:
+            taken["tails"] += 1
+            while True:
+                xx = -INV_R * math.log1p(-(word() >> 11) * 2.0**-53)
+                yy = -math.log1p(-(word() >> 11) * 2.0**-53)
+                if yy + yy > xx * xx:
+                    out.append(-(R + xx) if rabs >> 8 & 1 else R + xx)
+                    break
+                taken["tail_rejects"] += 1
+        else:
+            taken["wedges"] += 1
+            if (float(FI[i - 1]) - float(FI[i])) * ((word() >> 11) * 2.0**-53) + float(FI[i]) < math.exp(-0.5 * x * x):
+                out.append(x)
+            else:
+                taken["wedge_rejects"] += 1
+    return out, [(word() >> 11) * 2.0**-53 for _ in range(uniforms)], taken
+
+
+@pytest.mark.parametrize("seed", [0, 2**63 + 5, 2**64 - 1])
 @pytest.mark.parametrize("ball", [True, False])
 @pytest.mark.parametrize("count", [1, 2])
 @pytest.mark.parametrize("dim", [1, 5, 16])
-def test_round_rows_equal_numpy_round_by_round(ball, count, dim):
-    # enough normals (~40,000) that tail (layer 0) and wedge rejections both occur
+def test_round_rows_equal_numpy_round_by_round(seed, ball, count, dim, monkeypatch):
+    # enough normals (~40,000) that tail (layer 0) and wedge misses both occur
     n = max(sets._VECTOR_MIN_ROUNDS, 40_000 // (count * dim))
     rounds = range(7, 7 + 3 * n, 3) if count == 2 else range(1, n + 1)
-    seed, stream = 12345, 1
+    stream, later = 1, []
+
+    def recording(*args, first=1):
+        later.append(first)
+        return philox_words(*args, first=first)
+
+    monkeypatch.setattr(sets, "philox_words", recording)
     got = round_rows(fast := CountingStream(seed, stream), rounds, count, dim, ball=ball)
     want = reference_rows(RoundStream(seed, stream), rounds, count, dim, ball=ball)
     assert got.tobytes() == want.tobytes()
     if count * (dim + ball) > sets._VECTOR_MAX_WORDS:  # wide rounds stay on numpy
         assert fast.calls == list(rounds)
         return
-    misses = fast_path_misses(seed, stream, rounds, count * dim)
-    assert fast.calls == [t for t, m in zip(rounds, misses) if len(m)]
-    layers = np.concatenate(misses)
-    assert (layers == 0).any() and (layers != 0).any()  # tail and wedge rounds were redrawn
+    assert fast.calls == []  # every miss is decoded from the round's own words
+    layers = np.concatenate(fast_path_misses(seed, stream, rounds, count * dim))
+    assert (layers == 0).any() and (layers != 0).any()  # tail and wedge misses occurred
+    words = count * (dim + ball)
+    if 4 * -(-words // 4) - words <= 2:  # with at most two spare words, some rounds read words past their blocks
+        assert max(later) > 1
+
+
+def test_round_rows_decode_the_rare_branches():
+    # 32 normals fill 8 blocks, so every slow-path draw reads words past them; this window of stream 1 under
+    # seed 0 holds rejected tail attempts, two tails in one round and rounds that need two more blocks
+    seed, stream, rounds = 0, 1, range(6500, 14000)
+    got = round_rows(fast := CountingStream(seed, stream), rounds, 2, 16, ball=False)
+    assert fast.calls == []
+    assert got.tobytes() == reference_rows(RoundStream(seed, stream), rounds, 2, 16, ball=False).tobytes()
+    words = philox_words(seed, stream, rounds, 12)
+    missed = np.flatnonzero(sets._fast_normals(words[:, :32], np.empty((len(rounds), 32))).any(axis=1))
+    taken = [ziggurat_walk(words[i].tolist(), 32, 0)[2] for i in missed]
+    assert any(t["tail_rejects"] for t in taken) and any(t["tails"] >= 2 for t in taken)
+    assert any(t["wedge_rejects"] >= 2 for t in taken) and any(t["words"] > 36 for t in taken)
+
+
+@pytest.mark.parametrize("seed,stream,dim,ball", [(0, 1, 1, False), (2**64 - 1, 0, 5, True)])
+def test_ziggurat_walk_equals_numpy(seed, stream, dim, ball):
+    # the walk that picks the rare-branch rounds above is itself numpy's algorithm
+    for t in range(300):
+        z, u, _ = ziggurat_walk(philox_words(seed, stream, range(t, t + 1), 8)[0].tolist(), dim, int(ball))
+        rng = round_rng(seed, stream, t)
+        assert np.array(z).tobytes() == rng.standard_normal(dim).tobytes()
+        assert np.array(u, dtype=float).tobytes() == rng.random(int(ball)).tobytes()
+
+
+def exact_exp_ties(count, seed):
+    """Wedge tests (layer, x, u) whose left side lies within a few ulps of libm's exp(-x*x/2)."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < count:
+        i = int(rng.integers(1, 256))
+        x = float(rng.uniform(0.1, 3.5)) * (1 if rng.integers(2) else -1)
+        target = math.exp(-0.5 * x * x)
+        lo, hi = float(FI[i]), float(FI[i - 1])
+        if not lo < target < hi:
+            continue
+        u = (target - lo) / (hi - lo)
+        for step in range(-3, 4):  # u a few ulps either way
+            v = u
+            for _ in range(abs(step)):
+                v = math.nextafter(v, math.inf if step > 0 else -math.inf)
+            if 0 <= v < 1:
+                cases.append((i, x, v))
+    return (np.array(c) for c in zip(*cases))
+
+
+def test_wedge_near_ties_are_settled_by_libm_exp(monkeypatch):
+    layer, x, u = exact_exp_ties(300, 5)
+    layer = layer.astype(np.intp)
+    lhs = (FI[layer - 1] - FI[layer]) * u + FI[layer]
+    want = np.array([a < math.exp(-0.5 * b * b) for a, b in zip(lhs.tolist(), x.tolist())])
+    assert want.any() and not want.all()
+    assert (lhs == [math.exp(-0.5 * b * b) for b in x.tolist()]).any()  # exact ties, which reject
+    np.testing.assert_array_equal(sets._wedge_accepts(layer, x, u), want)
+    # an np.exp off by 2^-44 relative (inside the tie band) must not change any outcome
+    exp = np.exp
+    monkeypatch.setattr(np, "exp", lambda a: exp(a) * (1 + 2.0**-44))
+    np.testing.assert_array_equal(sets._wedge_accepts(layer, x, u), want)
+    monkeypatch.setattr(np, "exp", lambda a: exp(a) * (1 - 2.0**-44))
+    np.testing.assert_array_equal(sets._wedge_accepts(layer, x, u), want)
 
 
 def test_round_rows_short_calls_stay_on_numpy():
@@ -176,6 +307,21 @@ def test_round_rows_short_calls_stay_on_numpy():
     assert got.tobytes() == reference_rows(RoundStream(3, 0), rounds, 1, 4, ball=True).tobytes()
 
 
+@pytest.mark.parametrize("rounds", [8192, 8191, 300])
+def test_round_rows_cut_philox_passes_into_near_equal_chunks(rounds, monkeypatch):
+    sizes = []
+
+    def recording(seed, stream, batch, blocks, first=1):
+        if first == 1:
+            sizes.append(len(batch) * blocks)
+        return philox_words(seed, stream, batch, blocks, first=first)
+
+    monkeypatch.setattr(sets, "philox_words", recording)
+    round_rows(RoundStream(1, 1), range(1, rounds + 1), 1, 16, ball=True)  # 5 blocks a round
+    assert len(sizes) == max(1, round(rounds * 5 / sets._VECTOR_CHUNK_BLOCKS))
+    assert max(sizes) - min(sizes) <= 5 and sum(sizes) == rounds * 5  # at most one round apart
+
+
 def test_ziggurat_tables_match_installed_numpy():
     tool = pathlib.Path(__file__).resolve().parent.parent / "tools" / "ziggurat_tables.py"
     spec = importlib.util.spec_from_file_location("ziggurat_tables", tool)
@@ -183,6 +329,8 @@ def test_ziggurat_tables_match_installed_numpy():
     spec.loader.exec_module(module)
     if not module.archive_path().is_file():
         pytest.skip("this numpy build ships no libnpyrandom.a")
-    ki, wi = module.read_tables(module.archive_path())
+    ki, wi, fi = module.read_tables(module.archive_path())
     assert ki == KI.tolist()
     assert [w.hex() for w in wi] == [w.hex() for w in WI.tolist()]
+    assert [f.hex() for f in fi] == [f.hex() for f in FI.tolist()]
+    assert module.main(["--check"]) == 0

@@ -81,6 +81,20 @@ class TestLinearArgmax:
         assert out[2].tobytes() == linear_argmax(Ball(dim=3, radius=2.0), queries[2]).tobytes()
         np.testing.assert_array_equal(out[3], [2.0, 0.0, 0.0])
 
+    def test_ball_queries_whose_squared_norm_underflows_point_along_them(self):
+        # every entry below ~1e-162 squares to 0; such a row is scaled by a power of 2 before its norm
+        ball = Ball(dim=3, radius=1.0)
+        assert linear_argmax(ball, [0.0, 0.0, -1e-170]).tolist() == [0.0, 0.0, -1.0]
+        queries = np.array([[0.0, 0.0, -1e-170], [5e-324, -5e-324, 0.0], [3e-200, 4e-200, 0.0],
+                            [0.0, -0.0, 0.0], [1.0, 2.0, 2.0]])
+        out = ball.support_argmax_many(queries)
+        np.testing.assert_allclose(out[1], [2**-0.5, -(2**-0.5), 0.0], rtol=1e-15)
+        np.testing.assert_allclose(out[2], [0.6, 0.8, 0.0], rtol=1e-15)
+        np.testing.assert_array_equal(out[3], [1.0, 0.0, 0.0])
+        for y, row in zip(queries, out):
+            assert linear_argmax(ball, y).tobytes() == row.tobytes()
+            assert ball.support_argmax_many(y[None, :])[0].tobytes() == row.tobytes()
+
     def test_ball_batch_with_zero_rows(self):
         ball = Ball(dim=3, radius=2.0)
         ys = np.array([[0.0, 0.0, 0.0], [3.0, -4.0, 0.5], [0.0, 0.0, 0.0], [1e-300, 0.0, 0.0]])

@@ -1,13 +1,15 @@
 """Write ``src/pfol/_ziggurat.py``: numpy's 256-layer normal ziggurat tables.
 
 numpy's ``Generator.standard_normal`` runs the Marsaglia & Tsang (2000)
-ziggurat on two static tables, ``ki_double`` (uint64 acceptance bounds) and
-``wi_double`` (layer widths). They ship inside numpy as the ``.rodata`` of
+ziggurat on three static tables, ``ki_double`` (uint64 acceptance bounds),
+``wi_double`` (layer widths) and ``fi_double`` (the density at each layer's
+edge, for the wedge test). They ship inside numpy as the ``.rodata`` of
 member ``src_distributions_distributions.c.o`` of the installed static
 library ``numpy/random/lib/libnpyrandom.a``. This script reads them from
 there by symbol name (a plain ar archive and ELF64 object parser, no tools
 beyond Python and numpy) and writes them as exact literals: integers and
-``float.hex`` strings.
+``float.hex`` strings. The tail's two constants are inlined in numpy's code,
+not stored under a symbol, so they are written from numpy's source literals.
 
 Run from the repository root::
 
@@ -78,26 +80,32 @@ def elf_symbol(obj: bytes, symbol: str) -> tuple[str, bytes]:
     raise KeyError(f"no symbol {symbol!r} in the object")
 
 
-def read_tables(archive: pathlib.Path) -> tuple[list[int], list[float]]:
+def read_tables(archive: pathlib.Path) -> tuple[list[int], list[float], list[float]]:
     obj = ar_member(archive.read_bytes(), MEMBER)
     tables = {}
-    for symbol, fmt in (("ki_double", "<256Q"), ("wi_double", "<256d")):
+    for symbol, fmt in (("ki_double", "<256Q"), ("wi_double", "<256d"), ("fi_double", "<256d")):
         section, raw = elf_symbol(obj, symbol)
         if section != ".rodata" or len(raw) != 2048:
             raise ValueError(f"{symbol}: {len(raw)} bytes in {section}, expected 2048 in .rodata")
         tables[symbol] = list(struct.unpack(fmt, raw))
-    return tables["ki_double"], tables["wi_double"]
+    return tables["ki_double"], tables["wi_double"], tables["fi_double"]
 
 
-def render(ki: list[int], wi: list[float]) -> str:
+def _hex_lines(values: list[float]) -> str:
+    return "\n".join("    " + " ".join(f'"{v.hex()}",' for v in values[i:i + 3]) for i in range(0, 256, 3))
+
+
+def render(ki: list[int], wi: list[float], fi: list[float]) -> str:
     ki_lines = "\n".join("    " + " ".join(f"{v:#015x}," for v in ki[i:i + 4]) for i in range(0, 256, 4))
-    wi_lines = "\n".join("    " + " ".join(f'"{v.hex()}",' for v in wi[i:i + 3]) for i in range(0, 256, 3))
-    return f'''"""numpy's normal ziggurat tables ``ki_double`` and ``wi_double`` (numpy {np.__version__}).
+    return f'''"""numpy's normal ziggurat tables ``ki_double``, ``wi_double`` and ``fi_double`` (numpy {np.__version__}).
 
 Written by ``tools/ziggurat_tables.py`` from the ``.rodata`` of member
 ``{MEMBER}`` of numpy's ``numpy/random/lib/libnpyrandom.a``;
 do not edit. Layer i of a 64-bit draw w (i = w & 0xff) accepts
-r = (w >> 9) & (2^52 - 1) when r < KI[i], with the value r * WI[i].
+r = (w >> 9) & (2^52 - 1) when r < KI[i], with the value x = +-r * WI[i].
+Otherwise layer 0 draws from the tail beyond R, with INV_R = 1 / R, and
+layer i > 0 accepts x when FI[i] + (FI[i - 1] - FI[i]) * u < exp(-x * x / 2)
+for the next uniform u.
 """
 
 import numpy as np
@@ -107,8 +115,15 @@ KI = np.array([
 ], dtype=np.uint64)
 
 WI = np.array([float.fromhex(h) for h in (
-{wi_lines}
+{_hex_lines(wi)}
 )])
+
+FI = np.array([float.fromhex(h) for h in (
+{_hex_lines(fi)}
+)])
+
+R = 3.6541528853610087963519472518  # ziggurat_nor_r
+INV_R = 0.27366123732975827203338247596  # ziggurat_nor_inv_r
 '''
 
 
