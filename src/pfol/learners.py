@@ -237,10 +237,9 @@ class PerturbedLeader(OnlineLearner):
         """The point played before the first refresh: the oracle answer on the first basis direction."""
         return linear_argmax(self._set, np.eye(self._set.dim)[0])
 
-    def _ahead(self, refresh: int, last: int | None = None) -> int:
-        """How many refreshes the draw at ``refresh`` covers: as many as so far, up to the cap and to ``last``."""
-        ahead = min(max(1, refresh - 1), max(1, BLOCK_ROWS // self.samples))
-        return ahead if last is None else min(ahead, last + 1 - refresh)
+    def _ahead(self, refresh: int) -> int:
+        """How many refreshes the draw at ``refresh`` covers: as many as so far, up to the cap."""
+        return min(max(1, refresh - 1), max(1, BLOCK_ROWS // self.samples))
 
     def _draw(self, refresh: int, out: np.ndarray | None = None) -> None:
         """Draw the v/delta rows of refreshes refresh, refresh+1, ... (``_ahead``, or len(out)), into ``out`` if given."""
@@ -340,7 +339,8 @@ class PerturbedLeader(OnlineLearner):
         The block is ``rows`` if that fits: once the draws reach the cap each
         reuses it, as the leaders' earlier draws no longer need its rows.
         """
-        lead, ahead = leaders[0], leaders[0]._ahead(refresh, last)
+        lead = leaders[0]
+        ahead = min(lead._ahead(refresh), last + 1 - refresh)
         if len(rows) != ahead:
             rows = np.empty((ahead, lead.samples, len(leaders), lead._set.dim))
         for s, leader in enumerate(leaders):

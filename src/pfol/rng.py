@@ -44,21 +44,6 @@ def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return a * np.uint64(m), a_hi * m_hi + (mid >> _SHIFT32) + (carry >> _SHIFT32)
 
 
-# philox_words computes at most this many blocks in Python integers: about 7 us a block, against about
-# 360 us for a vectorized pass of any small size (2 cores, numpy 2.4.6)
-_SCALAR_BLOCKS = 48
-
-
-def _philox_block(k0: int, k1: int, counter: int) -> list[int]:
-    """The four words of Philox4x64-10 under key (k0, k1) at counter (counter, 0, 0, 0), in Python integers."""
-    v0, v1, v2, v3 = counter, 0, 0, 0
-    for _ in range(10):
-        p0, p1 = v0 * _M0, v2 * _M1
-        v0, v1, v2, v3 = (p1 >> 64) ^ v1 ^ k0, p1 & _MASK64, (p0 >> 64) ^ v3 ^ k1, p0 & _MASK64
-        k0, k1 = (k0 + _W0) & _MASK64, (k1 + _W1) & _MASK64
-    return [v0, v1, v2, v3]
-
-
 def philox_words(seed: int, stream: int, rounds, blocks: int, first: int = 1) -> np.ndarray:
     """(len(rounds), 4 * blocks) uint64: raw words of every round's generator, from counter ``first`` on.
 
@@ -67,9 +52,8 @@ def philox_words(seed: int, stream: int, rounds, blocks: int, first: int = 1) ->
     bit for bit, and ``first`` = c + 1 gives the words after the first 4 * c:
     Philox4x64-10 (Salmon et al., SC'11) under the key ``_key(seed, stream, t)``
     at counters first, ..., first + blocks - 1, computed for every (round,
-    counter) pair at once, or block by block in Python integers when there
-    are at most ``_SCALAR_BLOCKS``. As in ``_key``, the seed is masked to 64
-    bits and a round outside [0, 2^48) raises ``ValueError``.
+    counter) pair at once. As in ``_key``, the seed is masked to 64 bits and
+    a round outside [0, 2^48) raises ``ValueError``.
     """
     if not len(rounds):
         return np.empty((0, 4 * blocks), dtype=np.uint64)
@@ -78,9 +62,6 @@ def philox_words(seed: int, stream: int, rounds, blocks: int, first: int = 1) ->
     # _key at both ends checks every round and masks the seed
     k0 = int(_key(seed, stream, ends[0])[0])
     _key(seed, stream, ends[1])
-    if len(rounds) * blocks <= _SCALAR_BLOCKS:
-        return np.array([_philox_block(k0, (int(stream) << 48) | int(t), c) for t in rounds
-                         for c in range(first, first + blocks)], dtype=np.uint64).reshape(len(rounds), 4 * blocks)
     t = np.arange(rounds.start, rounds.stop, rounds.step, dtype=np.uint64) if ranged else np.asarray(rounds, np.uint64)
     k1 = np.uint64(int(stream) << 48) | t[:, None]
     # counter (j, 0, 0, 0); broadcasting keeps the first two rounds on the small shapes

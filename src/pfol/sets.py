@@ -118,7 +118,8 @@ class Ball(FeasibleSet):
             return queries * (self.radius / norms)[:, None]
         zero = norms == 0.0
         if zero.any():  # a nonzero row whose squared norm underflows to 0 is scaled by 2^600 (exactly) first
-            queries = np.where(zero[:, None], queries * 2.0**600, queries)
+            queries = queries.copy()
+            queries[zero] *= 2.0**600
             norms[zero] = np.sqrt(np.einsum("ij,ij->i", queries[zero], queries[zero]))
             zero = norms == 0.0
         norms[zero] = 1.0
@@ -294,7 +295,7 @@ class Polytope(FeasibleSet):
 
     def support_argmax_many(self, queries: np.ndarray) -> np.ndarray:
         scores = queries @ self.vertices.T
-        return self.vertices[scores.argmax(axis=1)]
+        return self.vertices[np.argmax(scores, axis=1)]
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Euclidean projection by Wolfe's min-norm-point algorithm (Math. Programming 11, 1976).

@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -7,10 +5,9 @@ from hypothesis import settings
 from pfol import Ball, oracle_output_sampler
 
 # The gate draws the same Hypothesis examples on every run, so a PASS is repeatable and no failing
-# example saved from an earlier run can turn it red; HYPOTHESIS_PROFILE=explore draws new examples.
+# example saved from an earlier run can turn it red; `pytest --hypothesis-profile=default` draws new ones.
 settings.register_profile("repeatable", derandomize=True, database=None)
-settings.register_profile("explore", derandomize=False)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "repeatable"))
+settings.load_profile("repeatable")
 
 REFERENCE_SEED = 20_240_611
 

@@ -1,5 +1,7 @@
 """Oracle geometry: closed-form argmax/max, projections, samplers."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -94,6 +96,15 @@ class TestLinearArgmax:
         for y, row in zip(queries, out):
             assert linear_argmax(ball, y).tobytes() == row.tobytes()
             assert ball.support_argmax_many(y[None, :])[0].tobytes() == row.tobytes()
+
+    def test_ball_scales_only_the_underflowing_rows(self):
+        # 1e150 * 2^600 overflows, so scaling that row too would warn
+        queries = np.array([[1e150, 0.0, 0.0], [0.0, 0.0, -1e-170]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = Ball(dim=3, radius=1.0).support_argmax_many(queries)
+        np.testing.assert_array_equal(out, [[1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+        np.testing.assert_array_equal(queries, [[1e150, 0.0, 0.0], [0.0, 0.0, -1e-170]])
 
     def test_ball_batch_with_zero_rows(self):
         ball = Ball(dim=3, radius=2.0)
