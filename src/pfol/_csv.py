@@ -24,7 +24,7 @@ blocks of ``_BLOCK_ROWS``, which bounds the working memory.
 
 from __future__ import annotations
 
-from typing import Sequence, TextIO
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
@@ -138,8 +138,8 @@ def _width(v: np.ndarray) -> int:
     return max(len(str(int(v.min()))), len(str(int(v.max())))) if len(v) else 1
 
 
-def write_rows(fh: TextIO, prefix: str, columns: Sequence[np.ndarray]) -> None:
-    """Write one line per row to the text file fh: ``prefix``, then the row's values joined by commas.
+def write_rows(fh: BinaryIO, prefix: bytes, columns: Sequence[np.ndarray]) -> None:
+    """Write one ASCII line per row to the binary file fh: ``prefix``, then the row's values joined by commas.
 
     Each column is an integer or a float array. A float is written as
     ``format(x, ".17g")`` and an integer as ``str(n)``.
@@ -166,5 +166,5 @@ def write_rows(fh: TextIO, prefix: str, columns: Sequence[np.ndarray]) -> None:
         for i, text in texts:
             buf[ends[i] - len(text) - 1:ends[i] - 1, :m] = text
         lines = np.ascontiguousarray(buf[:, :m].T)
-        body = lines[lines != 0].tobytes().decode("ascii")
-        fh.write(prefix + body[:-1].replace("\n", "\n" + prefix) + "\n")
+        body = lines[lines != 0].tobytes()
+        fh.write(prefix + body[:-1].replace(b"\n", b"\n" + prefix) + b"\n")

@@ -125,6 +125,10 @@ class ExperimentConfig:
             raise ConfigError(f"seeds must be a list of integers, got {self.seeds!r}")
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
+        first = {}  # a seed keys its streams modulo 2^64, so seeds equal modulo 2^64 play one game
+        for i, seed in enumerate(self.seeds):
+            if (j := first.setdefault(int(seed) % 2**64, i)) != i:
+                raise ConfigError(f"seeds {self.seeds[j]} and {seed} are equal modulo 2^64 and would play one game")
 
     @staticmethod
     def from_json(spec: dict) -> "ExperimentConfig":
@@ -722,11 +726,11 @@ def bound_check(config: ExperimentConfig, jobs: int = 1) -> dict:
 
 def trace_to_csv(trace: RegretTrace, path) -> None:
     """Write the fixed-schema per-round CSV; run_id is ``algorithm-seed``, each float is ``format(x, ".17g")``."""
-    prefix = f"{trace.algorithm}-{trace.seed},{trace.algorithm},{trace.seed},"
+    prefix = f"{trace.algorithm}-{trace.seed},{trace.algorithm},{trace.seed},".encode()
     columns = (np.arange(1, trace.horizon + 1), trace.losses, trace.cum_loss, trace.cum_regret,
                trace.oracle_calls, trace.grad_evals)
-    with open(path, "w", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
+    with open(path, "wb") as fh:
+        fh.write(f"{CSV_HEADER}\n".encode())
         write_rows(fh, prefix, columns)
 
 

@@ -13,14 +13,15 @@ shifts any other round.
 
 Perturbations never depend on the losses, so they are drawn ahead: one
 ``round_rows`` call fills the next r refresh rounds, each round's rows from
-that round's own substream, with r the number of refreshes so far (at least
-1, at most BLOCK_ROWS // samples), so draws double up to the cap. Round t's
-perturbations are therefore the same bits whatever the sample count, the
-draw length or the rounds drawn before it, and every trace replays as if
-each round had been drawn alone. ``play`` draws no refresh past the game's
-last; a leader acted on past it draws what it needs.
-Which of these draws take round_rows' vectorized Philox path is stated in
-its docstring.
+that round's own substream. ``play`` draws r = BLOCK_ROWS // samples (at
+least 1) from the first refresh on, and no refresh past the game's last.
+``act`` takes r as the number of refreshes so far, at least 1 and at most
+that cap, so its draws double up to the cap. Round t's perturbations are
+therefore the same bits whatever the sample count, the draw length or the
+rounds drawn before it, and every trace replays as if each round had been
+drawn alone; a leader acted on past ``play``'s last round draws what it
+needs. Which of these draws take round_rows' vectorized Philox path is
+stated in its docstring.
 
 Learners follow a strict act/observe protocol: ``act`` returns the action
 for the current round, ``observe`` feeds back the gradient of the revealed
@@ -292,13 +293,10 @@ class PerturbedLeader(OnlineLearner):
             sums = np.zeros((S, T + 1, d))  # sums[:, t-1]: before round t, added in ``_observe``'s order
             sums[:, 1:] = params
             sums = sums.cumsum(axis=1)
-            refresh = 1
-            while refresh <= refreshes:
+            for refresh in range(1, refreshes + 1, max(1, BLOCK_ROWS // lead.samples)):
                 rows = cls._draw_all(leaders, refresh, rows, refreshes)
-                n = len(rows)
-                before = sums[:, np.arange(refresh, refresh + n) * block - 1]
-                points[:, refresh:refresh + n] = lead._refresh(rows[:n].transpose(1, 2, 0, 3), before)
-                refresh += n
+                drawn = np.arange(refresh, refresh + len(rows))
+                points[:, drawn] = lead._refresh(rows.transpose(1, 2, 0, 3), sums[:, drawn * block - 1])
             cum_grads = sums[:, -1].copy()
         else:
             cum_grads, action_sums = np.zeros((S, d)), None
@@ -336,11 +334,12 @@ class PerturbedLeader(OnlineLearner):
     def _draw_all(leaders, refresh: int, rows: np.ndarray, last: int) -> np.ndarray:
         """Every leader's ``_draw`` at ``refresh``, up to refresh ``last``, into one (ahead, samples, S, d) block.
 
-        The block is ``rows`` if that fits: once the draws reach the cap each
-        reuses it, as the leaders' earlier draws no longer need its rows.
+        The block holds as many refreshes as the cap allows, without ``act``'s
+        ramp. It is ``rows`` if that fits, as the leaders' earlier draws no
+        longer need its rows.
         """
         lead = leaders[0]
-        ahead = min(lead._ahead(refresh), last + 1 - refresh)
+        ahead = min(max(1, BLOCK_ROWS // lead.samples), last + 1 - refresh)
         if len(rows) != ahead:
             rows = np.empty((ahead, lead.samples, len(leaders), lead._set.dim))
         for s, leader in enumerate(leaders):

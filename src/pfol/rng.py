@@ -44,28 +44,23 @@ def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return a * np.uint64(m), a_hi * m_hi + (mid >> _SHIFT32) + (carry >> _SHIFT32)
 
 
-def philox_words(seed: int, stream: int, rounds, blocks: int, first: int = 1) -> np.ndarray:
-    """(len(rounds), 4 * blocks) uint64: raw words of every round's generator, from counter ``first`` on.
+def philox_words(seed: int, stream: int, rounds: range, blocks: int) -> np.ndarray:
+    """(len(rounds), 4 * blocks) uint64: the first raw words of every round's generator.
 
-    ``rounds`` is a range or an integer array of rounds. With ``first`` = 1 row i
-    equals ``round_rng(seed, stream, rounds[i]).bit_generator.random_raw(4 * blocks)``
-    bit for bit, and ``first`` = c + 1 gives the words after the first 4 * c:
-    Philox4x64-10 (Salmon et al., SC'11) under the key ``_key(seed, stream, t)``
-    at counters first, ..., first + blocks - 1, computed for every (round,
-    counter) pair at once. As in ``_key``, the seed is masked to 64 bits and
-    a round outside [0, 2^48) raises ``ValueError``.
+    Row i equals ``round_rng(seed, stream, rounds[i]).bit_generator.random_raw(4 * blocks)``
+    bit for bit: Philox4x64-10 (Salmon et al., SC'11) under the key
+    ``_key(seed, stream, t)`` at counters 1, 2, ..., blocks, computed for
+    every (round, counter) pair at once. As in ``_key``, the seed is masked
+    to 64 bits and a round outside [0, 2^48) raises ``ValueError``.
     """
     if not len(rounds):
         return np.empty((0, 4 * blocks), dtype=np.uint64)
-    ranged = isinstance(rounds, range)
-    ends = (min(rounds[0], rounds[-1]), max(rounds[0], rounds[-1])) if ranged else (int(min(rounds)), int(max(rounds)))
-    # _key at both ends checks every round and masks the seed
-    k0 = int(_key(seed, stream, ends[0])[0])
-    _key(seed, stream, ends[1])
-    t = np.arange(rounds.start, rounds.stop, rounds.step, dtype=np.uint64) if ranged else np.asarray(rounds, np.uint64)
-    k1 = np.uint64(int(stream) << 48) | t[:, None]
+    # _key at both ends of the range checks every round and masks the seed
+    k0 = int(_key(seed, stream, min(rounds[0], rounds[-1]))[0])
+    _key(seed, stream, max(rounds[0], rounds[-1]))
+    k1 = np.uint64(int(stream) << 48) | np.arange(rounds.start, rounds.stop, rounds.step, dtype=np.uint64)[:, None]
     # counter (j, 0, 0, 0); broadcasting keeps the first two rounds on the small shapes
-    v0, v1, v2, v3 = np.arange(first, first + blocks, dtype=np.uint64)[None, :], *np.zeros((3, 1, 1), dtype=np.uint64)
+    v0, v1, v2, v3 = np.arange(1, blocks + 1, dtype=np.uint64)[None, :], *np.zeros((3, 1, 1), dtype=np.uint64)
     for r in range(10):
         lo0, hi0 = _mulhilo(v0, _M0)
         lo1, hi1 = _mulhilo(v2, _M1)

@@ -479,7 +479,7 @@ def _wedge_accepts(layer: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarra
 
 def _missed_draws(stream, rounds: np.ndarray, words: np.ndarray, vals: np.ndarray, miss: np.ndarray,
                   normals: int, uniforms: int):
-    """(normals, uniforms) of rounds with a fast-path miss, decoded from their raw words ``words`` and more.
+    """(normals, uniforms) of rounds with a fast-path miss, decoded from their raw words ``words``.
 
     ``vals`` and ``miss`` are ``_fast_normals`` of the first words. Each
     round's draws follow numpy's ``random_standard_normal`` (Marsaglia & Tsang
@@ -491,8 +491,7 @@ def _missed_draws(stream, rounds: np.ndarray, words: np.ndarray, vals: np.ndarra
     follow the last normal. The outcome of every miss is found for all rounds
     at once; then the rounds step through their misses in lockstep, one miss
     each a step, and a miss read as a test's uniform is passed over. A round
-    that runs out of words is decoded again with one more block from
-    ``philox_words`` at the counter past its words.
+    that runs out of words is redrawn whole through ``stream.at``.
     """
     m, width = words.shape
     rest = np.empty((m, width - vals.shape[1]))
@@ -543,10 +542,9 @@ def _missed_draws(stream, rounds: np.ndarray, words: np.ndarray, vals: np.ndarra
     at = np.minimum(np.arange(normals)[:, None] + step[:normals], width - 1)
     z = flat_vals[at.T + rows[:, None]]
     u = _doubles(flat_words[np.minimum(first_uniform[:, None] + np.arange(uniforms), width - 1) + rows[:, None]])
-    if short.any():
-        more = philox_words(stream.seed, stream.stream, rounds[short], 1, first=width // 4 + 1)
-        z[short], u[short] = _missed_draws(stream, rounds[short], np.hstack((words[short], more)),
-                                           vals[short], miss[short], normals, uniforms)
+    for i in np.flatnonzero(short).tolist():
+        rng = stream.at(int(rounds[i]))
+        z[i], u[i] = rng.standard_normal(normals), rng.random(uniforms)
     return z, u
 
 
@@ -560,28 +558,32 @@ def round_rows(stream, rounds: range, count: int, dim: int, *, ball: bool) -> np
 
     A call of at least ``_VECTOR_MIN_ROUNDS`` (256) rounds of at most
     ``_VECTOR_MAX_WORDS`` (32) raw words each (count * dim normals, plus count
-    uniforms for the ball) reads every round's words from vectorized Philox
-    passes (``philox_words``), in near-equal chunks of about
-    ``_VECTOR_CHUNK_BLOCKS`` counter blocks. It decodes them as numpy does: a
-    normal by the fast path of numpy's 256-layer ziggurat (Marsaglia & Tsang
-    2000; tables in ``_ziggurat``), a uniform as (w >> 11) * 2^-53. A round
-    with a normal outside the fast path (the tail layer, or a wedge test;
-    about 1 round in 5 at d = 16) is decoded again from its own words by
-    ``_missed_draws``, with more words computed for it where it needs them, so
-    no round of such a call goes through numpy. Shorter calls and wider rounds
-    go through ``stream.at(t)`` round by round. So a perturbed leader's draws
-    of 256 or more refreshes take the vectorized path when samples * (d + 1)
-    is at most 32 (samples = 1 up to d = 31), and so do the stochastic
-    adversaries' tables of 256 or more rounds (ball rows up to d = 31, sphere
-    rows up to d = 32); a game's first draws, and wider rounds such as 64
-    samples, stay on numpy.
+    uniforms for the ball) reads every round's words, and at least one spare
+    word, from vectorized Philox passes (``philox_words``), in near-equal
+    chunks of about ``_VECTOR_CHUNK_BLOCKS`` counter blocks. It decodes them
+    as numpy does: a normal by the fast path of numpy's 256-layer ziggurat
+    (Marsaglia & Tsang 2000; tables in ``_ziggurat``), a uniform as
+    (w >> 11) * 2^-53. A round with a normal outside the fast path (the tail
+    layer, or a wedge test; about 1 round in 5 at d = 16) is decoded again
+    from its own words by ``_missed_draws``; only the few such rounds that
+    need more words than their blocks hold (under 1% of rounds with two to
+    four spare words, 2-11% with one) are redrawn through ``stream.at(t)``.
+    Shorter calls and wider rounds go through ``stream.at(t)`` round by
+    round. So a perturbed leader's draws of 256 or more refreshes take the
+    vectorized path when samples * (d + 1) is at most 32 (samples = 1 up to
+    d = 31), and so do the stochastic adversaries' tables of 256 or more
+    rounds (ball rows up to d = 31, sphere rows up to d = 32).
+    ``PerturbedLeader.play`` draws BLOCK_ROWS // samples refreshes at a time
+    from the first refresh on, so of its draws only a game's last can hold
+    fewer than 256 and stay on numpy; ``act``'s doubling first draws, and
+    wider rounds such as 64 samples, do stay there.
     """
     z = np.empty((len(rounds), count, dim))
     u = np.empty(z.shape[:2])
     normals = count * dim
     words = normals + count * ball
     if words <= _VECTOR_MAX_WORDS and len(rounds) >= _VECTOR_MIN_ROUNDS:
-        blocks = -(-words // 4)
+        blocks = words // 4 + 1  # a spare word at least, or every round with a miss would run out of words
         passes = max(1, round(len(rounds) * blocks / _VECTOR_CHUNK_BLOCKS))
         flat = z.reshape(len(rounds), normals)
         missed, spare, hits = [], [], []

@@ -166,6 +166,15 @@ def test_bad_field_types_are_config_errors(tmp_path, capsys, field, value):
     assert err.startswith("config error:") and field in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["run", "bound-check"])
+def test_seeds_equal_modulo_2_64_are_config_errors(tmp_path, capsys, command):
+    path = write_config(tmp_path, dict(CONFIG, seeds=[0, 1, 2**64 + 1]))
+    out = ["--out", str(tmp_path / "t.csv")] if command == "run" else ["--jobs", "1"]
+    assert cli_main([command, "--config", path, *out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "seeds 1 and 18446744073709551617 are equal modulo 2^64" in err
+
+
 def write_config(tmp_path, spec):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(spec))

@@ -63,8 +63,8 @@ def old_trace_to_csv(trace, path):
                       for t, loss, cum, regret, calls, grads in rows)
 
 
-def text(columns, prefix=""):
-    fh = io.StringIO()
+def text(columns, prefix=b""):
+    fh = io.BytesIO()
     write_rows(fh, prefix, columns)
     return fh.getvalue()
 
@@ -72,7 +72,7 @@ def text(columns, prefix=""):
 class TestFloats:
     def test_every_float_is_format_17g(self):
         x = property_values()
-        got = text([x]).split("\n")[:-1]
+        got = text([x]).decode("ascii").split("\n")[:-1]
         want = [format(v, ".17g") for v in x.tolist()]
         bad = [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w]
         assert len(got) == len(want) and not bad, bad[:10]
@@ -80,7 +80,7 @@ class TestFloats:
     def test_float32_and_views(self):
         x = np.random.default_rng(2).standard_normal(600)
         for column in (x.astype(np.float32), x[::3], x[::-1]):
-            assert text([column]) == "".join(format(v, ".17g") + "\n" for v in column.tolist())
+            assert text([column]) == "".join(format(v, ".17g") + "\n" for v in column.tolist()).encode()
 
 
 class TestIntsAndRows:
@@ -88,7 +88,7 @@ class TestIntsAndRows:
         ints = np.array([0, 1, -1, 9, 10, -10, 99, 100, 12345, 2**63 - 1, -2**63], dtype=np.int64)
         big = np.array([0, 2**64 - 1, 10**19, 10**19 - 1], dtype=np.uint64)
         for column in (ints, big, ints.astype(np.int32)[:-2], np.zeros(3, dtype=np.int8)):
-            assert text([column]) == "".join(f"{v}\n" for v in column.tolist())
+            assert text([column]) == "".join(f"{v}\n" for v in column.tolist()).encode()
 
     def test_rows_join_prefix_and_columns_in_order(self):
         rng = np.random.default_rng(3)
@@ -97,7 +97,7 @@ class TestIntsAndRows:
                    rng.standard_normal(rows) * 1e-6, rng.integers(-10**6, 10**6, rows)]
         want = "".join("p,q," + ",".join(format(v, ".17g") if isinstance(v, float) else str(v) for v in row) + "\n"
                        for row in zip(*(c.tolist() for c in columns)))
-        assert text(columns, "p,q,") == want
+        assert text(columns, b"p,q,") == want.encode()
 
     def test_a_column_of_another_kind_is_a_type_error(self):
         with pytest.raises(TypeError, match="integers or floats"):

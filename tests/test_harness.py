@@ -44,6 +44,7 @@ from pfol.harness import (
     resolve_block,
     row_dots,
 )
+from pfol.learners import BLOCK_ROWS
 
 BALL5 = {"kind": "ball", "dim": 5, "radius": 1.0}
 BALL1 = {"kind": "ball", "dim": 1, "radius": 1.0}
@@ -344,8 +345,8 @@ LOCKSTEP_BATCHES = ((3,), (4, 5), LOCKSTEP_SEEDS)
 
 
 def lockstep_cases():
-    # T = 1 and 2 end inside the first draws; 65 and 300 cut a doubling draw block short, and at m = 64
-    # (64 refreshes a block) 300 also cuts a capped one
+    # T = 1 and 2 end inside the first draw; a game's last draw is cut short at its last refresh, and at
+    # m = 64 (64 refreshes a draw) 65 and 300 take full draws before it
     for set_name, set_spec in SEGMENT_SETS.items():
         for adversary_name, adversary in SEGMENT_ADVERSARIES.items():
             for T in (1, 2, 65, 300):
@@ -515,23 +516,28 @@ class TestLeaderEngine:
             type(played[0]).play(played, games()[1], 100)
 
     @pytest.mark.parametrize("adversary", list(ENGINE_ADVERSARIES.values()), ids=list(ENGINE_ADVERSARIES))
+    @pytest.mark.parametrize("samples", [2, 16])  # 2048 or 256 refreshes a full draw
     @pytest.mark.parametrize("block,T", [(1, 700), (3, 2000), (3, 2002)])
-    def test_play_draws_no_refresh_past_the_last(self, adversary, block, T, monkeypatch):
-        drawn, draw = [], pfol.learners.round_rows
+    def test_play_draws_no_refresh_past_the_last(self, adversary, samples, block, T, monkeypatch):
+        drawn, draw = {4: [], 5: []}, pfol.learners.round_rows
 
         def recording(stream, rounds, *args, **kwargs):
-            drawn.append(list(rounds))
+            drawn[stream.seed].append(list(rounds))
             return draw(stream, rounds, *args, **kwargs)
 
         monkeypatch.setattr(pfol.learners, "round_rows", recording)
         set_ = set_from_json(BALL2)
-        leaders = [PerturbedLeader(set_, delta=0.3, samples=2, block=block, seed=seed) for seed in (4, 5)]
+        leaders = [PerturbedLeader(set_, delta=0.3, samples=samples, block=block, seed=seed) for seed in (4, 5)]
         adversaries = [make_adversary(adversary, horizon=T, seed=seed, norm_bound=1.0, dim=2) for seed in (4, 5)]
         PerturbedLeader.play(leaders, adversaries, T)
-        # each leader draws every refresh round once, up to the last refresh, some in vectorized 256-round draws
-        refreshes = list(range(block, T // block * block + 1, block))
-        assert sorted(sum(drawn, [])) == sorted(refreshes * 2)
-        assert max(map(len, drawn)) >= 256
+        # each leader draws every refresh round once and in order, up to the last refresh, in full draws from
+        # refresh 1 on; only the last draw may be shorter
+        refreshes, full = list(range(block, T // block * block + 1, block)), BLOCK_ROWS // samples
+        for draws in drawn.values():
+            assert sum(draws, []) == refreshes
+            assert [len(rounds) for rounds in draws[:-1]] == [full] * (len(draws) - 1)
+            assert 0 < len(draws[-1]) <= full
+        assert max(len(rounds) for draws in drawn.values() for rounds in draws) >= 256
 
     @pytest.mark.parametrize("adversary", list(ENGINE_ADVERSARIES.values()), ids=list(ENGINE_ADVERSARIES))
     def test_play_rejects_T_outside_the_horizon(self, adversary):
@@ -855,6 +861,21 @@ class TestConfigHandling:
             cfg(k="half").validate()
         with pytest.raises(ConfigError):
             cfg(seeds=()).validate()
+
+    @pytest.mark.parametrize("seeds,pair", [
+        ((0, 2**64, 5, 5, -1, 2**64 - 1), "0 and 18446744073709551616"),
+        ((3, 5, 5), "5 and 5"),
+        ((-1, 7, 2**64 - 1), "-1 and 18446744073709551615"),
+    ])
+    def test_seeds_equal_modulo_2_64_are_rejected(self, seeds, pair):
+        # a seed keys its streams modulo 2^64, so such seeds play one game, which the summary would count twice
+        seed, alias = (run_game(cfg(T=8), s).actions.tobytes() for s in (seeds[-1], seeds[-1] % 2**64))
+        assert seed == alias
+        config = cfg(T=8, seeds=seeds)
+        for call in (config.validate, lambda: run_experiment(config)):
+            with pytest.raises(ConfigError, match=rf"seeds {pair} are equal modulo 2\^64"):
+                call()
+        assert len(run_experiment(cfg(T=8, seeds=(0, 2**64 + 1, -2, 2**64 - 1))).final_regrets) == 4
 
     def test_csv_header_is_fixed(self):
         assert CSV_HEADER == "run_id,algorithm,seed,t,loss,cum_loss,cum_regret,oracle_calls,grad_evals"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import pfol.learners
 from pfol import (
     OFW,
     OGD,
@@ -128,6 +129,24 @@ class TestSampledFPL:
                     expected = points.mean(axis=0)
                 np.testing.assert_array_equal(learner.act(), expected)
                 learner.observe(zero)
+
+
+    def test_act_draws_ahead_on_a_doubling_ramp(self, monkeypatch):
+        # act's draw at refresh r holds r - 1 refreshes (at least 1, at most the cap), so a hand-played
+        # leader draws 1, 1, 2, 4, ... refreshes, and then full draws, past the game's last refresh
+        drawn, draw = [], pfol.learners.round_rows
+
+        def recording(stream, rounds, *args, **kwargs):
+            drawn.append(list(rounds))
+            return draw(stream, rounds, *args, **kwargs)
+
+        monkeypatch.setattr(pfol.learners, "round_rows", recording)
+        learner = PerturbedLeader(BALL, delta=0.5, samples=16, block=2, seed=1)  # 256 refreshes a full draw
+        for _ in range(1400):  # 700 refreshes
+            learner.act()
+            learner.observe(np.zeros(BALL.dim))
+        assert [len(rounds) for rounds in drawn] == [1, 1, 2, 4, 8, 16, 32, 64, 128, 256, 256]
+        assert sum(drawn, []) == list(range(2, 2 * 768 + 1, 2))
 
 
 class TestOSPF:

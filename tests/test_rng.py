@@ -74,34 +74,12 @@ def test_philox_words_mask_seeds_as_key_does(seed):
     np.testing.assert_array_equal(words[0], np.random.Philox(key=_key(seed, 0, 3)).random_raw(8))
 
 
-@pytest.mark.parametrize("first", [1, 2, 6])
-@pytest.mark.parametrize("rounds", [range(5, 8), range(3000, 2000, -1)])
-def test_philox_words_from_a_later_counter_and_round_arrays(first, rounds):
-    words = philox_words(2**64 - 1, 1, rounds, 2, first=first)
-    listed = philox_words(2**64 - 1, 1, np.array(list(rounds)), 2, first=first)
-    np.testing.assert_array_equal(words, listed)
-    for row, t in zip(words, rounds):
-        raw = round_rng(2**64 - 1, 1, t).bit_generator.random_raw(4 * (first + 1))
-        np.testing.assert_array_equal(row, raw[4 * (first - 1):])
-
-
-@pytest.mark.parametrize("count", [1, 49])
-def test_philox_words_of_round_arrays_up_to_the_round_limit(count):
-    rounds = np.arange(2**48 - count, 2**48)
-    words = philox_words(2**63 + 5, 0, rounds, 1, first=9)
-    for i in (0, count // 2, count - 1):
-        t = int(rounds[i])
-        np.testing.assert_array_equal(words[i], round_rng(2**63 + 5, 0, t).bit_generator.random_raw(36)[32:])
-
-
 def test_philox_words_round_range_checked():
     with pytest.raises(ValueError, match=OUT_OF_RANGE):
         philox_words(0, 0, range(2**48 - 3, 2**48 + 1), 1)
     with pytest.raises(ValueError, match="round index -1 out of the supported range"):
         philox_words(0, 0, range(-1, 5), 1)
     assert philox_words(0, 0, range(4, 4), 2).shape == (0, 8)
-    with pytest.raises(ValueError, match=OUT_OF_RANGE):
-        philox_words(0, 0, np.array([5, 2**48, 7]), 1)
 
 
 def test_vectorized_block_reaching_round_limit_raises():
@@ -208,47 +186,51 @@ def ziggurat_walk(words, normals, uniforms):
     return out, [(word() >> 11) * 2.0**-53 for _ in range(uniforms)], taken
 
 
+def out_of_words(seed, stream, rounds, normals, uniforms):
+    """The rounds whose draws, walked by ``ziggurat_walk``, read more words than their Philox blocks hold."""
+    held = 4 * ((normals + uniforms) // 4 + 1)
+    return [t for t, misses in zip(rounds, fast_path_misses(seed, stream, rounds, normals)) if len(misses)
+            and ziggurat_walk(round_rng(seed, stream, t).bit_generator.random_raw(held + 64).tolist(),
+                              normals, uniforms)[2]["words"] > held]
+
+
 @pytest.mark.parametrize("seed", [0, 2**63 + 5, 2**64 - 1])
 @pytest.mark.parametrize("ball", [True, False])
 @pytest.mark.parametrize("count", [1, 2])
 @pytest.mark.parametrize("dim", [1, 5, 16])
-def test_round_rows_equal_numpy_round_by_round(seed, ball, count, dim, monkeypatch):
+def test_round_rows_equal_numpy_round_by_round(seed, ball, count, dim):
     # enough normals (~40,000) that tail (layer 0) and wedge misses both occur
     n = max(sets._VECTOR_MIN_ROUNDS, 40_000 // (count * dim))
     rounds = range(7, 7 + 3 * n, 3) if count == 2 else range(1, n + 1)
-    stream, later = 1, []
-
-    def recording(*args, first=1):
-        later.append(first)
-        return philox_words(*args, first=first)
-
-    monkeypatch.setattr(sets, "philox_words", recording)
+    stream = 1
     got = round_rows(fast := CountingStream(seed, stream), rounds, count, dim, ball=ball)
     want = reference_rows(RoundStream(seed, stream), rounds, count, dim, ball=ball)
     assert got.tobytes() == want.tobytes()
     if count * (dim + ball) > sets._VECTOR_MAX_WORDS:  # wide rounds stay on numpy
         assert fast.calls == list(rounds)
         return
-    assert fast.calls == []  # every miss is decoded from the round's own words
     layers = np.concatenate(fast_path_misses(seed, stream, rounds, count * dim))
     assert (layers == 0).any() and (layers != 0).any()  # tail and wedge misses occurred
-    words = count * (dim + ball)
-    if 4 * -(-words // 4) - words <= 2:  # with at most two spare words, some rounds read words past their blocks
-        assert max(later) > 1
+    # every miss is decoded from the round's own words, except in the rounds that run out of them
+    short = out_of_words(seed, stream, rounds, count * dim, count * ball)
+    assert fast.calls == short
+    if count * (dim + ball) % 4 >= 2:  # with one or two spare words in the blocks, some rounds run out of them
+        assert short
 
 
 def test_round_rows_decode_the_rare_branches():
-    # 32 normals fill 8 blocks, so every slow-path draw reads words past them; this window of stream 1 under
-    # seed 0 holds rejected tail attempts, two tails in one round and rounds that need two more blocks
+    # 32 normals leave 4 spare words in 9 blocks; this window of stream 1 under seed 0 holds rejected tail
+    # attempts, two tails in one round and rounds that run out of words
     seed, stream, rounds = 0, 1, range(6500, 14000)
     got = round_rows(fast := CountingStream(seed, stream), rounds, 2, 16, ball=False)
-    assert fast.calls == []
     assert got.tobytes() == reference_rows(RoundStream(seed, stream), rounds, 2, 16, ball=False).tobytes()
     words = philox_words(seed, stream, rounds, 12)
     missed = np.flatnonzero(sets._fast_normals(words[:, :32], np.empty((len(rounds), 32))).any(axis=1))
     taken = [ziggurat_walk(words[i].tolist(), 32, 0)[2] for i in missed]
     assert any(t["tail_rejects"] for t in taken) and any(t["tails"] >= 2 for t in taken)
     assert any(t["wedge_rejects"] >= 2 for t in taken) and any(t["words"] > 36 for t in taken)
+    # only the rounds that read past their 36 words are redrawn through numpy
+    assert fast.calls == [rounds[i] for i, t in zip(missed, taken) if t["words"] > 36]
 
 
 @pytest.mark.parametrize("seed,stream,dim,ball", [(0, 1, 1, False), (2**64 - 1, 0, 5, True)])
@@ -310,10 +292,9 @@ def test_round_rows_short_calls_stay_on_numpy():
 def test_round_rows_cut_philox_passes_into_near_equal_chunks(rounds, monkeypatch):
     sizes = []
 
-    def recording(seed, stream, batch, blocks, first=1):
-        if first == 1:
-            sizes.append(len(batch) * blocks)
-        return philox_words(seed, stream, batch, blocks, first=first)
+    def recording(seed, stream, batch, blocks):
+        sizes.append(len(batch) * blocks)
+        return philox_words(seed, stream, batch, blocks)
 
     monkeypatch.setattr(sets, "philox_words", recording)
     round_rows(RoundStream(1, 1), range(1, rounds + 1), 1, 16, ball=True)  # 5 blocks a round
