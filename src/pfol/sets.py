@@ -558,21 +558,21 @@ def round_rows(stream, rounds: range, count: int, dim: int, *, ball: bool) -> np
 
     A call of at least ``_VECTOR_MIN_ROUNDS`` (256) rounds of at most
     ``_VECTOR_MAX_WORDS`` (32) raw words each (count * dim normals, plus count
-    uniforms for the ball) reads every round's words, and at least one spare
-    word, from vectorized Philox passes (``philox_words``), in near-equal
+    uniforms for the ball) reads every round's words, and at least two spare
+    words, from vectorized Philox passes (``philox_words``), in near-equal
     chunks of about ``_VECTOR_CHUNK_BLOCKS`` counter blocks. It decodes them
     as numpy does: a normal by the fast path of numpy's 256-layer ziggurat
     (Marsaglia & Tsang 2000; tables in ``_ziggurat``), a uniform as
     (w >> 11) * 2^-53. A round with a normal outside the fast path (the tail
     layer, or a wedge test; about 1 round in 5 at d = 16) is decoded again
     from its own words by ``_missed_draws``; only the few such rounds that
-    need more words than their blocks hold (under 1% of rounds with two to
-    four spare words, 2-11% with one) are redrawn through ``stream.at(t)``.
-    Shorter calls and wider rounds go through ``stream.at(t)`` round by
-    round. So a perturbed leader's draws of 256 or more refreshes take the
-    vectorized path when samples * (d + 1) is at most 32 (samples = 1 up to
-    d = 31), and so do the stochastic adversaries' tables of 256 or more
-    rounds (ball rows up to d = 31, sphere rows up to d = 32).
+    need more words than their blocks hold (under 1% of rounds up to 16
+    words, up to 6% at 30) are redrawn through ``stream.at(t)``. Shorter calls and wider rounds go
+    through ``stream.at(t)`` round by round. So a perturbed leader's draws
+    of 256 or more refreshes take the vectorized path when samples * (d + 1)
+    is at most 32 (samples = 1 up to d = 31), and so do the stochastic
+    adversaries' tables of 256 or more rounds (ball rows up to d = 31,
+    sphere rows up to d = 32).
     ``PerturbedLeader.play`` draws BLOCK_ROWS // samples refreshes at a time
     from the first refresh on, so of its draws only a game's last can hold
     fewer than 256 and stay on numpy; ``act``'s doubling first draws, and
@@ -583,7 +583,7 @@ def round_rows(stream, rounds: range, count: int, dim: int, *, ball: bool) -> np
     normals = count * dim
     words = normals + count * ball
     if words <= _VECTOR_MAX_WORDS and len(rounds) >= _VECTOR_MIN_ROUNDS:
-        blocks = words // 4 + 1  # a spare word at least, or every round with a miss would run out of words
+        blocks = (words + 1) // 4 + 1  # two spare words at least: with fewer, 2-26% of rounds run out of words
         passes = max(1, round(len(rounds) * blocks / _VECTOR_CHUNK_BLOCKS))
         flat = z.reshape(len(rounds), normals)
         missed, spare, hits = [], [], []

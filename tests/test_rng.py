@@ -188,7 +188,7 @@ def ziggurat_walk(words, normals, uniforms):
 
 def out_of_words(seed, stream, rounds, normals, uniforms):
     """The rounds whose draws, walked by ``ziggurat_walk``, read more words than their Philox blocks hold."""
-    held = 4 * ((normals + uniforms) // 4 + 1)
+    held = 4 * ((normals + uniforms + 1) // 4 + 1)
     return [t for t, misses in zip(rounds, fast_path_misses(seed, stream, rounds, normals)) if len(misses)
             and ziggurat_walk(round_rng(seed, stream, t).bit_generator.random_raw(held + 64).tolist(),
                               normals, uniforms)[2]["words"] > held]
@@ -214,7 +214,7 @@ def test_round_rows_equal_numpy_round_by_round(seed, ball, count, dim):
     # every miss is decoded from the round's own words, except in the rounds that run out of them
     short = out_of_words(seed, stream, rounds, count * dim, count * ball)
     assert fast.calls == short
-    if count * (dim + ball) % 4 >= 2:  # with one or two spare words in the blocks, some rounds run out of them
+    if count * (dim + ball) % 4 == 2:  # with two spare words in the blocks, some rounds run out of them
         assert short
 
 
