@@ -130,7 +130,6 @@ class TestSampledFPL:
                 np.testing.assert_array_equal(learner.act(), expected)
                 learner.observe(zero)
 
-
     def test_act_draws_ahead_on_a_doubling_ramp(self, monkeypatch):
         # act's draw at refresh r holds r - 1 refreshes (at least 1, at most the cap), so a hand-played
         # leader draws 1, 1, 2, 4, ... refreshes, and then full draws, past the game's last refresh
