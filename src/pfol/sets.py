@@ -567,16 +567,16 @@ def round_rows(stream, rounds: range, count: int, dim: int, *, ball: bool) -> np
     layer, or a wedge test; about 1 round in 5 at d = 16) is decoded again
     from its own words by ``_missed_draws``; only the few such rounds that
     need more words than their blocks hold (under 1% of rounds up to 16
-    words, up to 6% at 30) are redrawn through ``stream.at(t)``. Shorter calls and wider rounds go
-    through ``stream.at(t)`` round by round. So a perturbed leader's draws
-    of 256 or more refreshes take the vectorized path when samples * (d + 1)
-    is at most 32 (samples = 1 up to d = 31), and so do the stochastic
-    adversaries' tables of 256 or more rounds (ball rows up to d = 31,
-    sphere rows up to d = 32).
-    ``PerturbedLeader.play`` draws BLOCK_ROWS // samples refreshes at a time
-    from the first refresh on, so of its draws only a game's last can hold
-    fewer than 256 and stay on numpy; ``act``'s doubling first draws, and
-    wider rounds such as 64 samples, do stay there.
+    words, up to 6% at 30) are redrawn through ``stream.at(t)``. Shorter
+    calls and wider rounds go through ``stream.at(t)`` round by round. So a
+    perturbed leader's draws of 256 or more refreshes take the vectorized
+    path when samples * (d + 1) is at most 32 (samples = 1 up to d = 31),
+    and so do the stochastic adversaries' tables of 256 or more rounds (ball
+    rows up to d = 31, sphere rows up to d = 32). ``PerturbedLeader.play``
+    draws BLOCK_ROWS // samples refreshes at a time from the first refresh
+    on, so of its draws only a game's last can hold fewer than 256 and stay
+    on numpy; ``act``'s doubling first draws, and wider rounds such as 64
+    samples, do stay there.
     """
     z = np.empty((len(rounds), count, dim))
     u = np.empty(z.shape[:2])
