@@ -290,6 +290,6 @@ def make_adversary(spec: dict, *, horizon: int, seed: int, norm_bound: float, di
         raise ConfigError(f"adversary dim must equal the set's dim {dim}, got {spec['dim']!r}")
     try:
         return _KINDS[kind](horizon, seed, norm_bound, dim=dim, **params)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid parameters for adversary {kind!r}: {exc}") from exc
 

@@ -116,6 +116,8 @@ class ExperimentConfig:
             _check_count(name, getattr(self, name))
         if self.fw_budget is not None:
             _check_count("fw_budget", self.fw_budget)
+        if self.output_path is not None and not (isinstance(self.output_path, str) and self.output_path):
+            raise ConfigError(f"output_path must be null or a non-empty string, got {self.output_path!r}")
         if isinstance(self.delta, str):
             if self.delta != "auto":
                 raise ConfigError(f"delta must be a positive number or 'auto', got {self.delta!r}")
@@ -476,24 +478,23 @@ LOCKSTEP_CAP = 16  # most seeds in a batch: a game's cost stops falling near 5, 
 LOCKSTEP_VALUES = 2**22  # most S*T*d entries in a batch's (S, T, d) action array (32 MB), so long games batch fewer
 
 
-def _play(config: ExperimentConfig, seeds: tuple[int, ...]) -> list[tuple[tuple | None, str | None, float]]:
-    """Per seed: (final regret, oracle calls, gradient evaluations) or None, the error or None, and seconds.
+def _play(config: ExperimentConfig, seeds: tuple[int, ...]) -> list[tuple[float | None, str | None, float]]:
+    """Per seed: the final regret or None, the error or None, and seconds.
 
     A batch's seconds are split evenly over its seeds. A batch that raises
     replays its seeds one at a time, so that each error names its seed.
     """
     start = time.perf_counter()
     try:
-        payloads = [(trace.final_regret, int(trace.oracle_calls[-1]), int(trace.grad_evals[-1]))
-                    for trace in _play_games(config, seeds)]
+        regrets = [trace.final_regret for trace in _play_games(config, seeds)]
     except Exception as exc:  # noqa: BLE001 - reported per (cell, seed)
         lost = (time.perf_counter() - start) / len(seeds)
         if len(seeds) == 1:
             return [(None, f"seed {seeds[0]}: {type(exc).__name__}: {exc}", lost)]
-        return [(payload, error, seconds + lost)
-                for seed in seeds for payload, error, seconds in _play(config, (seed,))]
+        return [(regret, error, seconds + lost)
+                for seed in seeds for regret, error, seconds in _play(config, (seed,))]
     seconds = (time.perf_counter() - start) / len(seeds)
-    return [(payload, None, seconds) for payload in payloads]
+    return [(regret, None, seconds) for regret in regrets]
 
 
 def _play_all(cells: Sequence[tuple[ExperimentConfig, _Problem]], jobs: int) -> list[dict]:
@@ -534,6 +535,7 @@ def _play_all(cells: Sequence[tuple[ExperimentConfig, _Problem]], jobs: int) -> 
 
 def _summarize(config: ExperimentConfig, problem: _Problem, outcomes: dict,
                overrides: dict | None = None) -> RunSummary:
+    """The summary of a config's outcomes; its budgets are ``expected_budgets``, which ``_play_games`` checked."""
     summary = RunSummary(
         config_hash=config_hash(config),
         learner=config.learner,
@@ -547,16 +549,7 @@ def _summarize(config: ExperimentConfig, problem: _Problem, outcomes: dict,
     if not ordered:
         return summary
 
-    results = {s: outcomes[s][0] for s in ordered}
-    regrets = np.array([results[s][0] for s in ordered])
-    oracle_counts = {results[s][1] for s in ordered}
-    grad_counts = {results[s][2] for s in ordered}
-    want_oracle, want_grads = expected_budgets(config, problem.k)
-    if oracle_counts != {want_oracle} or grad_counts != {want_grads}:
-        raise RuntimeError(
-            f"budget accounting mismatch: oracle {oracle_counts} (want {want_oracle}), "
-            f"gradients {grad_counts} (want {want_grads})"
-        )
+    regrets = np.array([outcomes[s][0] for s in ordered])
     summary.seeds = tuple(ordered)
     summary.final_regrets = tuple(float(r) for r in regrets)
     summary.mean_regret = float(regrets.mean())
@@ -564,8 +557,7 @@ def _summarize(config: ExperimentConfig, problem: _Problem, outcomes: dict,
     summary.quantiles = {name: float(np.quantile(regrets, q)) for name, q in _QUANTS.items()}
     summary.quantiles["max"] = float(regrets.max())
     summary.theoretical_bound = None if problem.leader_shape is None else _expected_bound(config, problem)
-    summary.oracle_calls = want_oracle
-    summary.grad_evals = want_grads
+    summary.oracle_calls, summary.grad_evals = expected_budgets(config, problem.k)
     return summary
 
 

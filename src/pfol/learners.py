@@ -11,17 +11,15 @@ from a substream keyed by (seed, round), so trajectories replay
 bit-identically and the amount of randomness one round consumes never
 shifts any other round.
 
-Perturbations never depend on the losses, so they are drawn ahead: one
-``round_rows`` call fills the next r refresh rounds, each round's rows from
-that round's own substream. ``play`` draws r = BLOCK_ROWS // samples (at
-least 1) from the first refresh on, and no refresh past the game's last.
-``act`` takes r as the number of refreshes so far, at least 1 and at most
-that cap, so its draws double up to the cap. Round t's perturbations are
-therefore the same bits whatever the sample count, the draw length or the
-rounds drawn before it, and every trace replays as if each round had been
-drawn alone; a leader acted on past ``play``'s last round draws what it
-needs. Which of these draws take round_rows' vectorized Philox path is
-stated in its docstring.
+Perturbations never depend on the losses, so ``play`` draws them ahead:
+one ``round_rows`` call fills the next r = BLOCK_ROWS // samples (at least
+1) refresh rounds, each round's rows from that round's own substream, from
+the first refresh on and no refresh past the game's last. ``act`` draws
+only the refresh it plays. Round t's perturbations are therefore the same
+bits whatever the sample count, the draw length or the rounds drawn before
+it, and every trace replays as if each round had been drawn alone. Which
+of these draws take round_rows' vectorized Philox path is stated in its
+docstring.
 
 Learners follow a strict act/observe protocol: ``act`` returns the action
 for the current round, ``observe`` feeds back the gradient of the revealed
@@ -71,7 +69,7 @@ __all__ = [
     "blocking_params",
 ]
 
-BLOCK_ROWS = 4096  # cap on the perturbation rows PerturbedLeader draws ahead at once
+BLOCK_ROWS = 4096  # cap on the perturbation rows PerturbedLeader.play draws ahead at once
 
 
 def default_delta(grad_bound: float, dim: int, horizon: int) -> float:
@@ -202,7 +200,7 @@ class PerturbedLeader(OnlineLearner):
     basis direction, asked for on the first round. A game thus makes
     samples * floor(T/block) calls, plus one for block > 1. Round t's
     perturbations are ``perturbed_leader_points``' draws from round t's
-    substream, drawn ahead in blocks (see the module docstring).
+    substream (see the module docstring).
     """
 
     def __init__(self, set_: FeasibleSet, *, delta: float, samples: int = 1, block: int = 1, seed: int = 0):
@@ -218,8 +216,6 @@ class PerturbedLeader(OnlineLearner):
         self.block = int(block)
         self.seed = int(seed)
         self._rounds = RoundStream(self.seed, LEARNER_STREAM)
-        self._rows = np.empty((0, self.samples, set_.dim))  # v/delta rows of refreshes _first, _first+1, ...
-        self._first = 1
         self._current: np.ndarray | None = None
 
     def _act(self):
@@ -228,27 +224,19 @@ class PerturbedLeader(OnlineLearner):
             if self._current is None:
                 self._current = self._start()
             return self._current
-        if refresh - self._first == len(self._rows):
-            self._draw(refresh)
-        i = refresh - self._first
-        self._current = self._refresh(self._rows[i], self._cum_grad)
+        rows = np.empty((1, self.samples, self._set.dim))
+        self._draw(refresh, rows)
+        self._current = self._refresh(rows[0], self._cum_grad)
         return self._current
 
     def _start(self) -> np.ndarray:
         """The point played before the first refresh: the oracle answer on the first basis direction."""
         return linear_argmax(self._set, np.eye(self._set.dim)[0])
 
-    def _ahead(self, refresh: int) -> int:
-        """How many refreshes the draw at ``refresh`` covers: as many as so far, up to the cap."""
-        return min(max(1, refresh - 1), max(1, BLOCK_ROWS // self.samples))
-
-    def _draw(self, refresh: int, out: np.ndarray | None = None) -> None:
-        """Draw the v/delta rows of refreshes refresh, refresh+1, ... (``_ahead``, or len(out)), into ``out`` if given."""
-        ahead = self._ahead(refresh) if out is None else len(out)
-        rounds = range(refresh * self.block, (refresh + ahead) * self.block, self.block)
-        rows = round_rows(self._rounds, rounds, self.samples, self._set.dim, ball=True)
-        self._rows = np.divide(rows, self.delta, out=rows if out is None else out)
-        self._first = refresh
+    def _draw(self, refresh: int, out: np.ndarray) -> None:
+        """Fill ``out`` with the v/delta rows of refreshes refresh, refresh+1, ..., one (samples, d) block each."""
+        rounds = range(refresh * self.block, (refresh + len(out)) * self.block, self.block)
+        np.divide(round_rows(self._rounds, rounds, self.samples, self._set.dim, ball=True), self.delta, out=out)
 
     def _refresh(self, rows: np.ndarray, cum_grads: np.ndarray) -> np.ndarray:
         """Points played from refreshes: (samples, ..., d) v/delta rows against their (..., d) gradient sums.
@@ -299,14 +287,14 @@ class PerturbedLeader(OnlineLearner):
                 points[:, drawn] = lead._refresh(rows.transpose(1, 2, 0, 3), sums[:, drawn * block - 1])
             cum_grads = sums[:, -1].copy()
         else:
-            cum_grads, action_sums = np.zeros((S, d)), None
+            cum_grads, action_sums, first = np.zeros((S, d)), None, 1  # rows[i]: refresh first + i
             segment = np.empty((S, block + 1, d))  # a refresh's gradient sum, then its segment's gradients
             for refresh in range(block == 1, refreshes + 1):
                 t, last = refresh * block or 1, min(T, refresh * block + block - 1)
                 if refresh:
-                    if refresh - lead._first == len(lead._rows):
-                        rows = cls._draw_all(leaders, refresh, rows, refreshes)
-                    x = points[:, refresh] = lead._refresh(rows[refresh - lead._first], cum_grads)
+                    if refresh - first == len(rows):
+                        rows, first = cls._draw_all(leaders, refresh, rows, refreshes), refresh
+                    x = points[:, refresh] = lead._refresh(rows[refresh - first], cum_grads)
                 else:
                     x = points[:, 0]
                 n = last + 1 - t
@@ -334,9 +322,8 @@ class PerturbedLeader(OnlineLearner):
     def _draw_all(leaders, refresh: int, rows: np.ndarray, last: int) -> np.ndarray:
         """Every leader's ``_draw`` at ``refresh``, up to refresh ``last``, into one (ahead, samples, S, d) block.
 
-        The block holds as many refreshes as the cap allows, without ``act``'s
-        ramp. It is ``rows`` if that fits, as the leaders' earlier draws no
-        longer need its rows.
+        The block holds as many refreshes as the cap allows. It is ``rows`` if
+        that fits, as ``play`` no longer needs its earlier rows.
         """
         lead = leaders[0]
         ahead = min(max(1, BLOCK_ROWS // lead.samples), last + 1 - refresh)

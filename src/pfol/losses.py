@@ -5,38 +5,35 @@ gradient-norm bound G valid on the action set, and a smoothness constant
 (Lipschitz constant of the gradient; 0 for linear losses), with ``evaluate``
 and ``gradient`` as methods. ``linear_loss`` and ``quadratic_loss`` build
 slotted losses that hold their parameter row, a read-only copy, and no
-closure, so a replayed game of T rounds holds T small objects;
-``LossFunction(evaluate, gradient, ...)`` builds a generic loss from two
-callables. Every loss refuses attribute assignment. ``row_dots`` takes
-row-wise dot products equal to per-row ``np.dot`` bit for bit; the engine
-prices a game's losses with it and ``linear_adaptive`` takes the norms of its
-mean actions with it.
+closure, so a replayed game of T rounds holds T small objects. A custom
+loss subclasses LossFunction. Every loss refuses attribute assignment.
+``row_dots`` takes row-wise dot products equal to per-row ``np.dot`` bit for
+bit; the engine prices a game's losses with it and ``linear_adaptive`` takes
+the norms of its mean actions with it.
 """
 
 from __future__ import annotations
+
+import abc
 
 import numpy as np
 
 __all__ = ["LossFunction", "linear_loss", "quadratic_loss", "row_dots"]
 
 
-class LossFunction:
-    """Convex differentiable loss with its certified constants.
+class LossFunction(abc.ABC):
+    """Convex differentiable loss with its certified constants: the abstract base of every loss.
 
-    ``LossFunction(evaluate, gradient, grad_bound, smoothness=0.0,
-    center=None, direction=None)`` builds a generic loss from two callables.
-    ``center`` is set iff the loss is exactly 0.5 * ||x - center||^2 and
-    ``direction`` iff it is exactly <direction, x>; generic losses leave both
-    unset and forgo the closed-form shortcuts.
+    A subclass defines ``evaluate`` and ``gradient`` and slots for the fields
+    its ``__init__`` passes on to this one. ``center`` is set iff the loss is
+    exactly 0.5 * ||x - center||^2 and ``direction`` iff it is exactly
+    <direction, x>; other losses leave both unset and forgo the closed-form
+    shortcuts.
     """
 
     __slots__ = ("grad_bound",)
     smoothness = 0.0
     center = direction = None
-
-    def __new__(cls, *args, **kwargs):
-        # LossFunction itself holds no callables: a call to it builds the generic loss below
-        return object.__new__(_Generic if cls is LossFunction else cls)
 
     def __init__(self, grad_bound, **fields):
         for name, value in (("grad_bound", grad_bound), *fields.items()):
@@ -47,15 +44,13 @@ class LossFunction:
 
     __delattr__ = __setattr__
 
+    @abc.abstractmethod
+    def evaluate(self, x) -> float:
+        ...
 
-class _Generic(LossFunction):
-    """A loss from two callables, which ``LossFunction(...)`` builds."""
-
-    __slots__ = ("evaluate", "gradient", "smoothness", "center", "direction")
-
-    def __init__(self, evaluate, gradient, grad_bound, smoothness=0.0, center=None, direction=None):
-        super().__init__(grad_bound, evaluate=evaluate, gradient=gradient, smoothness=smoothness,
-                         center=center, direction=direction)
+    @abc.abstractmethod
+    def gradient(self, x) -> np.ndarray:
+        ...
 
 
 class _Linear(LossFunction):

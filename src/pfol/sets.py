@@ -575,7 +575,7 @@ def round_rows(stream, rounds: range, count: int, dim: int, *, ball: bool) -> np
     rows up to d = 31, sphere rows up to d = 32). ``PerturbedLeader.play``
     draws BLOCK_ROWS // samples refreshes at a time from the first refresh
     on, so of its draws only a game's last can hold fewer than 256 and stay
-    on numpy; ``act``'s doubling first draws, and wider rounds such as 64
+    on numpy; ``act``'s draws of one refresh, and wider rounds such as 64
     samples, do stay there.
     """
     z = np.empty((len(rounds), count, dim))

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, is_int
 from .learners import perturbed_leader_points
 from .losses import LossFunction
 from .sets import FeasibleSet, sample_unit_ball_batch, sample_unit_sphere_batch
@@ -257,9 +257,11 @@ def run_audit_suite(seed: int = 0, *, samples: int = 20_000) -> list[dict]:
     """Run the standard audits and return JSON-ready reports.
 
     Each report is {"audit_name", "estimate", "stderr", "bound", "pass"}.
-    Statistical checks use 4-standard-error tolerances. ``samples`` below 2
-    is a ConfigError.
+    Statistical checks use 4-standard-error tolerances. A negative ``seed``,
+    or ``samples`` below 2, is a ConfigError.
     """
+    if not (is_int(seed) and seed >= 0):
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     if samples < 2:
         raise ConfigError(f"samples must be >= 2, got {samples}")
     from .losses import quadratic_loss

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from pfol import Ball, oracle_output_sampler
+from pfol import Ball, LossFunction, oracle_output_sampler
 
 # The gate draws the same Hypothesis examples on every run, so a PASS is repeatable and no failing
 # example saved from an earlier run can turn it red; `pytest --hypothesis-profile=default` draws new ones.
@@ -10,6 +10,16 @@ settings.register_profile("repeatable", derandomize=True, database=None)
 settings.load_profile("repeatable")
 
 REFERENCE_SEED = 20_240_611
+
+
+class CallableLoss(LossFunction):
+    """A loss from two callables, for tests of code that takes any LossFunction."""
+
+    __slots__ = ("evaluate", "gradient", "smoothness", "center", "direction")
+
+    def __init__(self, evaluate, gradient, grad_bound, smoothness=0.0, center=None, direction=None):
+        super().__init__(grad_bound, evaluate=evaluate, gradient=gradient, smoothness=smoothness,
+                         center=center, direction=direction)
 
 
 @pytest.fixture(scope="session")

@@ -157,6 +157,8 @@ def test_bound_check_passes(config_file, capsys):
     ("set", {"kind": "polytope", "dim": 2.5, "vertices": [[1.0, 0.0], [0.0, 1.0]]}),
     ("adversary", {"kind": "linear_stochastic", "dim": 5}),
     ("adversary", {"kind": "linear_stochastic", "dim": 3.0}),
+    ("adversary", {"kind": "linear_stochastic", "direction": [1, "x"]}),
+    ("output_path", 1), ("output_path", ["t.csv"]), ("output_path", ""),
 ])
 def test_bad_field_types_are_config_errors(tmp_path, capsys, field, value):
     path = tmp_path / "c.json"
@@ -220,6 +222,11 @@ def test_jobs_below_one_is_config_error(config_file, tmp_path, capsys, command, 
 def test_audit_needs_two_samples(capsys, samples):
     assert cli_main(["audit", "--samples", samples]) == 2
     assert capsys.readouterr().err.startswith("config error: samples must be >= 2")
+
+
+def test_audit_rejects_a_negative_seed(capsys):
+    assert cli_main(["audit", "--seed", "-1", "--samples", "2"]) == 2
+    assert capsys.readouterr().err == "config error: seed must be a non-negative integer, got -1\n"
 
 
 @pytest.mark.parametrize("text,message", [

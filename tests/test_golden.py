@@ -5,8 +5,8 @@ learner against every adversary kind on a 5-dimensional ball and on a
 12-vertex polytope, at seeds 0 and 1 and T = 200.
 Eight longer games at T = 8200 (sampled_fpl with m = 1 and ospf with k = 2,
 against linear_stochastic and quadratic_adaptive on the ball, seeds 0 and 1)
-run past the cap on pre-drawn perturbation blocks, 4096 rows, so that the
-switch from doubling blocks to capped ones is covered as well.
+run past the cap on the perturbation blocks a game draws ahead, 4096 rows,
+so that games of more than one draw block are covered as well.
 A refactor of the game engine that changes any byte of any of these traces
 changes what the package computes, and must say so by updating this file.
 """

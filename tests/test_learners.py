@@ -114,9 +114,9 @@ class TestSampledFPL:
 
     def test_round_randomness_independent_of_sample_count(self):
         # with zero gradients the action at a refresh round t is the mean of round
-        # t's own perturbed-leader points, bit for bit, whatever the sample count
-        # and block and however the refreshes are grouped into pre-drawn blocks;
-        # the horizons with small sample counts run past the block cap
+        # t's own perturbed-leader points, drawn by numpy's own generator, bit for
+        # bit, whatever the sample count and block; the horizons with small sample
+        # counts run past the cap on play's draw blocks
         zero = np.zeros(BALL.dim)
         start = linear_argmax(BALL, [1.0, 0.0, 0.0])
         for samples, block, T in ((1, 1, 2 * BLOCK_ROWS + 8), (4, 1, BLOCK_ROWS // 2 + 1100), (64, 1, 200),
@@ -130,9 +130,9 @@ class TestSampledFPL:
                 np.testing.assert_array_equal(learner.act(), expected)
                 learner.observe(zero)
 
-    def test_act_draws_ahead_on_a_doubling_ramp(self, monkeypatch):
-        # act's draw at refresh r holds r - 1 refreshes (at least 1, at most the cap), so a hand-played
-        # leader draws 1, 1, 2, 4, ... refreshes, and then full draws, past the game's last refresh
+    def test_act_draws_each_refresh_once_when_it_plays_it(self, monkeypatch):
+        # a hand-played leader draws each refresh's round alone, in the round it plays it, and nothing
+        # past the last refresh played
         drawn, draw = [], pfol.learners.round_rows
 
         def recording(stream, rounds, *args, **kwargs):
@@ -140,12 +140,12 @@ class TestSampledFPL:
             return draw(stream, rounds, *args, **kwargs)
 
         monkeypatch.setattr(pfol.learners, "round_rows", recording)
-        learner = PerturbedLeader(BALL, delta=0.5, samples=16, block=2, seed=1)  # 256 refreshes a full draw
-        for _ in range(1400):  # 700 refreshes
+        learner = PerturbedLeader(BALL, delta=0.5, samples=16, block=2, seed=1)
+        for t in range(1, 1402):  # 700 refreshes, then a round that is none
             learner.act()
+            assert len(drawn) == t // 2 and (t % 2 or drawn[-1] == [t])
             learner.observe(np.zeros(BALL.dim))
-        assert [len(rounds) for rounds in drawn] == [1, 1, 2, 4, 8, 16, 32, 64, 128, 256, 256]
-        assert sum(drawn, []) == list(range(2, 2 * 768 + 1, 2))
+        assert drawn == [[t] for t in range(2, 1401, 2)]
 
 
 class TestOSPF:

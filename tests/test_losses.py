@@ -28,6 +28,8 @@ from pfol import (
 from pfol.adversaries import emit_lockstep
 from pfol.sets import round_rows
 
+from conftest import CallableLoss
+
 BALL = Ball(dim=2, radius=1.0)
 
 
@@ -99,7 +101,7 @@ class TestLossConstructors:
 
 def generic_quadratic(center):
     """0.5 * ||x - center||^2 built from two callables, without the closed-form shortcut."""
-    return LossFunction(evaluate=lambda x: 0.5 * float(np.dot(x - center, x - center)),
+    return CallableLoss(evaluate=lambda x: 0.5 * float(np.dot(x - center, x - center)),
                         gradient=lambda x: x - center, grad_bound=2.0, smoothness=1.0)
 
 
@@ -155,7 +157,7 @@ class TestSlottedLosses:
             assert not kept.flags.writeable and not np.shares_memory(kept, row)
             np.testing.assert_array_equal(kept, [3.0, 4.0])
 
-    def test_generic_constructor_drives_the_smoothness_audit(self):
+    def test_a_loss_from_two_callables_drives_the_smoothness_audit(self):
         center = np.array([0.2, 0.1])
         generic = generic_quadratic(center)
         assert isinstance(generic, LossFunction)
@@ -163,8 +165,16 @@ class TestSlottedLosses:
         audits = [smooth_inequality_audit(loss, BALL, 300, np.random.default_rng(3))
                   for loss in (generic, quadratic_loss(center, 2.0))]
         assert audits[0] == audits[1] <= 1e-12
-        positional = LossFunction(generic.evaluate, generic.gradient, 2.0)
+        positional = CallableLoss(generic.evaluate, generic.gradient, 2.0)
         assert (positional.smoothness, positional.center, positional.direction) == (0.0, None, None)
+
+    @pytest.mark.parametrize("args,kwargs", [((lambda x: 0.0, lambda x: x, 2.0), {}), ((2.0,), {}),
+                                             ((), {"evaluate": lambda x: 0.0, "gradient": lambda x: x,
+                                                   "grad_bound": 2.0})],
+                             ids=["positional", "grad_bound", "keywords"])
+    def test_the_base_class_builds_no_loss(self, args, kwargs):
+        with pytest.raises(TypeError, match="abstract"):
+            LossFunction(*args, **kwargs)
 
     @pytest.mark.parametrize("kind", ["quadratic_stochastic", "quadratic_adaptive", "linear_stochastic",
                                       "linear_adaptive"])

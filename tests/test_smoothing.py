@@ -6,8 +6,8 @@ import pytest
 from pfol import (
     Ball,
     Box,
+    ConfigError,
     L1Ball,
-    LossFunction,
     Simplex,
     empirical_mse,
     expected_fpl_point_mc,
@@ -21,6 +21,8 @@ from pfol import (
     smoothed_gradient_stokes,
     smoothed_value_mc,
 )
+
+from conftest import CallableLoss
 
 BALL3 = Ball(dim=3, radius=1.0)
 
@@ -189,7 +191,7 @@ class TestSmoothInequalityAudit:
         mat = root.T @ root
         top = float(np.linalg.eigvalsh(mat)[-1])
         center = np.array([0.1, 0.0, -0.2])
-        loss = LossFunction(
+        loss = CallableLoss(
             evaluate=lambda x: 0.5 * float((x - center) @ mat @ (x - center)),
             gradient=lambda x: mat @ (x - center),
             grad_bound=top * (BALL3.norm_bound + float(np.linalg.norm(center))),
@@ -202,7 +204,7 @@ class TestSmoothInequalityAudit:
         # convex losses satisfy the inequality for any declared constant
         # (gradient monotonicity), so sensitivity is probed with a concave
         # quadratic whose true gradient Lipschitz constant is understated
-        bad = LossFunction(
+        bad = CallableLoss(
             evaluate=lambda x: -0.5 * float(np.dot(x, x)),
             gradient=lambda x: -x,
             grad_bound=BALL3.norm_bound,
@@ -210,6 +212,12 @@ class TestSmoothInequalityAudit:
         )
         violation = smooth_inequality_audit(bad, BALL3, 2000, np.random.default_rng(27))
         assert violation > 0.0
+
+
+@pytest.mark.parametrize("seed", [-1, 2.0, "0"])
+def test_audit_suite_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+        run_audit_suite(seed, samples=2)
 
 
 def test_audit_suite_reports_and_passes():
