@@ -175,8 +175,8 @@ class QuadraticStochastic(Adversary):
     quadratic = True
 
     def __init__(self, horizon, seed, norm_bound, *, dim: int, center_scale: float = 1.0):
-        if center_scale < 0:
-            raise ConfigError("center_scale must be >= 0")
+        if not 0 <= center_scale < np.inf:
+            raise ConfigError(f"center_scale must be finite and >= 0, got {center_scale}")
         super().__init__(horizon, seed, norm_bound, float(center_scale))
         self.dim = int(dim)
         self.center_scale = float(center_scale)
@@ -215,9 +215,11 @@ class LinearStochastic(Adversary):
             if self.direction.shape != (self.dim,):
                 raise ConfigError("fixed direction must match the set dimension")
             self.direction_norm = float(np.linalg.norm(self.direction))
+            if not np.isfinite(self.direction_norm):
+                raise ConfigError("fixed direction must have finite entries and a finite norm")
         else:
-            if not direction_norm > 0:
-                raise ConfigError("direction_norm must be positive")
+            if not 0 < direction_norm < np.inf:
+                raise ConfigError(f"direction_norm must be positive and finite, got {direction_norm}")
             self.direction = None
             self.direction_norm = float(direction_norm)
         super().__init__(horizon, seed, norm_bound, self.direction_norm)
@@ -243,8 +245,8 @@ class LinearAdaptive(Adversary):
     adaptive = True
 
     def __init__(self, horizon, seed, norm_bound, *, dim: int, direction_norm: float = 1.0):
-        if not direction_norm > 0:
-            raise ConfigError("direction_norm must be positive")
+        if not 0 < direction_norm < np.inf:
+            raise ConfigError(f"direction_norm must be positive and finite, got {direction_norm}")
         super().__init__(horizon, seed, norm_bound, float(direction_norm))
         self.dim = int(dim)
         self.direction_norm = float(direction_norm)

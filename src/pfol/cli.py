@@ -5,8 +5,7 @@ JSON summaries, ``audit`` the Monte-Carlo diagnostics, ``fit`` a power-law
 exponent from a sweep CSV, and ``bound-check`` mean regret against the
 config's guarantee. Configs are JSON files mirroring ExperimentConfig; only
 ``sweep`` reads a ``vary`` grid, and ``run`` and ``bound-check`` reject a file
-that has one. The PFOL_SEED environment variable overrides the seed for smoke
-tests.
+that has one. ``run`` plays ``--seed``, else the config's first seed.
 
 Exit codes: 0 success, 1 failed check or aborted run, 2 config error or an
 output path that cannot be written.
@@ -26,7 +25,6 @@ from .harness import (
     bound_check,
     fit_exponent,
     run_game,
-    summaries_to_json,
     sweep,
     sweep_regrets_csv,
     trace_to_csv,
@@ -54,18 +52,6 @@ def _load_config(path: str, sweep: bool = False) -> tuple[ExperimentConfig, dict
     return ExperimentConfig.from_json(raw), vary
 
 
-def _pick_seed(config: ExperimentConfig, arg_seed) -> int:
-    env = os.environ.get("PFOL_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"PFOL_SEED must be an integer, got {env!r}") from exc
-    if arg_seed is not None:
-        return int(arg_seed)
-    return int(config.seeds[0])
-
-
 def _write(write, value, path) -> None:
     """``write(value, path)``; a path that cannot be written is a ConfigError that names it."""
     try:
@@ -82,7 +68,7 @@ def _write_json(value, path) -> None:
 
 def _cmd_run(args) -> int:
     config, _ = _load_config(args.config)
-    seed = _pick_seed(config, args.seed)
+    seed = config.seeds[0] if args.seed is None else args.seed
     trace = run_game(config, seed)
     out = args.out or config.output_path or "trace.csv"
     _write(trace_to_csv, trace, out)
@@ -95,7 +81,7 @@ def _cmd_sweep(args) -> int:
     config, vary = _load_config(args.config, sweep=True)
     summaries = sweep(config, vary, jobs=args.jobs)
     out = args.out or "summaries.json"
-    _write(summaries_to_json, summaries, out)
+    _write(_write_json, [s.to_json() for s in summaries], out)
     if args.csv:
         _write(sweep_regrets_csv, summaries, args.csv)
     failed = sum(1 for s in summaries if s.errors)

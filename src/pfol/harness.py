@@ -67,7 +67,6 @@ __all__ = [
     "quantile_check",
     "fit_exponent",
     "trace_to_csv",
-    "summaries_to_json",
     "sweep_regrets_csv",
     "CSV_HEADER",
 ]
@@ -724,12 +723,6 @@ def trace_to_csv(trace: RegretTrace, path) -> None:
     with open(path, "wb") as fh:
         fh.write(f"{CSV_HEADER}\n".encode())
         write_rows(fh, prefix, columns)
-
-
-def summaries_to_json(summaries: Sequence[RunSummary], path) -> None:
-    with open(path, "w") as fh:
-        json.dump([s.to_json() for s in summaries], fh, indent=2)
-        fh.write("\n")
 
 
 def sweep_regrets_csv(summaries: Sequence[RunSummary], path) -> None:

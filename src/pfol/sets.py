@@ -105,8 +105,8 @@ class Ball(FeasibleSet):
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+        if not 0 < self.radius < np.inf:
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
 
     @property
     def norm_bound(self) -> float:
@@ -200,8 +200,8 @@ class Simplex(FeasibleSet):
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
+        if not 0 < self.scale < np.inf:
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
 
     @property
     def norm_bound(self) -> float:
@@ -235,8 +235,8 @@ class L1Ball(FeasibleSet):
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+        if not 0 < self.radius < np.inf:
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
 
     @property
     def norm_bound(self) -> float:

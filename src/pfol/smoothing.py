@@ -61,10 +61,10 @@ class MSEEstimate(NamedTuple):
     stderr: float
 
 
-def _chunks(n: int):
+def _chunks(n: int, size: int = _CHUNK):
     done = 0
     while done < n:
-        take = min(_CHUNK, n - done)
+        take = min(size, n - done)
         yield take
         done += take
 
@@ -156,38 +156,24 @@ def oracle_output_sampler(set_: FeasibleSet, cum_grad, delta: float) -> Callable
 
 
 def empirical_mse(sampler: Callable, m: int, trials: int, rng: np.random.Generator, *,
-                  bound: float, reference_mean=None,
-                  reference_samples: int = 10_000_000) -> MSEEstimate:
-    """Estimate E||mean of m draws - true mean||^2 for a bounded vector sampler.
+                  bound: float, reference_mean) -> MSEEstimate:
+    """Estimate E||mean of m draws - reference_mean||^2 for a bounded vector sampler.
 
     ``sampler(rng, count)`` must return (count, d) arrays with row norms at
-    most ``bound``. The true mean defaults to a high-accuracy reference built
-    from ``reference_samples`` draws. Returns the MSE estimate with the
-    standard error over trials.
+    most ``bound``, and ``reference_mean`` is its exact mean: the ball
+    oracle's answers at cum_grad 0 are v/||v||, whose mean is 0 by symmetry.
+    Returns the MSE estimate with the standard error over trials.
     """
     if m < 1 or trials < 1:
         raise ValueError("need m >= 1 and trials >= 1")
     tol = bound * (1.0 + 1e-9) + 1e-12
-    if reference_mean is None:
-        total = np.zeros_like(np.atleast_2d(sampler(rng, 1))[0])
-        seen = 0
-        for take in _chunks(reference_samples):
-            z = sampler(rng, take)
-            _check_bound(z, tol)
-            total += z.sum(axis=0)
-            seen += take
-        reference_mean = total / seen
     reference_mean = np.asarray(reference_mean, dtype=float)
-
     sq_errors = np.empty(trials)
     done = 0
-    per_chunk = max(1, _CHUNK // m)
-    while done < trials:
-        take = min(per_chunk, trials - done)
+    for take in _chunks(trials, max(1, _CHUNK // m)):
         z = sampler(rng, take * m)
         _check_bound(z, tol)
-        means = z.reshape(take, m, -1).mean(axis=1)
-        diff = means - reference_mean
+        diff = z.reshape(take, m, -1).mean(axis=1) - reference_mean
         sq_errors[done:done + take] = np.einsum("ij,ij->i", diff, diff)
         done += take
     value = float(sq_errors.mean())
@@ -308,7 +294,7 @@ def run_audit_suite(seed: int = 0, *, samples: int = 20_000) -> list[dict]:
     sampler = oracle_output_sampler(ball, np.zeros(3), 1.0)
     for m in (1, 10):
         mse = empirical_mse(sampler, m, max(500, samples // 10), rng, bound=1.0,
-                            reference_samples=200_000)
+                            reference_mean=np.zeros(3))
         bound = 4.0 / m
         report(f"mean_mse_m{m}", mse.value, mse.stderr, bound,
                mse.value <= bound + 4 * mse.stderr)

@@ -1,4 +1,4 @@
-"""Command-line interface: subcommands, exit codes, env overrides."""
+"""Command-line interface: subcommands, exit codes, seed and output overrides."""
 
 import json
 
@@ -19,6 +19,9 @@ CONFIG = {
 }
 
 
+INF, NAN = float("inf"), float("nan")
+
+
 @pytest.fixture
 def config_file(tmp_path):
     path = tmp_path / "config.json"
@@ -37,18 +40,13 @@ def test_run_writes_trace(config_file, tmp_path, capsys):
     assert "final_regret" in capsys.readouterr().out
 
 
-def test_env_seed_overrides_flags(config_file, tmp_path, monkeypatch):
+def test_run_seed_comes_from_the_flag_else_the_config(config_file, tmp_path, monkeypatch):
     monkeypatch.setenv("PFOL_SEED", "99")
     out = tmp_path / "trace.csv"
     assert cli_main(["run", "--config", str(config_file), "--seed", "7", "--out", str(out)]) == 0
-    assert out.read_text().splitlines()[1].split(",")[2] == "99"
-
-
-def test_bad_env_seed_is_config_error(config_file, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("PFOL_SEED", "seven")
-    code = cli_main(["run", "--config", str(config_file), "--out", str(tmp_path / "t.csv")])
-    assert code == 2
-    assert "PFOL_SEED" in capsys.readouterr().err
+    assert out.read_text().splitlines()[1].split(",")[2] == "7"
+    assert cli_main(["run", "--config", str(config_file), "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1].split(",")[2] == "0"  # the config's first seed
 
 
 def test_malformed_json_reports_location(tmp_path, capsys):
@@ -159,10 +157,20 @@ def test_bound_check_passes(config_file, capsys):
     ("adversary", {"kind": "linear_stochastic", "dim": 3.0}),
     ("adversary", {"kind": "linear_stochastic", "direction": [1, "x"]}),
     ("output_path", 1), ("output_path", ["t.csv"]), ("output_path", ""),
+    ("set", {"kind": "simplex", "dim": 2, "scale": INF}),
+    ("set", {"kind": "ball", "dim": 3, "radius": INF}),
+    ("set", {"kind": "l1_ball", "dim": 3, "radius": INF}),
+    ("adversary", {"kind": "linear_stochastic", "direction": [NAN, 1.0, 0.0]}),
+    ("adversary", {"kind": "linear_stochastic", "direction": [INF, 1.0, 0.0]}),
+    ("adversary", {"kind": "linear_stochastic", "direction_norm": INF}),
+    ("adversary", {"kind": "quadratic_adaptive", "center_scale": INF}),
+    ("adversary", {"kind": "quadratic_stochastic", "center_scale": NAN}),
+    ("adversary", {"kind": "linear_adaptive", "direction_norm": INF}),
 ])
 def test_bad_field_types_are_config_errors(tmp_path, capsys, field, value):
+    # a fixed delta, since an "auto" delta worked out from a non-finite G would fail first
     path = tmp_path / "c.json"
-    path.write_text(json.dumps(dict(CONFIG, **{field: value})))
+    path.write_text(json.dumps({**CONFIG, "delta": 0.5, field: value}))
     assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "t.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and field in err and "Traceback" not in err

@@ -815,6 +815,28 @@ class TestQuantileCheck:
         with pytest.raises(ConfigError):
             quantile_check(summary, 0.0, config)
 
+    @pytest.mark.parametrize("check,match", [
+        (lambda config: high_probability_bound(config, 0.0), r"sigma must lie in \(0, 1\]"),
+        (lambda config: high_probability_bound(config, 1.5), r"sigma must lie in \(0, 1\]"),
+        (lambda config: high_probability_bound(config, float("nan")), r"sigma must lie in \(0, 1\]"),
+        (lambda config: bound_check(config), "all runs failed"),
+        (lambda config: quantile_check(run_experiment(config), 0.5, config), "no successful runs"),
+        (lambda config: ExperimentConfig.from_json([config.to_json()]), "config must be a JSON object"),
+    ], ids=["sigma_0", "sigma_1.5", "sigma_nan", "bound_check", "quantile_check", "from_json_list"])
+    def test_bad_input_and_all_seeds_failing_are_config_errors(self, monkeypatch, check, match):
+        def fail(cls, leaders, adversaries, T):
+            raise FloatingPointError("no game plays")
+
+        monkeypatch.setattr(PerturbedLeader, "play", classmethod(fail))
+        config = cfg(T=8, seeds=(0, 1))
+        summary = run_experiment(config)  # every seed fails: the summary holds its errors and nothing else
+        assert summary.seeds == () and summary.final_regrets == () and math.isnan(summary.mean_regret)
+        assert summary.quantiles == {} and summary.theoretical_bound is None
+        assert summary.errors == ("seed 0: FloatingPointError: no game plays",
+                                  "seed 1: FloatingPointError: no game plays")
+        with pytest.raises(ConfigError, match=match):
+            check(config)
+
 
 class TestConfigHandling:
     def test_from_json_round_trip(self):

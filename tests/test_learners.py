@@ -297,6 +297,18 @@ class TestParameterSchedules:
         with pytest.raises(ConfigError):
             blocking_params(10, "strict")
 
+    @pytest.mark.parametrize("build,match", [
+        (lambda: blocking_params(0), "horizon must be >= 1"),
+        (lambda: blocking_params(-3, "general"), "horizon must be >= 1"),
+        (lambda: OGD(BALL, grad_bound=0.0), "grad_bound must be positive"),
+        (lambda: OGD(BALL, grad_bound=np.nan), "grad_bound must be positive"),
+        (lambda: OFW(BALL, grad_bound=-1.0), "grad_bound must be positive"),
+        (lambda: OFW(BALL, grad_bound=0.0), "grad_bound must be positive"),
+    ], ids=["blocking_T_0", "blocking_T_negative", "ogd_G_0", "ogd_G_nan", "ofw_G_negative", "ofw_G_0"])
+    def test_bad_parameters_are_config_errors(self, build, match):
+        with pytest.raises(ConfigError, match=match):
+            build()
+
 
 class TestInstrumentation:
     def test_oracle_counter_counts_batch_rows(self):

@@ -366,6 +366,28 @@ class TestAdversaries:
         with pytest.raises(ConfigError, match="unknown adversary"):
             make_adversary({"kind": "bandit"}, horizon=4, seed=0, norm_bound=1.0, dim=2)
 
+    @pytest.mark.parametrize("spec,horizon,match", [
+        ({"kind": "quadratic_stochastic"}, 0, "horizon must be >= 1"),
+        ({"kind": "quadratic_stochastic", "center_scale": -1.0}, 8, "center_scale"),
+        ({"kind": "quadratic_stochastic", "center_scale": np.nan}, 8, "center_scale"),
+        ({"kind": "quadratic_adaptive", "center_scale": np.inf}, 8, "center_scale"),
+        ({"kind": "linear_stochastic", "direction": [1.0, 0.0, 0.0]}, 8, "match the set dimension"),
+        ({"kind": "linear_stochastic", "direction": [np.nan, 1.0]}, 8, "finite"),
+        ({"kind": "linear_stochastic", "direction": [np.inf, 0.0]}, 8, "finite"),
+        pytest.param({"kind": "linear_stochastic", "direction": [1e300, 1e300]}, 8, "finite norm",
+                     marks=pytest.mark.filterwarnings("ignore:overflow encountered")),
+        ({"kind": "linear_stochastic", "direction_norm": 0.0}, 8, "direction_norm"),
+        ({"kind": "linear_stochastic", "direction_norm": np.inf}, 8, "direction_norm"),
+        ({"kind": "linear_adaptive", "direction_norm": -1.0}, 8, "direction_norm"),
+        ({"kind": "linear_adaptive", "direction_norm": np.inf}, 8, "direction_norm"),
+        ({"kind": "linear_adaptive", "direction_norm": np.nan}, 8, "direction_norm"),
+        (["linear_stochastic"], 8, "must be an object"),
+        ({"direction_norm": 1.0}, 8, "'kind' field"),
+    ])
+    def test_bad_parameters_are_config_errors(self, spec, horizon, match):
+        with pytest.raises(ConfigError, match=match):
+            make_adversary(spec, horizon=horizon, seed=0, norm_bound=1.0, dim=2)
+
     def test_declared_constants_cover_emitted_losses(self):
         for kind in ("quadratic_stochastic", "quadratic_adaptive",
                      "linear_stochastic", "linear_adaptive"):

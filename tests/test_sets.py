@@ -435,6 +435,35 @@ class TestValidationAndJson:
         with pytest.raises(ConfigError, match="unknown set kind"):
             set_from_json({"kind": "torus", "dim": 2})
 
+    @pytest.mark.parametrize("build,match", [
+        (lambda: Ball(dim=2, radius=np.inf), "radius must be positive and finite"),
+        (lambda: Ball(dim=2, radius=np.nan), "radius must be positive and finite"),
+        (lambda: Box(lower=[[0.0]], upper=[[1.0]]), "1-D vectors of equal length"),
+        (lambda: Box(lower=[0.0, 0.0], upper=[1.0]), "1-D vectors of equal length"),
+        (lambda: Box(lower=[-np.inf], upper=[1.0]), "finite"),
+        (lambda: Box(lower=[1.0], upper=[0.0]), "lower <= upper"),
+        (lambda: Simplex(dim=0, scale=1.0), "dim must be >= 1"),
+        (lambda: Simplex(dim=2, scale=0.0), "scale must be positive and finite"),
+        (lambda: Simplex(dim=2, scale=np.inf), "scale must be positive and finite"),
+        (lambda: L1Ball(dim=0, radius=1.0), "dim must be >= 1"),
+        (lambda: L1Ball(dim=2, radius=-1.0), "radius must be positive and finite"),
+        (lambda: L1Ball(dim=2, radius=np.inf), "radius must be positive and finite"),
+        (lambda: Polytope(vertices=[]), "at least one vertex"),
+        (lambda: Polytope(vertices=np.ones((2, 2, 2))), r"\(n, d\) array"),
+        (lambda: Polytope(vertices=[[0.0, np.nan]]), "finite"),
+        (lambda: brute_force_argmax([[1.0, 0.0]], [1.0, 0.0, 0.0]), "shape"),
+        (lambda: brute_force_argmax([[1.0, 0.0]], [np.nan, 0.0]), "NaN or Inf"),
+        (lambda: set_from_json(["ball"]), "must be an object"),
+        (lambda: set_from_json({"kind": "ball"}), "invalid 'ball' set spec"),
+        (lambda: set_from_json({"kind": "simplex", "dim": 2, "scale": np.inf}), "invalid 'simplex' set spec"),
+    ], ids=["ball_radius_inf", "ball_radius_nan", "box_2d", "box_unequal", "box_inf", "box_crossed",
+            "simplex_dim_0", "simplex_scale_0", "simplex_scale_inf", "l1_dim_0", "l1_radius_negative",
+            "l1_radius_inf", "polytope_empty", "polytope_3d", "polytope_nan", "brute_force_y_shape",
+            "brute_force_y_nan", "json_not_object", "json_missing_field", "json_scale_inf"])
+    def test_bad_input_is_rejected(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
+
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ConfigError, match="dim"):
             set_from_json({"kind": "box", "dim": 3, "lower": [0.0], "upper": [1.0]})

@@ -123,13 +123,13 @@ class TestEmpiricalMSE:
     def test_single_draw_below_worst_case(self):
         sampler = oracle_output_sampler(BALL3, np.zeros(3), 1.0)
         mse = empirical_mse(sampler, 1, 4000, np.random.default_rng(15), bound=1.0,
-                            reference_samples=400_000)
+                            reference_mean=np.zeros(3))
         assert mse.value <= 4.0 + 4.0 * mse.stderr
 
     def test_hundred_draws_meet_one_over_m_rate(self):
         sampler = oracle_output_sampler(BALL3, np.zeros(3), 1.0)
         mse = empirical_mse(sampler, 100, 2000, np.random.default_rng(16), bound=1.0,
-                            reference_samples=400_000)
+                            reference_mean=np.zeros(3))
         assert mse.value <= 4.0 / 100.0 + 4.0 * mse.stderr
 
     def test_deterministic_sampler_has_zero_error(self):
@@ -139,7 +139,7 @@ class TestEmpiricalMSE:
             return np.tile(point, (count, 1))
 
         mse = empirical_mse(constant, 5, 100, np.random.default_rng(17), bound=1.0,
-                            reference_samples=1000)
+                            reference_mean=point)
         assert mse.value <= 1e-24
 
     def test_bound_violation_detected(self):
@@ -148,12 +148,13 @@ class TestEmpiricalMSE:
 
         with pytest.raises(ValueError, match="above the declared bound"):
             empirical_mse(too_big, 2, 10, np.random.default_rng(18), bound=1.0,
-                          reference_samples=100)
+                          reference_mean=np.zeros(2))
 
     def test_invalid_parameters(self):
         sampler = oracle_output_sampler(BALL3, np.zeros(3), 1.0)
         with pytest.raises(ValueError):
-            empirical_mse(sampler, 0, 10, np.random.default_rng(0), bound=1.0)
+            empirical_mse(sampler, 0, 10, np.random.default_rng(0), bound=1.0,
+                          reference_mean=np.zeros(3))
 
 
 class TestLipschitzAudit:
@@ -212,6 +213,15 @@ class TestSmoothInequalityAudit:
         )
         violation = smooth_inequality_audit(bad, BALL3, 2000, np.random.default_rng(27))
         assert violation > 0.0
+
+
+@pytest.mark.parametrize("audit", [
+    lambda rng: lipschitz_audit(BALL3, 0, rng),
+    lambda rng: smooth_inequality_audit(quadratic_loss(np.zeros(3), grad_bound=2.0), BALL3, 0, rng),
+], ids=["lipschitz", "smooth_inequality"])
+def test_audits_need_a_pair(audit):
+    with pytest.raises(ValueError, match="need pairs >= 1"):
+        audit(np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("seed", [-1, 2.0, "0"])
