@@ -1,8 +1,8 @@
 """Projection-free online convex optimization toolkit.
 
 Feasible sets with exact linear-optimization oracles, one perturbed-leader
-learner (sampled, blocked, or a Monte-Carlo expected-play reference),
-projection-based baselines, stochastic-smoothing diagnostics, and a
+learner (sampled, or blocked over k rounds), projection-based and
+Frank-Wolfe baselines, stochastic-smoothing diagnostics, and a
 deterministic benchmark harness with regret bounds and power-law fits.
 """
 

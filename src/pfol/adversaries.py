@@ -208,9 +208,11 @@ class LinearStochastic(Adversary):
     quadratic = False
 
     def __init__(self, horizon, seed, norm_bound, *, dim: int,
-                 direction_norm: float = 1.0, direction=None):
+                 direction_norm: float | None = None, direction=None):
         self.dim = int(dim)
         if direction is not None:
+            if direction_norm is not None:
+                raise ConfigError("direction_norm must not be given with a fixed direction, whose norm it is")
             self.direction = np.asarray(direction, dtype=float)
             if self.direction.shape != (self.dim,):
                 raise ConfigError("fixed direction must match the set dimension")
@@ -218,6 +220,7 @@ class LinearStochastic(Adversary):
             if not np.isfinite(self.direction_norm):
                 raise ConfigError("fixed direction must have finite entries and a finite norm")
         else:
+            direction_norm = 1.0 if direction_norm is None else direction_norm
             if not 0 < direction_norm < np.inf:
                 raise ConfigError(f"direction_norm must be positive and finite, got {direction_norm}")
             self.direction = None
@@ -273,21 +276,22 @@ _KINDS = {
 def make_adversary(spec: dict, *, horizon: int, seed: int, norm_bound: float, dim: int) -> Adversary:
     """Build an adversary from a JSON-style spec; horizon/seed/dim come from the run.
 
-    A spec may override the seed with an integer, and may repeat the set's
-    dimension. It may also name a horizon, an integer of at least the run's;
-    that is checked and not read, since the adversary serves the run's rounds
-    and its rows are keyed by round. Anything else is a ConfigError.
+    A spec names its kind and that family's parameters. It may override the
+    seed with an integer, and may repeat the set's dimension. The run sets
+    the horizon (its T) and the norm bound (the set's), so a spec that names
+    either is refused. Anything else is a ConfigError.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"adversary spec must be an object with a 'kind' field, got {spec!r}")
     kind = spec["kind"]
     if kind not in _KINDS:
         raise ConfigError(f"unknown adversary kind {kind!r}; supported: {sorted(_KINDS)}")
-    params = {k: v for k, v in spec.items() if k not in ("kind", "horizon", "seed", "dim")}
-    spec_horizon, seed = spec.get("horizon", horizon), spec.get("seed", seed)
-    if not (is_int(spec_horizon) and is_int(seed) and spec_horizon >= horizon):
-        raise ConfigError(f"adversary horizon must be an integer >= the run's T={horizon} and seed "
-                          f"an integer, got horizon={spec_horizon!r}, seed={seed!r}")
+    if fixed := sorted({"horizon", "norm_bound"} & set(spec)):
+        raise ConfigError(f"adversary spec may not set {fixed}: the run's T is the horizon, its set the norm bound")
+    params = {k: v for k, v in spec.items() if k not in ("kind", "seed", "dim")}
+    seed = spec.get("seed", seed)
+    if not is_int(seed):
+        raise ConfigError(f"adversary seed must be an integer, got {seed!r}")
     if "dim" in spec and not (is_int(spec["dim"]) and spec["dim"] == dim):
         raise ConfigError(f"adversary dim must equal the set's dim {dim}, got {spec['dim']!r}")
     try:

@@ -73,7 +73,7 @@ __all__ = [
 
 logger = logging.getLogger("pfol")
 
-LEARNER_NAMES = ("sampled_fpl", "ospf", "expected_fpl_mc", "ogd", "ofw")
+LEARNER_NAMES = ("sampled_fpl", "ospf", "ogd", "ofw")
 
 CSV_HEADER = "run_id,algorithm,seed,t,loss,cum_loss,cum_regret,oracle_calls,grad_evals"
 
@@ -91,9 +91,10 @@ class ExperimentConfig:
 
     ``delta`` and ``k`` accept "auto": delta resolves to the theory-optimal
     value for the learner, and k (blocked learner only) to the horizon-based
-    blocking schedule. ``fw_budget`` is accepted and validated so that older
-    configs still load, and is not read: the hindsight comparator is exact and
-    needs no iteration budget.
+    blocking schedule. ``fw_budget`` is accepted and validated, and is not
+    read: the hindsight comparator is exact and needs no iteration budget.
+    It stays because the benchmark's workloads (perfbench/workloads.py) set
+    and read it.
     """
 
     learner: str
@@ -102,7 +103,6 @@ class ExperimentConfig:
     T: int
     m: int = 1
     k: int | str = 1
-    eval_samples: int = 10_000
     delta: float | str = "auto"
     seeds: tuple[int, ...] = (0,)
     fw_budget: int | None = None
@@ -111,7 +111,7 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.learner not in LEARNER_NAMES:
             raise ConfigError(f"unknown learner {self.learner!r}; supported: {LEARNER_NAMES}")
-        for name in ("T", "m", "eval_samples") + (() if self.k == "auto" else ("k",)):
+        for name in ("T", "m") + (() if self.k == "auto" else ("k",)):
             _check_count(name, getattr(self, name))
         if self.fw_budget is not None:
             _check_count("fw_budget", self.fw_budget)
@@ -178,11 +178,7 @@ def leader_shape(config: ExperimentConfig, k: int) -> tuple[int, int] | None:
     ``k`` is the resolved block length; this is the one place that tells the
     perturbed-leader config names apart.
     """
-    return {
-        "sampled_fpl": (config.m, 1),
-        "expected_fpl_mc": (config.eval_samples, 1),
-        "ospf": (k, k),
-    }.get(config.learner)
+    return {"sampled_fpl": (config.m, 1), "ospf": (k, k)}.get(config.learner)
 
 
 def resolve_delta(config: ExperimentConfig, G: float, dim: int, k: int) -> float | None:

@@ -4,8 +4,8 @@ One class, ``PerturbedLeader(samples, block)``, is the perturbed-leader
 family: draw uniform unit-ball perturbations v, scale them by 1/delta, and
 average the oracle answers at (-cumulative_gradient + v/delta), refreshing
 the action every ``block`` rounds from ``samples`` answers. The config
-learners map onto it: ``sampled_fpl`` is (m, 1), the Monte-Carlo expected
-play ``expected_fpl_mc`` is (eval_samples, 1) and the blocked ``ospf`` is
+learners map onto it: ``sampled_fpl`` is (m, 1), with a large m a
+Monte-Carlo estimate of the expected leader, and the blocked ``ospf`` is
 (k, k), FPL played on ceil(T/k) block losses. Per-round randomness comes
 from a substream keyed by (seed, round), so trajectories replay
 bit-identically and the amount of randomness one round consumes never

@@ -60,6 +60,13 @@ def _frozen(arr) -> np.ndarray:
     return out
 
 
+def _check_norm(set_: "FeasibleSet") -> None:
+    """Raise ValueError if the set's norm bound overflows, as finite entries near the float limit can."""
+    with np.errstate(over="ignore"):
+        if not np.isfinite(set_.norm_bound):
+            raise ValueError(f"{set_.kind} norm bound overflows; its entries must have a finite norm")
+
+
 class FeasibleSet(abc.ABC):
     """A convex compact action set together with its linear oracle."""
 
@@ -163,6 +170,7 @@ class Box(FeasibleSet):
             raise ValueError("box requires lower <= upper componentwise")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
+        _check_norm(self)
 
     @property
     def dim(self) -> int:
@@ -284,6 +292,7 @@ class Polytope(FeasibleSet):
         if not np.all(np.isfinite(verts)):
             raise ValueError("vertices must be finite")
         object.__setattr__(self, "vertices", verts)
+        _check_norm(self)
 
     @property
     def dim(self) -> int:

@@ -208,7 +208,7 @@ def test_criterion_09_budget_invariants():
     # true counts, start-point calls included: ospf makes 7*floor(T/7) + 1, ofw T + 1
     for learner, want_oracle, knobs in [("sampled_fpl", 4 * T, {"m": 4}),
                                         ("ospf", 7 * (T // 7) + 1, {"k": 7}),
-                                        ("expected_fpl_mc", 8 * T, {"eval_samples": 8}),
+                                        ("sampled_fpl", 8 * T, {"m": 8}),
                                         ("ofw", T + 1, {}),
                                         ("ogd", 0, {})]:
         config = ExperimentConfig(learner=learner, **knobs, **base)

@@ -1,10 +1,14 @@
 """Command-line interface: subcommands, exit codes, seed and output overrides."""
 
 import json
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 import pfol.cli
+from pfol import harness
 from pfol.cli import cli_main
 
 CONFIG = {
@@ -47,6 +51,19 @@ def test_run_seed_comes_from_the_flag_else_the_config(config_file, tmp_path, mon
     assert out.read_text().splitlines()[1].split(",")[2] == "7"
     assert cli_main(["run", "--config", str(config_file), "--out", str(out)]) == 0
     assert out.read_text().splitlines()[1].split(",")[2] == "0"  # the config's first seed
+
+
+def test_readme_config_loads_and_resolves(tmp_path):
+    # README's config is what pfol sweep reads: a removed learner or field in it fails here
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    [block] = re.findall(r"```json\n(.*?)```", readme, re.S)
+    path = tmp_path / "c.json"
+    path.write_text(block)
+    config, vary = pfol.cli._load_config(str(path), sweep=True)
+    harness._resolve(config)
+    for field, values in vary.items():
+        for value in values:
+            harness._resolve(replace(config, **{field: value}))
 
 
 def test_malformed_json_reports_location(tmp_path, capsys):
@@ -166,6 +183,12 @@ def test_bound_check_passes(config_file, capsys):
     ("adversary", {"kind": "quadratic_adaptive", "center_scale": INF}),
     ("adversary", {"kind": "quadratic_stochastic", "center_scale": NAN}),
     ("adversary", {"kind": "linear_adaptive", "direction_norm": INF}),
+    ("learner", "expected_fpl_mc"),
+    ("adversary", {"kind": "quadratic_stochastic", "horizon": 131072}),
+    ("adversary", {"kind": "linear_stochastic", "direction": [1.0, 0.0, 0.0], "direction_norm": 5.0}),
+    ("adversary", {"kind": "linear_stochastic", "direction": [1.0, 0.0, 0.0], "direction_norm": 1.0}),
+    ("set", {"kind": "box", "lower": [-1e308, -1e308], "upper": [1e308, 1e308]}),
+    ("set", {"kind": "polytope", "vertices": [[1e200, 0.0], [0.0, 1e200]]}),
 ])
 def test_bad_field_types_are_config_errors(tmp_path, capsys, field, value):
     # a fixed delta, since an "auto" delta worked out from a non-finite G would fail first

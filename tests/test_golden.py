@@ -31,7 +31,7 @@ LEARNERS = {
     "sampled_fpl-m4": {"learner": "sampled_fpl", "m": 4},
     "ospf-k1": {"learner": "ospf", "k": 1},
     "ospf-k7": {"learner": "ospf", "k": 7},
-    "expected_fpl_mc-e8": {"learner": "expected_fpl_mc", "eval_samples": 8},
+    "sampled_fpl-m8": {"learner": "sampled_fpl", "m": 8},
     "ogd": {"learner": "ogd"},
     "ofw": {"learner": "ofw"},
 }

@@ -249,7 +249,7 @@ ROUTE_LEARNERS = {
     "sampled_fpl-m64": {"learner": "sampled_fpl", "m": 64},
     "ospf-k7": {"learner": "ospf", "k": 7},
     "ospf-auto": {"learner": "ospf", "k": "auto"},
-    "expected_fpl_mc-e8": {"learner": "expected_fpl_mc", "eval_samples": 8},
+    "sampled_fpl-m8": {"learner": "sampled_fpl", "m": 8},
 }
 # one round, either side of ospf's k = 7, and past the 4096-row draw cap for every learner
 ROUTE_T = (1, 6, 7, 8200)
@@ -337,7 +337,7 @@ def segment_cases():
 LOCKSTEP_LEARNERS = {
     "sampled_fpl-m1": {"learner": "sampled_fpl", "m": 1},
     "sampled_fpl-m64": {"learner": "sampled_fpl", "m": 64},
-    "expected_fpl_mc-e8": {"learner": "expected_fpl_mc", "eval_samples": 8},
+    "sampled_fpl-m8": {"learner": "sampled_fpl", "m": 8},
     "ospf-k1": {"learner": "ospf", "k": 1},
 }
 LOCKSTEP_SEEDS = (3, 4, 5, 6, 7)
@@ -473,10 +473,10 @@ class TestLeaderEngine:
     def test_every_learner_plays_through_its_play(self, monkeypatch):
         monkeypatch.setattr(PerturbedLeader, "play", refuse)
         monkeypatch.setattr(OnlineLearner, "play", refuse)
-        for learner in ("sampled_fpl", "expected_fpl_mc", "ospf", "ogd", "ofw"):
+        for learner, m in (("sampled_fpl", 2), ("sampled_fpl", 4), ("ospf", 2), ("ogd", 2), ("ofw", 2)):
             for adversary in ENGINE_ADVERSARIES.values():
                 with pytest.raises(AssertionError, match="refused route"):
-                    run_game(cfg(learner=learner, adversary=adversary, k=3, eval_samples=4, T=8), 0)
+                    run_game(cfg(learner=learner, adversary=adversary, k=3, m=m, T=8), 0)
 
     @pytest.mark.parametrize("adversary", list(ENGINE_ADVERSARIES.values()), ids=list(ENGINE_ADVERSARIES))
     @pytest.mark.parametrize("learner", [1, 7, "ogd", "ofw"])  # a perturbed leader's block, or a baseline
@@ -606,7 +606,7 @@ class TestRunExperimentAndSweep:
     def test_budget_bookkeeping_matches_expected(self):
         for learner, kw in [("sampled_fpl", {"m": 3}), ("ospf", {"k": 4}),
                             ("ofw", {}), ("ogd", {}),
-                            ("expected_fpl_mc", {"eval_samples": 5})]:
+                            ("sampled_fpl", {"m": 5})]:
             config = cfg(learner=learner, T=21, **kw)
             summary = run_experiment(config)
             want_oracle, want_grads = expected_budgets(config, resolve_block(config, 1.0))
@@ -847,12 +847,12 @@ class TestConfigHandling:
     def test_config_hash_is_pinned(self):
         # the JSON of every field, defaults included; a schema change moves these hashes
         full = ExperimentConfig(learner="ospf", set={"kind": "polytope", "vertices": DIAMOND["vertices"][:3]},
-                                adversary={"kind": "quadratic_stochastic", "center_scale": 0.5, "horizon": 128},
-                                T=100, m=3, k="auto", eval_samples=500, delta=0.25, seeds=(4, 1, 7),
+                                adversary={"kind": "quadratic_stochastic", "center_scale": 0.5},
+                                T=100, m=3, k="auto", delta=0.25, seeds=(4, 1, 7),
                                 fw_budget=32, output_path="out.csv")
-        assert config_hash(full) == "04069345a924"
+        assert config_hash(full) == "559171aa81dd"
         assert config_hash(cfg(set=BALL5, adversary={"kind": "linear_stochastic"}, m=1, fw_budget=None)) \
-            == "7f85d8698a43"
+            == "2d5b74170b27"
 
     def test_missing_fields_rejected(self):
         with pytest.raises(ConfigError, match="missing"):

@@ -24,6 +24,7 @@ from pfol import (
     expected_fpl_point_mc,
     linear_argmax,
     linear_loss,
+    make_adversary,
     perturbed_leader_points,
     quadratic_loss,
     round_rng,
@@ -51,7 +52,7 @@ def drive(learner, losses):
 
 
 class TestSampledFPL:
-    """PerturbedLeader with block 1: the sampled_fpl and expected_fpl_mc configs."""
+    """PerturbedLeader with block 1: the sampled_fpl config."""
 
     def test_first_round_plays_normalized_perturbation(self):
         # with zero cumulative gradient the ball oracle normalizes v/delta
@@ -184,12 +185,19 @@ class TestOSPF:
 
 
 class TestExpectedFPLMC:
-    """PerturbedLeader with block 1 and a large sample count: the expected_fpl_mc config."""
+    """PerturbedLeader with block 1 and a large sample count: sampled_fpl as the Monte-Carlo expected leader."""
 
-    def test_equals_sampled_fpl_with_same_budget(self):
-        a = run_game(game_config("expected_fpl_mc", eval_samples=16), 7).actions
-        b = run_game(game_config("sampled_fpl", m=16), 7).actions
-        np.testing.assert_array_equal(a, b)
+    def test_config_game_is_the_class_under_act_and_observe(self):
+        config = game_config("sampled_fpl", m=16)
+        adversary = make_adversary(config.adversary, horizon=config.T, seed=7, norm_bound=1.0, dim=3)
+        learner = PerturbedLeader(BALL, delta=0.25, samples=16, seed=7)
+        played = []
+        for _ in range(config.T):
+            action = learner.act()
+            loss = adversary.next_loss(played)
+            played.append(action)
+            learner.observe(loss.gradient(action))
+        np.testing.assert_array_equal(run_game(config, 7).actions, np.array(played))
 
     def test_deterministic_under_seed(self):
         a = drive(PerturbedLeader(BALL, delta=0.5, samples=8, seed=1),

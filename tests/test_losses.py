@@ -1,6 +1,7 @@
 """Losses, adversaries, and the hindsight comparator."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -381,6 +382,11 @@ class TestAdversaries:
         ({"kind": "linear_adaptive", "direction_norm": -1.0}, 8, "direction_norm"),
         ({"kind": "linear_adaptive", "direction_norm": np.inf}, 8, "direction_norm"),
         ({"kind": "linear_adaptive", "direction_norm": np.nan}, 8, "direction_norm"),
+        ({"kind": "linear_stochastic", "direction": [1.0, 0.0], "direction_norm": 5.0}, 8, "direction_norm"),
+        ({"kind": "linear_stochastic", "direction": [1.0, 0.0], "direction_norm": 1.0}, 8, "direction_norm"),
+        ({"kind": "quadratic_stochastic", "horizon": 131072}, 8, r"\['horizon'\]"),
+        ({"kind": "linear_adaptive", "horizon": 8}, 8, r"\['horizon'\]"),
+        ({"kind": "linear_stochastic", "norm_bound": 1.0}, 8, r"\['norm_bound'\]"),
         (["linear_stochastic"], 8, "must be an object"),
         ({"direction_norm": 1.0}, 8, "'kind' field"),
     ])
@@ -456,7 +462,7 @@ class TestAdversaries:
             assert adv(kind, T=2**47).constants() == (G, float(kind.startswith("quadratic")))
 
     def test_spec_horizon_above_T_draws_only_the_run(self, monkeypatch):
-        # the spec horizon is checked, not read: a 16-round game draws 16 rows, the same ones
+        # the run sets the horizon: a spec that names one is refused, and a 16-round game draws rows 1..16 only
         drawn = []
 
         def counting(stream, rounds, *args, **kwargs):
@@ -465,12 +471,11 @@ class TestAdversaries:
 
         monkeypatch.setattr(pfol.adversaries, "round_rows", counting)
         for kind in ("quadratic_stochastic", "linear_stochastic"):
-            traces = []
-            for spec in ({"kind": kind, "horizon": 2**17}, {"kind": kind}):
-                drawn.clear()
-                config = ExperimentConfig(learner="sampled_fpl", set={"kind": "ball", "dim": 2, "radius": 1.0},
-                                          adversary=spec, T=16)
-                traces.append(run_game(config, 5))
-                assert drawn == list(range(1, 17))
-            np.testing.assert_array_equal(traces[0].losses, traces[1].losses)
-            np.testing.assert_array_equal(traces[0].cum_regret, traces[1].cum_regret)
+            config = ExperimentConfig(learner="sampled_fpl", set={"kind": "ball", "dim": 2, "radius": 1.0},
+                                      adversary={"kind": kind, "horizon": 2**17}, T=16)
+            with pytest.raises(ConfigError, match=r"may not set \['horizon'\]"):
+                run_game(config, 5)
+            assert drawn == []
+            run_game(replace(config, adversary={"kind": kind}), 5)
+            assert drawn == list(range(1, 17))
+            drawn.clear()

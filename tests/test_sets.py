@@ -451,15 +451,20 @@ class TestValidationAndJson:
         (lambda: Polytope(vertices=[]), "at least one vertex"),
         (lambda: Polytope(vertices=np.ones((2, 2, 2))), r"\(n, d\) array"),
         (lambda: Polytope(vertices=[[0.0, np.nan]]), "finite"),
+        (lambda: Polytope(vertices=[[1e200, 0.0], [0.0, 1e200]]), "polytope norm bound overflows"),
+        (lambda: Box(lower=[-1e308, -1e308], upper=[1e308, 1e308]), "box norm bound overflows"),
         (lambda: brute_force_argmax([[1.0, 0.0]], [1.0, 0.0, 0.0]), "shape"),
         (lambda: brute_force_argmax([[1.0, 0.0]], [np.nan, 0.0]), "NaN or Inf"),
         (lambda: set_from_json(["ball"]), "must be an object"),
         (lambda: set_from_json({"kind": "ball"}), "invalid 'ball' set spec"),
         (lambda: set_from_json({"kind": "simplex", "dim": 2, "scale": np.inf}), "invalid 'simplex' set spec"),
+        (lambda: set_from_json({"kind": "box", "lower": [-1e308] * 2, "upper": [1e308] * 2}), "norm bound overflows"),
     ], ids=["ball_radius_inf", "ball_radius_nan", "box_2d", "box_unequal", "box_inf", "box_crossed",
             "simplex_dim_0", "simplex_scale_0", "simplex_scale_inf", "l1_dim_0", "l1_radius_negative",
-            "l1_radius_inf", "polytope_empty", "polytope_3d", "polytope_nan", "brute_force_y_shape",
-            "brute_force_y_nan", "json_not_object", "json_missing_field", "json_scale_inf"])
+            "l1_radius_inf", "polytope_empty", "polytope_3d", "polytope_nan", "polytope_norm_overflow",
+            "box_norm_overflow", "brute_force_y_shape",
+            "brute_force_y_nan", "json_not_object", "json_missing_field", "json_scale_inf",
+            "json_box_norm_overflow"])
     def test_bad_input_is_rejected(self, build, match):
         with pytest.raises(ValueError, match=match):
             build()
