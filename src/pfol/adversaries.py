@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ProtocolError, is_int
+from .errors import ConfigError, ProtocolError
 from .losses import LossFunction, linear_loss, quadratic_loss, row_dots
 from .rng import ADVERSARY_STREAM, RoundStream
 from .sets import round_rows
@@ -274,28 +274,23 @@ _KINDS = {
 
 
 def make_adversary(spec: dict, *, horizon: int, seed: int, norm_bound: float, dim: int) -> Adversary:
-    """Build an adversary from a JSON-style spec; horizon/seed/dim come from the run.
+    """Build an adversary from a JSON-style spec; horizon, seed, norm bound and dim come from the run.
 
-    A spec names its kind and that family's parameters. It may override the
-    seed with an integer, and may repeat the set's dimension. The run sets
-    the horizon (its T) and the norm bound (the set's), so a spec that names
-    either is refused. Anything else is a ConfigError.
+    A spec names its kind and that family's parameters, and nothing else:
+    the run sets the horizon (its T), the seed (the game's) and the norm
+    bound and dim (its set's), so a spec that names any of them is refused.
+    Anything else the family does not take is a ConfigError too.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"adversary spec must be an object with a 'kind' field, got {spec!r}")
     kind = spec["kind"]
     if kind not in _KINDS:
         raise ConfigError(f"unknown adversary kind {kind!r}; supported: {sorted(_KINDS)}")
-    if fixed := sorted({"horizon", "norm_bound"} & set(spec)):
-        raise ConfigError(f"adversary spec may not set {fixed}: the run's T is the horizon, its set the norm bound")
-    params = {k: v for k, v in spec.items() if k not in ("kind", "seed", "dim")}
-    seed = spec.get("seed", seed)
-    if not is_int(seed):
-        raise ConfigError(f"adversary seed must be an integer, got {seed!r}")
-    if "dim" in spec and not (is_int(spec["dim"]) and spec["dim"] == dim):
-        raise ConfigError(f"adversary dim must equal the set's dim {dim}, got {spec['dim']!r}")
+    if fixed := sorted({"horizon", "seed", "norm_bound", "dim"} & set(spec)):
+        raise ConfigError(f"adversary spec may not set {fixed}: the run's T is the horizon, its seed the seed, "
+                          f"and its set the norm bound and dim")
+    params = {k: v for k, v in spec.items() if k != "kind"}
     try:
         return _KINDS[kind](horizon, seed, norm_bound, dim=dim, **params)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid parameters for adversary {kind!r}: {exc}") from exc
-

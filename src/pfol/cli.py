@@ -5,7 +5,8 @@ JSON summaries, ``audit`` the Monte-Carlo diagnostics, ``fit`` a power-law
 exponent from a sweep CSV, and ``bound-check`` mean regret against the
 config's guarantee. Configs are JSON files mirroring ExperimentConfig; only
 ``sweep`` reads a ``vary`` grid, and ``run`` and ``bound-check`` reject a file
-that has one. ``run`` plays ``--seed``, else the config's first seed.
+that has one. ``run`` plays ``--seed``, else the config's first seed, and
+writes its trace to ``--out`` (default ``trace.csv``).
 
 Exit codes: 0 success, 1 failed check or aborted run, 2 config error or an
 output path that cannot be written.
@@ -70,7 +71,7 @@ def _cmd_run(args) -> int:
     config, _ = _load_config(args.config)
     seed = config.seeds[0] if args.seed is None else args.seed
     trace = run_game(config, seed)
-    out = args.out or config.output_path or "trace.csv"
+    out = args.out or "trace.csv"
     _write(trace_to_csv, trace, out)
     print(f"run complete: learner={config.learner} T={config.T} seed={seed} "
           f"final_regret={trace.final_regret:.6g} -> {out}")

@@ -73,7 +73,8 @@ __all__ = [
 
 logger = logging.getLogger("pfol")
 
-LEARNER_NAMES = ("sampled_fpl", "ospf", "ogd", "ofw")
+# the knobs each learner reads; the others must keep their field defaults
+LEARNER_KNOBS = {"sampled_fpl": ("m", "delta"), "ospf": ("k", "delta"), "ogd": (), "ofw": ()}
 
 CSV_HEADER = "run_id,algorithm,seed,t,loss,cum_loss,cum_regret,oracle_calls,grad_evals"
 
@@ -89,12 +90,17 @@ def _check_count(name: str, value) -> None:
 class ExperimentConfig:
     """One benchmark cell: learner, set, adversary, horizon, and knobs.
 
-    ``delta`` and ``k`` accept "auto": delta resolves to the theory-optimal
-    value for the learner, and k (blocked learner only) to the horizon-based
+    Each learner reads its own knobs (``LEARNER_KNOBS``): ``sampled_fpl``
+    its samples per round ``m`` and ``delta``, ``ospf`` its block length
+    ``k`` and ``delta``, the baselines none. A knob the learner does not
+    read must keep its default (1, 1, "auto"), else ``validate`` refuses
+    it. ``delta`` and ``k`` accept "auto": delta resolves to the
+    theory-optimal value for the learner, and k to the horizon-based
     blocking schedule. ``fw_budget`` is accepted and validated, and is not
     read: the hindsight comparator is exact and needs no iteration budget.
     It stays because the benchmark's workloads (perfbench/workloads.py) set
-    and read it.
+    and read it. Where a trace goes is the caller's choice (``pfol run
+    --out``), not the config's.
     """
 
     learner: str
@@ -106,22 +112,23 @@ class ExperimentConfig:
     delta: float | str = "auto"
     seeds: tuple[int, ...] = (0,)
     fw_budget: int | None = None
-    output_path: str | None = None
 
     def validate(self) -> None:
-        if self.learner not in LEARNER_NAMES:
-            raise ConfigError(f"unknown learner {self.learner!r}; supported: {LEARNER_NAMES}")
+        if self.learner not in LEARNER_KNOBS:
+            raise ConfigError(f"unknown learner {self.learner!r}; supported: {tuple(LEARNER_KNOBS)}")
         for name in ("T", "m") + (() if self.k == "auto" else ("k",)):
             _check_count(name, getattr(self, name))
         if self.fw_budget is not None:
             _check_count("fw_budget", self.fw_budget)
-        if self.output_path is not None and not (isinstance(self.output_path, str) and self.output_path):
-            raise ConfigError(f"output_path must be null or a non-empty string, got {self.output_path!r}")
         if isinstance(self.delta, str):
             if self.delta != "auto":
                 raise ConfigError(f"delta must be a positive number or 'auto', got {self.delta!r}")
         elif isinstance(self.delta, bool) or not isinstance(self.delta, numbers.Real) or not self.delta > 0:
             raise ConfigError(f"delta must be a positive number or 'auto', got {self.delta!r}")
+        reads = LEARNER_KNOBS[self.learner]
+        if unread := [name for name in ("m", "k", "delta") if name not in reads
+                      and getattr(self, name) != self.__dataclass_fields__[name].default]:
+            raise ConfigError(f"learner {self.learner!r} does not read {unread}; it reads {list(reads)}")
         if not isinstance(self.seeds, (tuple, list)) or not all(is_int(s) for s in self.seeds):
             raise ConfigError(f"seeds must be a list of integers, got {self.seeds!r}")
         if not self.seeds:
@@ -218,13 +225,22 @@ def _adversary(config: ExperimentConfig, set_: FeasibleSet, seed: int) -> Advers
 
 
 def _resolve(config: ExperimentConfig) -> _Problem:
-    """Validate and resolve a config; the set is parsed here and nowhere else, and the adversary certifies G, beta."""
+    """Validate and resolve a config; the set is parsed here and nowhere else, and the adversary certifies G, beta.
+
+    A perturbed leader whose expected-regret bound is not finite (a delta,
+    given or resolved, out of range for the set and the adversary) is a
+    ConfigError: no game of it could check against the bound.
+    """
     config.validate()
     set_ = set_from_json(config.set)
     adversary = _adversary(config, set_, 0)
     G, beta = adversary.constants()
     k = resolve_block(config, beta)
-    return _Problem(set_, G, beta, k, resolve_delta(config, G, set_.dim, k), leader_shape(config, k))
+    problem = _Problem(set_, G, beta, k, resolve_delta(config, G, set_.dim, k), leader_shape(config, k))
+    if problem.leader_shape is not None and not math.isfinite(bound := _expected_bound(config, problem)):
+        raise ConfigError(f"delta={problem.delta!r} gives the regret bound {bound!r}, which is not finite: "
+                          f"choose a delta that suits the set's size and the adversary's scale")
+    return problem
 
 
 def _make_learner(config: ExperimentConfig, problem: _Problem, oracle: InstrumentedSet, seed: int):
@@ -307,18 +323,17 @@ def run_game(config: ExperimentConfig, seed: int) -> RegretTrace:
     Raises RuntimeError if the oracle calls counted differ from the config's
     budget (``expected_budgets``).
     """
-    return next(_play_games(config, (seed,)))
+    return next(_play_games(config, _resolve(config), (seed,)))
 
 
-def _play_games(config: ExperimentConfig, seeds: Sequence[int]) -> Iterator[RegretTrace]:
-    """The traces of a config's games under ``seeds``, in order, each bit for bit the game ``run_game`` plays.
+def _play_games(config: ExperimentConfig, problem: _Problem, seeds: Sequence[int]) -> Iterator[RegretTrace]:
+    """The traces of a resolved config's games under ``seeds``, in order, each bit for bit the game ``run_game`` plays.
 
     The learners' class plays the seeds side by side through one
     instrumented set (``OnlineLearner.play``). Raises RuntimeError if the
     count is not len(seeds) times the budget. The traces are priced as they
     are asked for, so that a batch holds one at a time.
     """
-    problem = _resolve(config)
     oracle = InstrumentedSet(problem.set)
     learners = [_make_learner(config, problem, oracle, seed) for seed in seeds]
     adversaries = [_adversary(config, problem.set, seed) for seed in seeds]
@@ -473,21 +488,22 @@ LOCKSTEP_CAP = 16  # most seeds in a batch: a game's cost stops falling near 5, 
 LOCKSTEP_VALUES = 2**22  # most S*T*d entries in a batch's (S, T, d) action array (32 MB), so long games batch fewer
 
 
-def _play(config: ExperimentConfig, seeds: tuple[int, ...]) -> list[tuple[float | None, str | None, float]]:
-    """Per seed: the final regret or None, the error or None, and seconds.
+def _play(config: ExperimentConfig, problem: _Problem,
+          seeds: tuple[int, ...]) -> list[tuple[float | None, str | None, float]]:
+    """Per seed of a resolved config: the final regret or None, the error or None, and seconds.
 
     A batch's seconds are split evenly over its seeds. A batch that raises
     replays its seeds one at a time, so that each error names its seed.
     """
     start = time.perf_counter()
     try:
-        regrets = [trace.final_regret for trace in _play_games(config, seeds)]
+        regrets = [trace.final_regret for trace in _play_games(config, problem, seeds)]
     except Exception as exc:  # noqa: BLE001 - reported per (cell, seed)
         lost = (time.perf_counter() - start) / len(seeds)
         if len(seeds) == 1:
             return [(None, f"seed {seeds[0]}: {type(exc).__name__}: {exc}", lost)]
         return [(regret, error, seconds + lost)
-                for seed in seeds for regret, error, seconds in _play(config, (seed,))]
+                for seed in seeds for regret, error, seconds in _play(config, problem, (seed,))]
     seconds = (time.perf_counter() - start) / len(seeds)
     return [(regret, None, seconds) for regret in regrets]
 
@@ -510,7 +526,7 @@ def _play_all(cells: Sequence[tuple[ExperimentConfig, _Problem]], jobs: int) -> 
         parts = min(n, max(-(-jobs // len(cells)), -(-n // LOCKSTEP_CAP), -(-values // LOCKSTEP_VALUES)))
         tasks += [(i, tuple(config.seeds[j] for j in batch)) for batch in np.array_split(range(n), parts)]
     tasks.sort(key=lambda task: -cells[task[0]][0].T)
-    args = ([cells[i][0] for i, _ in tasks], [batch for _, batch in tasks])
+    args = ([cells[i][0] for i, _ in tasks], [cells[i][1] for i, _ in tasks], [batch for _, batch in tasks])
     outcomes = None
     if jobs > 1 and len(tasks) > 1:
         import concurrent.futures  # here, not at module level, so serial runs start without it
@@ -563,8 +579,12 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunSummary:
     played; a seed whose game fails is recorded in the summary's ``errors``.
     ``jobs`` below 1 is a ConfigError.
     """
+    return _experiment(config, _resolve(config), jobs)
+
+
+def _experiment(config: ExperimentConfig, problem: _Problem, jobs: int) -> RunSummary:
+    """``run_experiment`` of a resolved config."""
     _check_count("jobs", jobs)
-    problem = _resolve(config)
     return _summarize(config, problem, _play_all([(config, problem)], jobs)[0])
 
 
@@ -693,8 +713,9 @@ def fit_exponent(T_grid: Sequence[float], regrets: Sequence[float]) -> ExponentF
 
 def bound_check(config: ExperimentConfig, jobs: int = 1) -> dict:
     """Mean final regret over the config's seeds versus its expected-regret bound; passes when at most it."""
-    bound = theoretical_bound(config)  # raises for a baseline before any game is played
-    summary = run_experiment(config, jobs=jobs)
+    problem = _resolve(config)
+    bound = _expected_bound(config, problem)  # raises for a baseline before any game is played
+    summary = _experiment(config, problem, jobs)
     if not summary.final_regrets:
         raise ConfigError(f"all runs failed: {summary.errors}")
     return {

@@ -67,6 +67,18 @@ def _check_norm(set_: "FeasibleSet") -> None:
             raise ValueError(f"{set_.kind} norm bound overflows; its entries must have a finite norm")
 
 
+def _check_sized(set_: "FeasibleSet", size: str) -> None:
+    """Check a set given by its dim and a size, and store the size as a float; raise TypeError or ValueError."""
+    if not is_int(set_.dim):
+        raise TypeError(f"dim must be an integer, got {set_.dim!r}")
+    if set_.dim < 1:
+        raise ValueError("dim must be >= 1")
+    value = float(getattr(set_, size))
+    if not 0 < value < np.inf:
+        raise ValueError(f"{size} must be positive and finite, got {value}")
+    object.__setattr__(set_, size, value)
+
+
 class FeasibleSet(abc.ABC):
     """A convex compact action set together with its linear oracle."""
 
@@ -110,10 +122,7 @@ class Ball(FeasibleSet):
     kind: ClassVar[str] = "ball"
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if not 0 < self.radius < np.inf:
-            raise ValueError(f"radius must be positive and finite, got {self.radius}")
+        _check_sized(self, "radius")
 
     @property
     def norm_bound(self) -> float:
@@ -206,10 +215,7 @@ class Simplex(FeasibleSet):
     kind: ClassVar[str] = "simplex"
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if not 0 < self.scale < np.inf:
-            raise ValueError(f"scale must be positive and finite, got {self.scale}")
+        _check_sized(self, "scale")
 
     @property
     def norm_bound(self) -> float:
@@ -241,10 +247,7 @@ class L1Ball(FeasibleSet):
     kind: ClassVar[str] = "l1_ball"
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if not 0 < self.radius < np.inf:
-            raise ValueError(f"radius must be positive and finite, got {self.radius}")
+        _check_sized(self, "radius")
 
     @property
     def norm_bound(self) -> float:
@@ -641,26 +644,20 @@ _KINDS = {cls.kind: cls for cls in (Ball, Box, Simplex, L1Ball, Polytope)}
 
 
 def set_from_json(spec: dict) -> FeasibleSet:
-    """Build a set from {"kind": ..., "dim": ..., <kind fields>}."""
+    """Build a set from {"kind": ..., <the kind's own fields>}.
+
+    The fields are the set class's: ``dim`` and ``radius`` (ball, l1_ball),
+    ``dim`` and ``scale`` (simplex), ``lower`` and ``upper`` (box),
+    ``vertices`` (polytope). A box's or a polytope's dim follows from its
+    data and is not a field. A missing or unknown field, or a bad value, is
+    a ConfigError.
+    """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"set spec must be an object with a 'kind' field, got {spec!r}")
     kind = spec["kind"]
     if kind not in _KINDS:
         raise ConfigError(f"unknown set kind {kind!r}; supported: {sorted(_KINDS)}")
     try:
-        if kind == "ball":
-            out = Ball(dim=int(spec["dim"]), radius=float(spec["radius"]))
-        elif kind == "box":
-            out = Box(lower=spec["lower"], upper=spec["upper"])
-        elif kind == "simplex":
-            out = Simplex(dim=int(spec["dim"]), scale=float(spec["scale"]))
-        elif kind == "l1_ball":
-            out = L1Ball(dim=int(spec["dim"]), radius=float(spec["radius"]))
-        else:
-            out = Polytope(vertices=spec["vertices"])
-    except (KeyError, TypeError, ValueError) as exc:
+        return _KINDS[kind](**{name: value for name, value in spec.items() if name != "kind"})
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {kind!r} set spec: {exc}") from exc
-    declared = spec.get("dim")
-    if declared is not None and not (is_int(declared) and declared == out.dim):
-        raise ConfigError(f"set spec declares dim={declared!r} but fields imply the integer dim={out.dim}")
-    return out

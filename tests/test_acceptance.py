@@ -200,15 +200,14 @@ def test_criterion_08_high_probability_quantile():
 def test_criterion_09_budget_invariants():
     start = time.perf_counter()
     T = 1000
-    base = dict(set=BALL5, adversary={"kind": "quadratic_stochastic", "center_scale": 1.0},
-                T=T, delta=0.05, fw_budget=8)
+    base = dict(set=BALL5, adversary={"kind": "quadratic_stochastic", "center_scale": 1.0}, T=T, fw_budget=8)
     checks = []
     ok = True
 
-    # true counts, start-point calls included: ospf makes 7*floor(T/7) + 1, ofw T + 1
-    for learner, want_oracle, knobs in [("sampled_fpl", 4 * T, {"m": 4}),
-                                        ("ospf", 7 * (T // 7) + 1, {"k": 7}),
-                                        ("sampled_fpl", 8 * T, {"m": 8}),
+    # true counts, start-point calls included: ospf makes 7*floor(T/7) + 1, ofw T + 1; the baselines take no delta
+    for learner, want_oracle, knobs in [("sampled_fpl", 4 * T, {"m": 4, "delta": 0.05}),
+                                        ("ospf", 7 * (T // 7) + 1, {"k": 7, "delta": 0.05}),
+                                        ("sampled_fpl", 8 * T, {"m": 8, "delta": 0.05}),
                                         ("ofw", T + 1, {}),
                                         ("ogd", 0, {})]:
         config = ExperimentConfig(learner=learner, **knobs, **base)

@@ -162,7 +162,21 @@ def test_bound_check_passes(config_file, capsys):
     assert payload["mean_regret"] <= payload["bound"]
 
 
-@pytest.mark.parametrize("field,value", [
+UNREAD_KNOBS = [  # (field, value, the rest of the config, where "m": 1 undoes CONFIG's m): a knob the learner does not read
+    *((knob, value, {"learner": learner, "m": 1, "delta": "auto"}) for learner in ("ogd", "ofw")
+      for knob, value in (("m", 64), ("k", 9), ("delta", 0.3))),
+    ("k", 3, {}), ("k", "auto", {}), ("m", 4, {"learner": "ospf", "k": 2}),
+    ("learner", "ogd", {"m": 64, "k": 9, "delta": 0.3}),
+]
+UNBOUNDED = [  # a perturbed leader whose regret bound is not finite
+    ("delta", INF, {}), ("delta", 1e308, {}), ("delta", 1e-320, {}), ("delta", 1e308, {"learner": "ospf", "m": 1}),
+    ("set", {"kind": "ball", "dim": 3, "radius": 1e300}, {}),
+    ("set", {"kind": "ball", "dim": 2, "radius": 1e-320},
+     {"delta": "auto", "adversary": {"kind": "quadratic_stochastic", "center_scale": 0.0}}),
+]
+
+
+@pytest.mark.parametrize("field,value,rest", [(field, value, {}) for field, value in [
     ("T", "abc"), ("T", None), ("T", 2.5), ("m", "4"), ("k", None), ("eval_samples", True),
     ("fw_budget", "many"), ("seeds", 5), ("seeds", ["a"]), ("delta", None),
     ("adversary", {"kind": "quadratic_stochastic", "horizon": 31}),
@@ -173,7 +187,7 @@ def test_bound_check_passes(config_file, capsys):
     ("adversary", {"kind": "linear_stochastic", "dim": 5}),
     ("adversary", {"kind": "linear_stochastic", "dim": 3.0}),
     ("adversary", {"kind": "linear_stochastic", "direction": [1, "x"]}),
-    ("output_path", 1), ("output_path", ["t.csv"]), ("output_path", ""),
+    ("output_path", 1), ("output_path", ["t.csv"]), ("output_path", ""), ("output_path", "out.csv"),
     ("set", {"kind": "simplex", "dim": 2, "scale": INF}),
     ("set", {"kind": "ball", "dim": 3, "radius": INF}),
     ("set", {"kind": "l1_ball", "dim": 3, "radius": INF}),
@@ -189,11 +203,17 @@ def test_bound_check_passes(config_file, capsys):
     ("adversary", {"kind": "linear_stochastic", "direction": [1.0, 0.0, 0.0], "direction_norm": 1.0}),
     ("set", {"kind": "box", "lower": [-1e308, -1e308], "upper": [1e308, 1e308]}),
     ("set", {"kind": "polytope", "vertices": [[1e200, 0.0], [0.0, 1e200]]}),
-])
-def test_bad_field_types_are_config_errors(tmp_path, capsys, field, value):
-    # a fixed delta, since an "auto" delta worked out from a non-finite G would fail first
+    ("adversary", {"kind": "linear_stochastic", "direction": [1.0, 0.0, 0.0], "seed": 123}),
+    ("adversary", {"kind": "quadratic_adaptive", "seed": 5}),
+    ("adversary", {"kind": "linear_stochastic", "dim": 3}),
+    ("set", {"kind": "ball", "dim": 3, "radius": 1.0, "raduis": 9}),
+    ("set", {"kind": "box", "dim": 2, "lower": [0.0, 0.0], "upper": [1.0, 1.0]}),
+    ("set", {"kind": "polytope", "dim": 2, "vertices": [[1.0, 0.0], [0.0, 1.0]]}),
+]] + UNREAD_KNOBS + UNBOUNDED)
+def test_bad_field_types_are_config_errors(tmp_path, capsys, field, value, rest):
+    # a fixed delta, since an "auto" delta worked out from a non-finite G would fail first, unless ``rest`` sets one
     path = tmp_path / "c.json"
-    path.write_text(json.dumps({**CONFIG, "delta": 0.5, field: value}))
+    path.write_text(json.dumps({**CONFIG, "delta": 0.5, **rest, field: value}))
     assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "t.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and field in err and "Traceback" not in err
@@ -214,7 +234,8 @@ def write_config(tmp_path, spec):
     return str(path)
 
 
-OSPF_BALL2 = dict(CONFIG, learner="ospf", set={"kind": "ball", "dim": 2, "radius": 1.0}, T=8)
+OSPF_BALL2 = dict({key: value for key, value in CONFIG.items() if key != "m"},
+                  learner="ospf", set={"kind": "ball", "dim": 2, "radius": 1.0}, T=8)
 
 
 @pytest.mark.parametrize("values", [5, "abc"])

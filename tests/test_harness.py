@@ -55,9 +55,11 @@ DIAMOND = {"kind": "polytope", "vertices": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0],
 
 
 def cfg(**overrides):
-    base = dict(learner="sampled_fpl", set=BALL5, adversary=QUAD_ADAPTIVE,
-                T=64, m=2, delta="auto", seeds=(0,), fw_budget=256)
+    # m is sampled_fpl's knob alone, so only a sampled_fpl config gets m=2 unless it sets m
+    base = dict(learner="sampled_fpl", set=BALL5, adversary=QUAD_ADAPTIVE, T=64, seeds=(0,), fw_budget=256)
     base.update(overrides)
+    if base["learner"] == "sampled_fpl":
+        base.setdefault("m", 2)
     return ExperimentConfig(**base)
 
 
@@ -413,7 +415,7 @@ def played_in_batches(config, seeds, monkeypatch):
         patch.setattr(harness, "InstrumentedSet", Recorded)
         patch.setattr(PerturbedLeader, "act", refuse)
         patch.setattr(PerturbedLeader, "observe", refuse)
-        traces = list(harness._play_games(config, seeds))
+        traces = list(harness._play_games(config, harness._resolve(config), seeds))
     (oracle,) = sets
     return traces, oracle.oracle_calls
 
@@ -468,15 +470,16 @@ class TestLeaderEngine:
         monkeypatch.setattr(harness, "InstrumentedSet", Overcounting)
         for seeds in ((0,), (0, 1, 2)):
             with pytest.raises(RuntimeError, match="oracle calls counted"):
-                harness._play_games(config, seeds)
+                harness._play_games(config, harness._resolve(config), seeds)
 
     def test_every_learner_plays_through_its_play(self, monkeypatch):
         monkeypatch.setattr(PerturbedLeader, "play", refuse)
         monkeypatch.setattr(OnlineLearner, "play", refuse)
-        for learner, m in (("sampled_fpl", 2), ("sampled_fpl", 4), ("ospf", 2), ("ogd", 2), ("ofw", 2)):
+        for learner, knobs in (("sampled_fpl", {"m": 2}), ("sampled_fpl", {"m": 4}), ("ospf", {"k": 3}),
+                               ("ogd", {}), ("ofw", {})):
             for adversary in ENGINE_ADVERSARIES.values():
                 with pytest.raises(AssertionError, match="refused route"):
-                    run_game(cfg(learner=learner, adversary=adversary, k=3, m=m, T=8), 0)
+                    run_game(cfg(learner=learner, adversary=adversary, T=8, **knobs), 0)
 
     @pytest.mark.parametrize("adversary", list(ENGINE_ADVERSARIES.values()), ids=list(ENGINE_ADVERSARIES))
     @pytest.mark.parametrize("learner", [1, 7, "ogd", "ofw"])  # a perturbed leader's block, or a baseline
@@ -659,7 +662,7 @@ class TestRunExperimentAndSweep:
     def test_lockstep_cells_are_cut_into_near_equal_batches(self, seeds, cells, jobs, T, sizes, monkeypatch):
         played = []
 
-        def play(config, batch):
+        def play(config, problem, batch):
             played.append(batch)
             return [(None, "not played", 0.0)] * len(batch)
 
@@ -676,7 +679,7 @@ class TestRunExperimentAndSweep:
     def test_baselines_are_cut_like_leaders(self, seeds, jobs, T, monkeypatch):
         played = []
         monkeypatch.setattr(harness, "_play",
-                            lambda config, batch: played.append(batch) or [(None, "", 0.0)] * len(batch))
+                            lambda config, problem, batch: played.append(batch) or [(None, "", 0.0)] * len(batch))
         monkeypatch.setattr("multiprocessing.get_all_start_methods", lambda: [])  # serial, so that _play records
         cuts = []
         for knobs in ({}, {"learner": "ospf", "k": 2}, {"adversary": LIN_STOCH}, {"learner": "ofw"}, {"learner": "ogd"}):
@@ -723,11 +726,11 @@ class TestRunExperimentAndSweep:
         assert out[0].final_regrets
 
     def test_sweep_records_partial_failures(self):
-        # the first cell's adversary declares dim 3 on a 2-dimensional set, which make_adversary rejects
+        # the first cell's adversary has a negative direction_norm, which make_adversary rejects
         template = cfg(learner="ogd", T=8,
                        set={"kind": "polytope", "vertices": [[0.0, 0.0], [1.0, 0.0]]},
-                       adversary={"kind": "linear_stochastic", "direction_norm": 1.0, "dim": 2})
-        bad = dict(template.adversary, dim=3)
+                       adversary={"kind": "linear_stochastic", "direction_norm": 1.0})
+        bad = dict(template.adversary, direction_norm=-1.0)
         out = sweep(template, {"adversary": [bad, template.adversary]})
         assert len(out) == 2
         assert out[0].errors and not out[0].final_regrets
@@ -801,7 +804,7 @@ class TestQuantileCheck:
         summary = run_experiment(config)
         quantile = float(np.quantile(summary.final_regrets, 0.75))
         for regret, attr, check in (
-            (summary.mean_regret, "theoretical_bound", lambda: bound_check(config)),
+            (summary.mean_regret, "_expected_bound", lambda: bound_check(config)),
             (quantile, "high_probability_bound", lambda: quantile_check(summary, 0.25, config)),
         ):
             for bound, want in ((regret, True), (np.nextafter(regret, -np.inf), False)):
@@ -840,19 +843,19 @@ class TestQuantileCheck:
 
 class TestConfigHandling:
     def test_from_json_round_trip(self):
-        config = cfg(T=12, m=3, k=2, delta=0.5)
-        clone = ExperimentConfig.from_json(config.to_json())
-        assert clone == config
+        for config in (cfg(T=12, m=3, delta=0.5), cfg(learner="ospf", T=12, k=2, delta=0.5)):
+            clone = ExperimentConfig.from_json(config.to_json())
+            assert clone == config
 
     def test_config_hash_is_pinned(self):
         # the JSON of every field, defaults included; a schema change moves these hashes
         full = ExperimentConfig(learner="ospf", set={"kind": "polytope", "vertices": DIAMOND["vertices"][:3]},
                                 adversary={"kind": "quadratic_stochastic", "center_scale": 0.5},
-                                T=100, m=3, k="auto", delta=0.25, seeds=(4, 1, 7),
-                                fw_budget=32, output_path="out.csv")
-        assert config_hash(full) == "559171aa81dd"
+                                T=100, k="auto", delta=0.25, seeds=(4, 1, 7), fw_budget=32)
+        full.validate()
+        assert config_hash(full) == "fb4573d1c9b3"
         assert config_hash(cfg(set=BALL5, adversary={"kind": "linear_stochastic"}, m=1, fw_budget=None)) \
-            == "2d5b74170b27"
+            == "8704cbb662a0"
 
     def test_missing_fields_rejected(self):
         with pytest.raises(ConfigError, match="missing"):

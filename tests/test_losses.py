@@ -387,6 +387,10 @@ class TestAdversaries:
         ({"kind": "quadratic_stochastic", "horizon": 131072}, 8, r"\['horizon'\]"),
         ({"kind": "linear_adaptive", "horizon": 8}, 8, r"\['horizon'\]"),
         ({"kind": "linear_stochastic", "norm_bound": 1.0}, 8, r"\['norm_bound'\]"),
+        ({"kind": "linear_stochastic", "direction": [1.0, 0.0], "seed": 123}, 8, r"\['seed'\]"),
+        ({"kind": "quadratic_adaptive", "seed": 5}, 8, r"\['seed'\]"),
+        ({"kind": "linear_adaptive", "dim": 2}, 8, r"\['dim'\]"),
+        ({"kind": "quadratic_stochastic", "dim": 3, "seed": 0}, 8, r"\['dim', 'seed'\]"),
         (["linear_stochastic"], 8, "must be an object"),
         ({"direction_norm": 1.0}, 8, "'kind' field"),
     ])

@@ -416,7 +416,7 @@ class TestValidationAndJson:
 
     @pytest.mark.parametrize("spec,want", [
         ({"kind": "ball", "dim": 3, "radius": 2.0}, Ball(dim=3, radius=2.0)),
-        ({"kind": "box", "dim": 3, "lower": [0.0, -2.0, 1.0], "upper": [0.5, -1.0, 4.0]},
+        ({"kind": "box", "lower": [0.0, -2.0, 1.0], "upper": [0.5, -1.0, 4.0]},
          Box(lower=[0.0, -2.0, 1.0], upper=[0.5, -1.0, 4.0])),
         ({"kind": "simplex", "dim": 4, "scale": 2.5}, Simplex(dim=4, scale=2.5)),
         ({"kind": "l1_ball", "dim": 5, "radius": 0.7}, L1Ball(dim=5, radius=0.7)),
@@ -459,19 +459,28 @@ class TestValidationAndJson:
         (lambda: set_from_json({"kind": "ball"}), "invalid 'ball' set spec"),
         (lambda: set_from_json({"kind": "simplex", "dim": 2, "scale": np.inf}), "invalid 'simplex' set spec"),
         (lambda: set_from_json({"kind": "box", "lower": [-1e308] * 2, "upper": [1e308] * 2}), "norm bound overflows"),
+        (lambda: set_from_json({"kind": "ball", "dim": 2, "radius": 1.0, "raduis": 9}), "'raduis'"),
+        (lambda: set_from_json({"kind": "box", "lower": [0.0], "upper": [1.0], "radius": 1.0}), "'radius'"),
+        (lambda: set_from_json({"kind": "simplex", "dim": 2, "scale": 1.0, "radius": 1.0}), "'radius'"),
+        (lambda: set_from_json({"kind": "l1_ball", "dim": 2, "radius": 1.0, "scale": 1.0}), "'scale'"),
+        (lambda: set_from_json({"kind": "polytope", "vertices": [[1.0, 0.0]], "radius": 1.0}), "'radius'"),
+        (lambda: set_from_json({"kind": "box", "dim": 1, "lower": [0.0], "upper": [1.0]}), "'dim'"),
+        (lambda: set_from_json({"kind": "box", "dim": 3, "lower": [0.0], "upper": [1.0]}), "'dim'"),
+        (lambda: set_from_json({"kind": "polytope", "dim": 2, "vertices": [[1.0, 0.0]]}), "'dim'"),
+        (lambda: set_from_json({"kind": "ball", "dim": 2.0, "radius": 1.0}), "dim must be an integer"),
+        (lambda: set_from_json({"kind": "simplex", "dim": "3", "scale": 1.0}), "dim must be an integer"),
+        (lambda: set_from_json({"kind": "l1_ball", "dim": True, "radius": 1.0}), "dim must be an integer"),
     ], ids=["ball_radius_inf", "ball_radius_nan", "box_2d", "box_unequal", "box_inf", "box_crossed",
             "simplex_dim_0", "simplex_scale_0", "simplex_scale_inf", "l1_dim_0", "l1_radius_negative",
             "l1_radius_inf", "polytope_empty", "polytope_3d", "polytope_nan", "polytope_norm_overflow",
             "box_norm_overflow", "brute_force_y_shape",
             "brute_force_y_nan", "json_not_object", "json_missing_field", "json_scale_inf",
-            "json_box_norm_overflow"])
+            "json_box_norm_overflow", "json_ball_unknown_key", "json_box_unknown_key", "json_simplex_unknown_key",
+            "json_l1_ball_unknown_key", "json_polytope_unknown_key", "json_box_dim", "json_box_wrong_dim",
+            "json_polytope_dim", "json_ball_dim_float", "json_simplex_dim_str", "json_l1_ball_dim_bool"])
     def test_bad_input_is_rejected(self, build, match):
         with pytest.raises(ValueError, match=match):
             build()
-
-    def test_dim_mismatch_rejected(self):
-        with pytest.raises(ConfigError, match="dim"):
-            set_from_json({"kind": "box", "dim": 3, "lower": [0.0], "upper": [1.0]})
 
 
 @settings(max_examples=60, deadline=None)
