@@ -4,17 +4,25 @@
 column gets Python's ``format(x, ".17g")`` and an integer column ``str(n)``,
 byte for byte.
 
-Digits come from the fixed-precision method of Adams, "Ryū revisited: printf
-floating point conversion" (OOPSLA 2019). Write |x| = f * 2^q with f < 2^53.
-Its 17 correctly rounded significant digits are the integer
-round-half-even(f * 5^s * 2^(q + s)), with s = 16 - X and X the decimal
-exponent. X is first estimated with log10. It is then fixed by checking the
-integer part against 10^16 and 10^17. f * 5^s is a 128-bit product of uint64
-halves, and the shift and the rounding work on that product. Every step stays
-in uint64, since mixing uint64 with int64 promotes to float64, and no shift is
-by 64 or more. This fast path covers ±0 and 1e-4 <= |x| < 1e17, which is the
-fixed-notation range of ``g`` (X from -4 to 16). Every other value (smaller,
-larger, inf or nan) is formatted by ``format`` itself, one at a time.
+The 17 correctly rounded significant digits of |x| are the integer
+round-half-even(|x| * 10^s), with s = 16 - X and X the decimal exponent. X is
+first estimated with log10. It is then fixed by checking the floor of the
+product against 10^16 and 10^17. The product comes from Dekker's two-product
+("A floating-point technique for extending the available precision", Numer.
+Math. 18, 1971): splitting each factor at 2^27 + 1 into two halves of at most
+26 significant bits makes every partial product exact, so p = fl(|x| * 10^s)
+and its error e come out with p + e = |x| * 10^s exactly, barring overflow
+and underflow, which the fast range rules out. 10^s is exact in float64 up to
+s = 22 (5^22 < 2^53), and s runs from 0 to 20 here. Once the product is at
+least 10^16 > 2^53, every double near it is an even integer, p among them, and
+|e| <= ulp(p) / 2 <= 8. So the floor is p + floor(e) and the digits are
+p + rint(e), rint rounding ties to even as p's parity needs. Below 2^53, which
+only a first estimate of X one too high reaches, p need not be an integer,
+but the floor returned is still below 10^16, which is all the fix reads.
+
+This fast path covers ±0 and 1e-4 <= |x| < 1e17, which is the fixed-notation
+range of ``g`` (X from -4 to 16). Every other value (smaller, larger, inf or
+nan) is formatted by ``format`` itself, one at a time.
 
 Each value's text is laid out down one column of a (bytes, values) uint8
 array, with 0 in every position the text leaves out. Stacking the fields of a
@@ -30,10 +38,7 @@ import numpy as np
 
 _BLOCK_ROWS = 2048
 _TEXT = 24  # the longest ".17g" text, e.g. "-2.2250738585072014e-308"
-_U = np.uint64
-_ONE, _LO32, _32 = _U(1), _U(0xFFFFFFFF), _U(32)
-_E16, _E17 = _U(10**16), _U(10**17)
-_POW5 = np.array([5**s for s in range(21)], dtype=np.uint64)  # 5^s for s = 16 - X, X from -4 to 16
+_TEN = np.array([float(10**s) for s in range(21)])  # 10^s for s = 16 - X, X from -4 to 16
 _POW10 = np.array([10**k for k in range(20)], dtype=np.uint64)
 _ROWS = np.arange(_TEXT, dtype=np.uint8)[:, None]
 # the four ASCII digits of 0..9999 as one uint32 each, built from 10 KB pieces
@@ -42,33 +47,33 @@ _QUADS = np.stack(np.meshgrid(*[_DIGITS] * 4, indexing="ij"), axis=-1).view(np.u
 
 
 def _digits(n: np.ndarray, width: int) -> np.ndarray:
-    """(width, len(n)) ASCII digits of each uint64 n < 10^width, most significant first."""
+    """(width, len(n)) ASCII digits of each integer 0 <= n < 10^width, most significant first."""
     quads = -(-width // 4)
     groups = np.empty((quads, len(n)), dtype=np.intp)  # each < 10^4, the index type of np.take
     for k in range(quads - 1, 0, -1):
-        rest = n // _U(10_000)
-        groups[k] = n - rest * _U(10_000)
+        rest = n // 10_000
+        groups[k] = n - rest * 10_000
         n = rest
     groups[0] = n
     text = np.take(_QUADS, groups).view(np.uint8).reshape(quads, len(n), 4).transpose(0, 2, 1)
     return text.reshape(4 * quads, len(n))[4 * quads - width:]
 
 
-def _scaled(f: np.ndarray, q: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """floor(f * 2^q * 10^s), and whether round-half-even rounds it up; f < 2^53, 0 <= s <= 20."""
-    m = _POW5[s]
-    f0, f1, m0, m1 = f & _LO32, f >> _32, m & _LO32, m >> _32
-    low = f0 * m0
-    mid = (low >> _32) + f0 * m1 + f1 * m0  # < 2^54: f1 < 2^21 and m1 < 2^15
-    lo = (low & _LO32) | (mid << _32)
-    hi = f1 * m1 + (mid >> _32)
-    e = q + s
-    right, left = np.maximum(-e, 0).astype(np.uint64), np.maximum(e, 0).astype(np.uint64)
-    quot = (hi << (_U(63) - right) << _ONE) | (lo >> right)  # two shifts, since right may be 0
-    rest = lo & ((_ONE << right) - _ONE)
-    half = (_ONE << right) >> _ONE
-    up = (rest > half) | ((rest == half) & (half != 0) & ((quot & _ONE) != 0))
-    return quot << left, up
+def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of v into hi + lo, each of at most 26 significant bits."""
+    t = v * 134217729.0  # 2^27 + 1
+    hi = t - (t - v)
+    return hi, v - hi
+
+
+def _scaled(ax: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """floor(ax * 10^s) as int64, and whether round-half-even rounds it up; exact when fl(ax * 10^s) >= 2^53."""
+    b = _TEN[s]
+    p = ax * b
+    (ah, al), (bh, bl) = _split(ax), _split(b)
+    e = ah * bh - p + al * bh + ah * bl + al * bl  # p + e = ax * 10^s, every step exact
+    down = np.floor(e)
+    return p.astype(np.int64) + down.astype(np.int64), np.rint(e) > down
 
 
 def _floats(x: np.ndarray) -> np.ndarray:
@@ -76,16 +81,13 @@ def _floats(x: np.ndarray) -> np.ndarray:
     ax = np.abs(x)
     fast = (ax >= 1e-4) & (ax < 1e17)
     ax[~fast] = 1.0
-    bits = ax.view(np.uint64)
-    f = (bits & _U((1 << 52) - 1)) | _U(1 << 52)
-    q = (bits >> _U(52)).astype(np.int64) - 1075
     X = np.clip(np.floor(np.log10(ax)), -4, 16).astype(np.int64)
-    n, up = _scaled(f, q, 16 - X)
-    low, high = n < _E16, n >= _E17
+    n, up = _scaled(ax, 16 - X)
+    low, high = n < 10**16, n >= 10**17
     fix = np.flatnonzero(low | high)
     if len(fix):
         X[fix] += high[fix].astype(np.int64) - low[fix]
-        n[fix], up[fix] = _scaled(f[fix], q[fix], 16 - X[fix])
+        n[fix], up[fix] = _scaled(ax[fix], 16 - X[fix])
     # Rounding never carries n to 10^17: every double in the fast range lies at
     # least 8e-17 * 10^(X+1) below the next power of ten, more than the half
     # unit 5e-18 * 10^(X+1) of the 17th digit.
@@ -123,7 +125,7 @@ def _ints(blocks: Sequence[np.ndarray], width: int) -> np.ndarray:
     """(width, values) uint8: the text ``str(v)`` of each integer v of the blocks, right-aligned in one column each."""
     neg = np.concatenate([b < 0 for b in blocks])
     mag = np.concatenate([b.astype(np.uint64) for b in blocks])
-    mag[neg] = _U(0) - mag[neg]  # two's complement: |v| for every int64, its minimum included
+    mag[neg] = np.uint64(0) - mag[neg]  # two's complement: |v| for every int64, its minimum included
     count = np.maximum(np.searchsorted(_POW10, mag, side="right"), 1)
     start = (width - count).astype(np.uint8)
     text = _digits(mag, width)
@@ -142,17 +144,23 @@ def write_rows(fh: BinaryIO, prefix: bytes, columns: Sequence[np.ndarray]) -> No
     """Write one ASCII line per row to the binary file fh: ``prefix``, then the row's values joined by commas.
 
     Each column is an integer or a float array. A float is written as
-    ``format(x, ".17g")`` and an integer as ``str(n)``.
+    ``format(x, ".17g")`` and an integer as ``str(n)``. The prefix is the
+    first field of every line, the same bytes in each row's column of the
+    block, as the commas are. Since 0 marks a byte that a line leaves out, a
+    prefix holding a NUL byte is a ValueError.
     """
     columns = [np.asarray(c) for c in columns]
     if any(c.dtype.kind not in "fiu" for c in columns):
         raise TypeError(f"a CSV column holds integers or floats, got {[c.dtype for c in columns]}")
+    if b"\0" in prefix:
+        raise ValueError(f"a CSV row prefix cannot hold a NUL byte, got {prefix!r}")
     floats = [i for i, c in enumerate(columns) if c.dtype.kind == "f"]
     ints = [i for i, c in enumerate(columns) if c.dtype.kind != "f"]
     width = max((_width(columns[i]) for i in ints), default=1)
-    ends = np.cumsum([(_TEXT if i in floats else width) + 1 for i in range(len(columns))])
+    ends = len(prefix) + np.cumsum([(_TEXT if i in floats else width) + 1 for i in range(len(columns))])
     rows = len(columns[0])
     buf = np.empty((int(ends[-1]), min(rows, _BLOCK_ROWS)), dtype=np.uint8)
+    buf[:len(prefix)] = np.frombuffer(prefix, dtype=np.uint8)[:, None]
     buf[ends[:-1] - 1] = 44
     buf[-1] = 10
     for lo in range(0, rows, _BLOCK_ROWS):
@@ -165,6 +173,5 @@ def write_rows(fh: BinaryIO, prefix: bytes, columns: Sequence[np.ndarray]) -> No
             texts += zip(ints, np.split(_ints([columns[i][lo:lo + m] for i in ints], width), len(ints), axis=1))
         for i, text in texts:
             buf[ends[i] - len(text) - 1:ends[i] - 1, :m] = text
-        lines = np.ascontiguousarray(buf[:, :m].T)
-        body = lines[lines != 0].tobytes()
-        fh.write(prefix + body[:-1].replace(b"\n", b"\n" + prefix) + b"\n")
+        lines = buf[:, :m].T
+        fh.write(lines[lines != 0])

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError, ProtocolError, real, real_array
 from .losses import LossFunction, linear_loss, quadratic_loss, row_dots
 from .rng import ADVERSARY_STREAM, RoundStream
 from .sets import round_rows
@@ -175,11 +175,12 @@ class QuadraticStochastic(Adversary):
     quadratic = True
 
     def __init__(self, horizon, seed, norm_bound, *, dim: int, center_scale: float = 1.0):
+        center_scale = real(center_scale, "center_scale")
         if not 0 <= center_scale < np.inf:
             raise ConfigError(f"center_scale must be finite and >= 0, got {center_scale}")
-        super().__init__(horizon, seed, norm_bound, float(center_scale))
+        super().__init__(horizon, seed, norm_bound, center_scale)
         self.dim = int(dim)
-        self.center_scale = float(center_scale)
+        self.center_scale = center_scale
         self._root_dim = float(np.sqrt(self.dim))  # read by the adaptive family's _aim
 
     def constants(self):
@@ -213,18 +214,18 @@ class LinearStochastic(Adversary):
         if direction is not None:
             if direction_norm is not None:
                 raise ConfigError("direction_norm must not be given with a fixed direction, whose norm it is")
-            self.direction = np.asarray(direction, dtype=float)
+            self.direction = real_array(direction, "direction")
             if self.direction.shape != (self.dim,):
                 raise ConfigError("fixed direction must match the set dimension")
             self.direction_norm = float(np.linalg.norm(self.direction))
             if not np.isfinite(self.direction_norm):
                 raise ConfigError("fixed direction must have finite entries and a finite norm")
         else:
-            direction_norm = 1.0 if direction_norm is None else direction_norm
+            direction_norm = 1.0 if direction_norm is None else real(direction_norm, "direction_norm")
             if not 0 < direction_norm < np.inf:
                 raise ConfigError(f"direction_norm must be positive and finite, got {direction_norm}")
             self.direction = None
-            self.direction_norm = float(direction_norm)
+            self.direction_norm = direction_norm
         super().__init__(horizon, seed, norm_bound, self.direction_norm)
 
     def constants(self):
@@ -248,11 +249,12 @@ class LinearAdaptive(Adversary):
     adaptive = True
 
     def __init__(self, horizon, seed, norm_bound, *, dim: int, direction_norm: float = 1.0):
+        direction_norm = real(direction_norm, "direction_norm")
         if not 0 < direction_norm < np.inf:
             raise ConfigError(f"direction_norm must be positive and finite, got {direction_norm}")
-        super().__init__(horizon, seed, norm_bound, float(direction_norm))
+        super().__init__(horizon, seed, norm_bound, direction_norm)
         self.dim = int(dim)
-        self.direction_norm = float(direction_norm)
+        self.direction_norm = direction_norm
 
     def constants(self):
         return self.direction_norm, 0.0

@@ -23,7 +23,7 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from ._ziggurat import FI, INV_R, KI, R, WI
-from .errors import ConfigError, is_int
+from .errors import ConfigError, is_int, real, real_array
 from .rng import philox_words
 
 __all__ = [
@@ -54,8 +54,8 @@ def _as_vector(y, dim: int, name: str = "y") -> np.ndarray:
     return arr
 
 
-def _frozen(arr) -> np.ndarray:
-    out = np.array(arr, dtype=float)
+def _frozen(arr, name: str) -> np.ndarray:
+    out = real_array(arr, name)
     out.setflags(write=False)
     return out
 
@@ -73,7 +73,7 @@ def _check_sized(set_: "FeasibleSet", size: str) -> None:
         raise TypeError(f"dim must be an integer, got {set_.dim!r}")
     if set_.dim < 1:
         raise ValueError("dim must be >= 1")
-    value = float(getattr(set_, size))
+    value = real(getattr(set_, size), size)
     if not 0 < value < np.inf:
         raise ValueError(f"{size} must be positive and finite, got {value}")
     object.__setattr__(set_, size, value)
@@ -169,8 +169,8 @@ class Box(FeasibleSet):
     kind: ClassVar[str] = "box"
 
     def __post_init__(self):
-        lo = _frozen(np.atleast_1d(self.lower))
-        hi = _frozen(np.atleast_1d(self.upper))
+        lo = np.atleast_1d(_frozen(self.lower, "lower"))
+        hi = np.atleast_1d(_frozen(self.upper, "upper"))
         if lo.ndim != 1 or lo.shape != hi.shape:
             raise ValueError("lower/upper must be 1-D vectors of equal length")
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
@@ -287,7 +287,7 @@ class Polytope(FeasibleSet):
     kind: ClassVar[str] = "polytope"
 
     def __post_init__(self):
-        verts = _frozen(np.atleast_2d(self.vertices))
+        verts = np.atleast_2d(_frozen(self.vertices, "vertices"))
         if verts.size == 0:
             raise ValueError("polytope needs at least one vertex")
         if verts.ndim != 2:

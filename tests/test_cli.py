@@ -219,6 +219,23 @@ def test_bad_field_types_are_config_errors(tmp_path, capsys, field, value, rest)
     assert err.startswith("config error:") and field in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("field,spec", [
+    ("radius", {"set": {"kind": "ball", "dim": 2, "radius": "1.5"}}),
+    ("radius", {"set": {"kind": "ball", "dim": 2, "radius": True}}),
+    ("center_scale", {"adversary": {"kind": "quadratic_stochastic", "center_scale": True}}),
+    ("direction", {"adversary": {"kind": "linear_stochastic", "direction": ["1", "0"]}}),
+    ("lower", {"set": {"kind": "box", "lower": ["-1", "-1"], "upper": [1.0, 1.0]}}),
+    ("vertices", {"set": {"kind": "polytope", "vertices": [[True, False], [False, True]]}}),
+    ("direction_norm", {"adversary": {"kind": "linear_stochastic", "direction_norm": "2"}}),
+])
+def test_a_set_or_adversary_number_given_as_a_string_or_boolean_is_a_config_error(tmp_path, capsys, field, spec):
+    config = {**CONFIG, "learner": "ogd", "m": 1, "T": 16, "set": {"kind": "ball", "dim": 2, "radius": 1.0}, **spec}
+    path = write_config(tmp_path, config)
+    assert cli_main(["run", "--config", path, "--out", str(tmp_path / "t.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"{field} must be a real number" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["run", "bound-check"])
 def test_seeds_equal_modulo_2_64_are_config_errors(tmp_path, capsys, command):
     path = write_config(tmp_path, dict(CONFIG, seeds=[0, 1, 2**64 + 1]))

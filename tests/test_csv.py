@@ -1,12 +1,13 @@
 """The trace CSV writer: every float is ``format(x, ".17g")`` and every integer ``str(n)``, byte for byte."""
 
 import io
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from pfol import trace_to_csv
-from pfol._csv import _BLOCK_ROWS, write_rows
+from pfol._csv import _BLOCK_ROWS, _scaled, write_rows
 from pfol.harness import CSV_HEADER, RegretTrace
 
 POWERS = [10.0**k for k in range(-5, 18)] + [1e-4, 9.9999999999999995e16]
@@ -83,6 +84,33 @@ class TestFloats:
             assert text([column]) == "".join(format(v, ".17g") + "\n" for v in column.tolist()).encode()
 
 
+class TestScaled:
+    def test_floor_and_round_up_bit_match_exact_rationals(self):
+        # every s that _floats uses, on every value whose product p = fl(x * 10^s) lies where _floats calls the
+        # kernel and p is an even integer: 2^53 <= p < 10^18, the first pass of a row the X fix recomputes included
+        rng = np.random.default_rng(6)
+        x = np.concatenate([halfway(rng), neighbours(POWERS), 10.0 ** rng.uniform(-4, 17, 5000)])
+        x = x[(x >= 1e-4) & (x < 1e17)]
+        estimate = 16 - np.clip(np.floor(np.log10(x)), -4, 16)
+        bad, recomputed = [], 0
+        for s in range(21):
+            p = x * 10.0**s
+            rows = np.flatnonzero((p >= 2.0**53) & (p < 1e18))
+            below = np.flatnonzero(p < 2.0**53)
+            floor, up = _scaled(x[rows], np.full(len(rows), s))
+            assert np.all(_scaled(x[below], np.full(len(below), s))[0] < 10**16)  # all the X fix reads there
+            for v, n, u, first in zip(x[rows].tolist(), floor.tolist(), up.tolist(), (estimate[rows] == s).tolist()):
+                exact = Fraction(v) * 10**s
+                want = exact.numerator // exact.denominator
+                rest = exact - want
+                want_up = rest > Fraction(1, 2) or (rest == Fraction(1, 2) and want % 2 == 1)
+                if (n, u) != (want, want_up):
+                    bad.append((v, s, n, u, want, want_up))
+                recomputed += first and not 10**16 <= want < 10**17
+        assert not bad, bad[:10]
+        assert recomputed > 0
+
+
 class TestIntsAndRows:
     def test_integers_are_str(self):
         ints = np.array([0, 1, -1, 9, 10, -10, 99, 100, 12345, 2**63 - 1, -2**63], dtype=np.int64)
@@ -98,6 +126,10 @@ class TestIntsAndRows:
         want = "".join("p,q," + ",".join(format(v, ".17g") if isinstance(v, float) else str(v) for v in row) + "\n"
                        for row in zip(*(c.tolist() for c in columns)))
         assert text(columns, b"p,q,") == want.encode()
+
+    def test_a_prefix_holding_a_nul_byte_is_a_value_error(self):
+        with pytest.raises(ValueError, match="NUL byte"):
+            text([np.arange(3)], b"a\0,")
 
     def test_a_column_of_another_kind_is_a_type_error(self):
         with pytest.raises(TypeError, match="integers or floats"):
