@@ -15,8 +15,8 @@ adaptive family's rows through one ``_aim`` of mean actions.
 object holding a read-only copy of the row, for callers that replay a game
 from its actions.
 
-Two stochastic families draw i.i.d. loss parameters from per-round seed
-substreams, so a stream replays bitwise from (seed, t) alone; they draw the
+Two stochastic families draw i.i.d. loss parameters from per-round words
+(``sets.round_rows``), so a stream replays bitwise from (seed, t) alone; they draw the
 whole (T, d) table on the first emit. Two adaptive families react to the
 player's past actions, and only those: the protocol is simultaneous play, so
 the current action and current-round randomness are never visible to the
@@ -126,10 +126,14 @@ class Adversary(abc.ABC):
         return self._table
 
     def _draws(self, first: int, rounds: int) -> np.ndarray:
-        """Unit-ball (quadratic) or unit-sphere (linear) rows of rounds first, first+1, ..., one substream each.
+        """Unit-ball (quadratic) or unit-sphere (linear) rows of rounds first, first+1, ..., each from its own words.
 
-        Row by row this equals ``sample_unit_ball_batch(round rng, 1, d)`` or
-        ``sample_unit_sphere_batch(round rng, 1, d)`` bit for bit.
+        Row t is ``round_rows``' row of round t, whether drawn alone or in a
+        table: ``sample_unit_ball_batch(rng, 1, d)`` or
+        ``sample_unit_sphere_batch(rng, 1, d)`` bit for bit, on numpy's
+        generator at round t's first round-major counter up to d = 31 (ball)
+        or 32 (sphere) while its draws stay within its blocks, and on round
+        t's per-round generator for wider rows.
         """
         return round_rows(self._stream, range(first, first + rounds), 1, self.dim, ball=self.quadratic)[:, 0]
 

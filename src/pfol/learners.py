@@ -7,19 +7,20 @@ the action every ``block`` rounds from ``samples`` answers. The config
 learners map onto it: ``sampled_fpl`` is (m, 1), with a large m a
 Monte-Carlo estimate of the expected leader, and the blocked ``ospf`` is
 (k, k), FPL played on ceil(T/k) block losses. Per-round randomness comes
-from a substream keyed by (seed, round), so trajectories replay
-bit-identically and the amount of randomness one round consumes never
-shifts any other round.
+from words keyed by (seed, round), so trajectories replay bit-identically
+and the amount of randomness one round consumes never shifts any other
+round.
 
 Perturbations never depend on the losses, so ``play`` draws them ahead:
 one ``round_rows`` call fills the next r = BLOCK_ROWS // samples (at least
-1) refresh rounds, each round's rows from that round's own substream, from
-the first refresh on and no refresh past the game's last. ``act`` draws
-only the refresh it plays. Round t's perturbations are therefore the same
-bits whatever the sample count, the draw length or the rounds drawn before
-it, and every trace replays as if each round had been drawn alone. Which
-of these draws take round_rows' vectorized Philox path is stated in its
-docstring.
+1) refresh rounds, each round's rows from that round's own words, from the
+first refresh on and no refresh past the game's last. ``act`` draws only
+the refresh it plays, through the same ``round_rows``. Round t's
+perturbations depend on the seed, t, the block and the round's width of
+samples * (d + 1) words alone, never on the draw length or the rounds drawn
+before it, and every trace replays as if each round had been drawn alone.
+A round of at most 32 words reads round-major Philox words, a wider one
+numpy's per-round generator; ``round_rows``' docstring says how.
 
 Learners follow a strict act/observe protocol: ``act`` returns the action
 for the current round, ``observe`` feeds back the gradient of the revealed
@@ -199,8 +200,11 @@ class PerturbedLeader(OnlineLearner):
     first refresh (block > 1 only) it plays the oracle answer on the first
     basis direction, asked for on the first round. A game thus makes
     samples * floor(T/block) calls, plus one for block > 1. Round t's
-    perturbations are ``perturbed_leader_points``' draws from round t's
-    substream (see the module docstring).
+    perturbations are ``round_rows``' draws of round t, draw t // block:
+    ``perturbed_leader_points``' draws on numpy's per-round generator when
+    samples * (d + 1) exceeds 32 words, else on numpy's generator at the
+    round's first round-major counter while they stay within its blocks
+    (see the module docstring).
     """
 
     def __init__(self, set_: FeasibleSet, *, delta: float, samples: int = 1, block: int = 1, seed: int = 0):

@@ -24,7 +24,6 @@ import numpy as np
 
 from ._ziggurat import FI, INV_R, KI, R, WI
 from .errors import ConfigError, is_int, real, real_array
-from .rng import philox_words
 
 __all__ = [
     "FeasibleSet",
@@ -425,14 +424,15 @@ def brute_force_argmax(vertices: Sequence, y) -> np.ndarray:
 # uniform samplers
 # ---------------------------------------------------------------------------
 
-# round_rows' vectorized path, set from timing both paths (2 cores, numpy 2.4.6).
-# Over 4096 rounds it costs 0.2x numpy's per-round draws at 4 words a round,
-# 0.6x at 16, 0.9x at 32 and 1.1-1.2x at 40; its ~0.5 ms fixed cost per call
-# breaks even near 200 rounds at 6 words. Chunks of 8192 counter blocks ran
-# fastest (2048 to unchunked tried) and keep each Philox temporary at 64 KiB.
-_VECTOR_MAX_WORDS = 32  # widest round, in raw 64-bit words, drawn vectorized
-_VECTOR_MIN_ROUNDS = 256  # fewest rounds per call drawn vectorized
-_VECTOR_CHUNK_BLOCKS = 8192  # Philox counter blocks per vectorized pass
+# round_rows' cut between the round-major decode and numpy's per-round generator. The cut
+# is part of what a round's draws are: moving it changes the traces. Timed over 4096 rounds
+# (2 cores, numpy 2.4.6), the decode costs 0.09x numpy's per-round draws at 4 words a round,
+# 0.19x at 16, 0.42x at 32 and 0.55x at 40, but 2.5x at 340 words (20 samples in d = 16) and
+# 3.7x at 384 (64 in d = 5). One round alone costs about 34 us, or 75-130 us when it misses
+# the fast path (numpy's per-round draws: 20 us). Chunks of 8192 blocks ran fastest (2048,
+# 32768 and unchunked tried) and keep each pass's words at 256 KiB.
+_VECTOR_MAX_WORDS = 32  # widest narrow round, in raw 64-bit words
+_VECTOR_CHUNK_BLOCKS = 8192  # round-major Philox blocks per pass
 
 
 def unit_ball_rows(z: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -489,9 +489,8 @@ def _wedge_accepts(layer: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarra
     return accept
 
 
-def _missed_draws(stream, rounds: np.ndarray, words: np.ndarray, vals: np.ndarray, miss: np.ndarray,
-                  normals: int, uniforms: int):
-    """(normals, uniforms) of rounds with a fast-path miss, decoded from their raw words ``words``.
+def _missed_draws(words: np.ndarray, vals: np.ndarray, miss: np.ndarray, normals: int, uniforms: int):
+    """(normals, uniforms, short) of rounds with a fast-path miss, decoded from their raw words ``words``.
 
     ``vals`` and ``miss`` are ``_fast_normals`` of the first words. Each
     round's draws follow numpy's ``random_standard_normal`` (Marsaglia & Tsang
@@ -502,8 +501,9 @@ def _missed_draws(stream, rounds: np.ndarray, words: np.ndarray, vals: np.ndarra
     an attempt, with ``math.log1p`` as numpy's C code does. The uniforms
     follow the last normal. The outcome of every miss is found for all rounds
     at once; then the rounds step through their misses in lockstep, one miss
-    each a step, and a miss read as a test's uniform is passed over. A round
-    that runs out of words is redrawn whole through ``stream.at``.
+    each a step, and a miss read as a test's uniform is passed over.
+    ``short`` indexes the rounds that need more words than ``words`` holds;
+    their draws are not valid.
     """
     m, width = words.shape
     rest = np.empty((m, width - vals.shape[1]))
@@ -547,61 +547,61 @@ def _missed_draws(stream, rounds: np.ndarray, words: np.ndarray, vals: np.ndarra
         step[count[r], r] += skip[i]
         p[r] = after[i]
     first_uniform = p + normals - count
-    short = first_uniform + uniforms > width
     rows = np.arange(0, m * width, width)
     for k in range(1, normals):  # np.cumsum along either axis is several times slower here
         step[k] += step[k - 1]
     at = np.minimum(np.arange(normals)[:, None] + step[:normals], width - 1)
     z = flat_vals[at.T + rows[:, None]]
     u = _doubles(flat_words[np.minimum(first_uniform[:, None] + np.arange(uniforms), width - 1) + rows[:, None]])
-    for i in np.flatnonzero(short).tolist():
-        rng = stream.at(int(rounds[i]))
-        z[i], u[i] = rng.standard_normal(normals), rng.random(uniforms)
-    return z, u
+    return z, u, np.flatnonzero(first_uniform + uniforms > width)
 
 
 def round_rows(stream, rounds: range, count: int, dim: int, *, ball: bool) -> np.ndarray:
     """(len(rounds), count, dim) unit-ball (or unit-sphere) rows for the given rounds of a RoundStream.
 
-    Round t's rows come from round t's generator alone and equal
-    ``sample_unit_ball_batch`` (or ``sample_unit_sphere_batch``) on
-    ``stream.at(t)`` bit for bit: the same normals, then the same uniforms,
-    then one row-wise transform over the whole block.
+    Each round draws count * dim standard normals, then count uniforms for
+    the ball, and turns them into rows by one row-wise transform over the
+    whole block, as ``sample_unit_ball_batch`` (or
+    ``sample_unit_sphere_batch``) does. ``rounds`` steps up; round t's draws
+    depend on t and that step only, never on the other rounds of the call.
+    Where a round's words come from depends on its width, count * dim
+    normals plus the uniforms, in raw 64-bit words. The cut at
+    ``_VECTOR_MAX_WORDS`` (32) is part of what a round's draws are:
 
-    A call of at least ``_VECTOR_MIN_ROUNDS`` (256) rounds of at most
-    ``_VECTOR_MAX_WORDS`` (32) raw words each (count * dim normals, plus count
-    uniforms for the ball) reads every round's words, and at least two spare
-    words, from vectorized Philox passes (``philox_words``), in near-equal
-    chunks of about ``_VECTOR_CHUNK_BLOCKS`` counter blocks. It decodes them
-    as numpy does: a normal by the fast path of numpy's 256-layer ziggurat
-    (Marsaglia & Tsang 2000; tables in ``_ziggurat``), a uniform as
-    (w >> 11) * 2^-53. A round with a normal outside the fast path (the tail
-    layer, or a wedge test; about 1 round in 5 at d = 16) is decoded again
-    from its own words by ``_missed_draws``; only the few such rounds that
-    need more words than their blocks hold (under 1% of rounds up to 16
-    words, up to 6% at 30) are redrawn through ``stream.at(t)``. Shorter
-    calls and wider rounds go through ``stream.at(t)`` round by round. So a
-    perturbed leader's draws of 256 or more refreshes take the vectorized
-    path when samples * (d + 1) is at most 32 (samples = 1 up to d = 31),
-    and so do the stochastic adversaries' tables of 256 or more rounds (ball
-    rows up to d = 31, sphere rows up to d = 32). ``PerturbedLeader.play``
-    draws BLOCK_ROWS // samples refreshes at a time from the first refresh
-    on, so of its draws only a game's last can hold fewer than 256 and stay
-    on numpy; ``act``'s draws of one refresh, and wider rounds such as 64
-    samples, do stay there.
+    - A narrow round, of at most 32 words, reads B = (words + 1) // 4 + 1
+      round-major Philox blocks (``stream.words``; two spare words at
+      least), all rounds of a chunk of about ``_VECTOR_CHUNK_BLOCKS``
+      blocks in one call. It decodes them as numpy does: a normal by the
+      fast path of numpy's 256-layer ziggurat (Marsaglia & Tsang 2000;
+      tables in ``_ziggurat``), a uniform as (w >> 11) * 2^-53. A round with
+      a normal outside the fast path (the tail layer, or a wedge test; about
+      1 round in 5 at d = 16) is decoded again from its words by
+      ``_missed_draws``. The few rounds whose walk needs more words than
+      their blocks hold (under 1% of rounds up to 16 words, up to 6% at 30)
+      read on from the first words of their per-round generator,
+      ``stream.at(t)``. So a narrow round's draws are numpy's
+      ``standard_normal`` and ``random`` on a generator set to its first
+      round-major counter, whenever its walk stays within its blocks.
+    - A wider round draws from ``stream.at(t)`` by numpy's own generator:
+      numpy's C ziggurat beats the decode there.
+
+    A perturbed leader's rounds are narrow when samples * (d + 1) is at most
+    32 (samples = 1 up to d = 31), and so are the stochastic adversaries'
+    rows up to d = 31 (ball) and d = 32 (sphere), whether a call draws one
+    round or a table of thousands.
     """
     z = np.empty((len(rounds), count, dim))
     u = np.empty(z.shape[:2])
     normals = count * dim
     words = normals + count * ball
-    if words <= _VECTOR_MAX_WORDS and len(rounds) >= _VECTOR_MIN_ROUNDS:
+    if words <= _VECTOR_MAX_WORDS:
         blocks = (words + 1) // 4 + 1  # two spare words at least: with fewer, 2-26% of rounds run out of words
         passes = max(1, round(len(rounds) * blocks / _VECTOR_CHUNK_BLOCKS))
         flat = z.reshape(len(rounds), normals)
         missed, spare, hits = [], [], []
         for k in range(passes):
             lo, hi = len(rounds) * k // passes, len(rounds) * (k + 1) // passes
-            w = philox_words(stream.seed, stream.stream, rounds[lo:hi], blocks)
+            w = stream.words(rounds[lo:hi], blocks)
             part = slice(lo, hi)
             hit = _fast_normals(w[:, :normals], flat[part])
             rows = np.flatnonzero(hit.any(axis=1))
@@ -611,10 +611,19 @@ def round_rows(stream, rounds: range, count: int, dim: int, *, ball: bool) -> np
             spare.append(w[rows])
             hits.append(hit[rows])
         missed = np.concatenate(missed)
-        flat[missed], uniforms = _missed_draws(stream, rounds.start + rounds.step * missed, np.concatenate(spare),
-                                               flat[missed], np.concatenate(hits), normals, count * ball)
-        if ball:
-            u[missed] = uniforms
+        if len(missed):
+            w, vals, hit = np.concatenate(spare), flat[missed], np.concatenate(hits)
+            z_missed, u_missed, short = _missed_draws(w, vals, hit, normals, count * ball)
+            more = w.shape[1]
+            while len(short):  # read on from the first per-round words: 4B of them, then twice as many each time
+                t = [rounds[i] for i in missed[short].tolist()]
+                extra = np.stack([stream.at(r).bit_generator.random_raw(more) for r in t])
+                z_missed[short], u_missed[short], again = _missed_draws(
+                    np.hstack((w[short], extra)), vals[short], hit[short], normals, count * ball)
+                short, more = short[again], 2 * more
+            flat[missed] = z_missed
+            if ball:
+                u[missed] = u_missed
     else:
         for i, t in enumerate(rounds):
             rng = stream.at(t)

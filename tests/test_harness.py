@@ -625,8 +625,9 @@ class TestRunExperimentAndSweep:
         assert summary.theoretical_bound == pytest.approx(theoretical_bound(config))
         assert summary.config_hash == config_hash(config)
 
-    def test_parallel_equals_serial(self):
-        config = cfg(T=32, seeds=(0, 1, 2, 3))
+    @pytest.mark.parametrize("m", [2, 8])  # 12 and 48 words a round: a narrow and a wide draw
+    def test_parallel_equals_serial(self, m):
+        config = cfg(T=32, seeds=(0, 1, 2, 3), m=m)
         serial = run_experiment(config, jobs=1)
         parallel = run_experiment(config, jobs=2)
         assert serial.final_regrets == parallel.final_regrets
@@ -640,10 +641,11 @@ class TestRunExperimentAndSweep:
         assert [s.final_regrets for s in pooled] == [s.final_regrets for s in serial]
         assert [s.oracle_calls for s in pooled] == [s.oracle_calls for s in serial]
 
+    @pytest.mark.parametrize("m", [2, 8])  # a narrow and a wide draw
     @pytest.mark.parametrize("count", [3, harness.LOCKSTEP_CAP, 2 * harness.LOCKSTEP_CAP + 1])
-    def test_lockstep_batches_do_not_change_the_results(self, count):
+    def test_lockstep_batches_do_not_change_the_results(self, count, m):
         # seed counts below, at and above the cap on a lockstep batch, cut differently for each jobs value
-        config = cfg(T=16, seeds=tuple(range(count)))
+        config = cfg(T=16, seeds=tuple(range(count)), m=m)
         alone = {T: tuple(run_game(replace(config, T=T), seed).final_regret for seed in config.seeds) for T in (8, 16)}
         for jobs in (1, 2, 3):
             assert run_experiment(config, jobs=jobs).final_regrets == alone[16]

@@ -35,6 +35,12 @@ from pfol.learners import BLOCK_ROWS
 BALL = Ball(dim=3, radius=1.0)
 
 
+def round_major_philox(seed, draw, blocks):
+    """numpy's Philox at the first round-major counter of a narrow round of the learner stream (see pfol.rng)."""
+    return np.random.Philox(key=np.array([seed, LEARNER_STREAM], dtype=np.uint64),
+                            counter=np.array([draw * blocks, 0, 0, 1], dtype=np.uint64))
+
+
 def game_config(learner, **knobs):
     """A 100-round game on the 3-ball against quadratic_adaptive with delta 0.25."""
     return ExperimentConfig(learner=learner, set={"kind": "ball", "dim": 3, "radius": 1.0},
@@ -58,7 +64,7 @@ class TestSampledFPL:
         # with zero cumulative gradient the ball oracle normalizes v/delta
         learner = PerturbedLeader(BALL, delta=0.5, samples=1, seed=3)
         action = learner.act()
-        rng = round_rng(3, LEARNER_STREAM, 1)
+        rng = np.random.Generator(round_major_philox(3, 1, 2))  # draw 1 of 4-word rounds, 2 blocks each
         v = perturbed_leader_points(BALL, np.zeros(3), 0.5, 1, rng)[0]
         np.testing.assert_array_equal(action, v)
         assert np.linalg.norm(action) == pytest.approx(1.0, abs=1e-12)
@@ -115,21 +121,36 @@ class TestSampledFPL:
 
     def test_round_randomness_independent_of_sample_count(self):
         # with zero gradients the action at a refresh round t is the mean of round
-        # t's own perturbed-leader points, drawn by numpy's own generator, bit for
-        # bit, whatever the sample count and block; the horizons with small sample
-        # counts run past the cap on play's draw blocks
+        # t's own perturbed-leader points, whatever the sample count and block. A
+        # wide round (samples * (d + 1) above 32 words) draws them by numpy's own
+        # per-round generator; a narrow one by numpy's generator at the first
+        # round-major counter of draw t // block, with (words + 1) // 4 + 1 blocks
+        # a draw, unless its draws read past those blocks (test_rng checks those).
+        # The horizons with small sample counts run past the cap on play's draw blocks
         zero = np.zeros(BALL.dim)
         start = linear_argmax(BALL, [1.0, 0.0, 0.0])
         for samples, block, T in ((1, 1, 2 * BLOCK_ROWS + 8), (4, 1, BLOCK_ROWS // 2 + 1100), (64, 1, 200),
                                   (2, 2, 2 * BLOCK_ROWS + 8), (20, 20, 200)):
             learner = PerturbedLeader(BALL, delta=0.5, samples=samples, block=block, seed=5)
+            words = samples * (BALL.dim + 1)
+            blocks, checked, refreshes = (words + 1) // 4 + 1, 0, T // block
             expected = start  # until the first refresh
             for t in range(1, T + 1):
+                action = learner.act()
                 if t % block == 0:
-                    points = perturbed_leader_points(BALL, zero, 0.5, samples, round_rng(5, LEARNER_STREAM, t))
-                    expected = points.mean(axis=0)
-                np.testing.assert_array_equal(learner.act(), expected)
+                    bitgen = round_rng(5, LEARNER_STREAM, t).bit_generator if words > 32 else \
+                        round_major_philox(5, t // block, blocks)
+                    expected = perturbed_leader_points(BALL, zero, 0.5, samples, np.random.Generator(bitgen))
+                    expected = expected.mean(axis=0)
+                    read = 4 * (int(bitgen.state["state"]["counter"][0]) - t // block * blocks - 1) \
+                        + bitgen.state["buffer_pos"]
+                    if words > 32 or read <= 4 * blocks:
+                        checked += 1
+                    else:  # a round that reads on; the rounds of its segment replay its action
+                        expected = action
+                np.testing.assert_array_equal(action, expected)
                 learner.observe(zero)
+            assert checked >= 0.98 * refreshes
 
     def test_act_draws_each_refresh_once_when_it_plays_it(self, monkeypatch):
         # a hand-played leader draws each refresh's round alone, in the round it plays it, and nothing
