@@ -426,11 +426,11 @@ def brute_force_argmax(vertices: Sequence, y) -> np.ndarray:
 
 # round_rows' cut between the round-major decode and numpy's per-round generator. The cut
 # is part of what a round's draws are: moving it changes the traces. Timed over 4096 rounds
-# (2 cores, numpy 2.4.6), the decode costs 0.09x numpy's per-round draws at 4 words a round,
-# 0.19x at 16, 0.42x at 32 and 0.55x at 40, but 2.5x at 340 words (20 samples in d = 16) and
-# 3.7x at 384 (64 in d = 5). One round alone costs about 34 us, or 75-130 us when it misses
-# the fast path (numpy's per-round draws: 20 us). Chunks of 8192 blocks ran fastest (2048,
-# 32768 and unchunked tried) and keep each pass's words at 256 KiB.
+# (2 cores, numpy 2.4.6, two runs), the decode costs 0.07-0.09x numpy's per-round draws at 4
+# words a round, 0.19x at 16, 0.36-0.42x at 32 and 0.48-0.55x at 40, but 2.5-2.6x at 340 words
+# (20 samples in d = 16) and 3.6-3.7x at 384 (64 in d = 5). One round alone costs about 30 us,
+# or 75-150 us when it misses the fast path (numpy's per-round draws: 12-20 us). Chunks of 8192
+# blocks ran fastest (2048, 32768 and unchunked tried) and keep each pass's words at 256 KiB.
 _VECTOR_MAX_WORDS = 32  # widest narrow round, in raw 64-bit words
 _VECTOR_CHUNK_BLOCKS = 8192  # round-major Philox blocks per pass
 
