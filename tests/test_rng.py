@@ -64,7 +64,7 @@ def major_philox(seed, stream, t, step, blocks):
 @pytest.mark.parametrize("seed", [0, 2**63 + 5, -1])
 @pytest.mark.parametrize("stream", [0, 1])
 @pytest.mark.parametrize("step", [1, 3])
-@pytest.mark.parametrize("blocks", [1, 2, 5, 9])
+@pytest.mark.parametrize("blocks", [1, 2, 3, 4, 5, 9])
 def test_words_equal_numpy_at_round_major_counters(seed, stream, step, blocks):
     for rounds in (range(2 * step, 40 * step, step), range(12345 * step + 1, 12350 * step, step)):
         words = RoundStream(seed, stream).words(rounds, blocks)
@@ -247,7 +247,7 @@ def ziggurat_walk(words, normals, uniforms):
 @pytest.mark.parametrize("seed", [0, 2**63 + 5, 2**64 - 1])
 @pytest.mark.parametrize("ball", [True, False])
 @pytest.mark.parametrize("count", [1, 2])
-@pytest.mark.parametrize("dim", [1, 5, 16])
+@pytest.mark.parametrize("dim", [1, 5, 16, 32])  # 32: the widest narrow round, wide with a uniform or a second row
 def test_round_rows_equal_numpy(seed, ball, count, dim):
     # enough normals (~40,000) that tail (layer 0) and wedge misses both occur
     n = max(256, 40_000 // (count * dim))
