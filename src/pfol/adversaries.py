@@ -33,8 +33,7 @@ import numpy as np
 
 from .errors import ConfigError, ProtocolError, real, real_array
 from .losses import LossFunction, linear_loss, quadratic_loss, row_dots
-from .rng import ADVERSARY_STREAM, RoundStream
-from .sets import round_rows
+from .rng import ADVERSARY_STREAM, RoundStream, round_rows
 
 __all__ = [
     "Adversary",

@@ -55,8 +55,8 @@ import numpy as np
 
 from .adversaries import emit_lockstep
 from .errors import ConfigError, ProtocolError
-from .rng import LEARNER_STREAM, RoundStream
-from .sets import FeasibleSet, euclidean_project, linear_argmax, round_rows, sample_unit_ball_batch
+from .rng import LEARNER_STREAM, RoundStream, round_rows
+from .sets import FeasibleSet, euclidean_project, linear_argmax, sample_unit_ball_batch
 
 __all__ = [
     "OnlineLearner",

@@ -7,7 +7,7 @@ Streams are Philox4x64-10 (Salmon et al., SC'11), numpy's C
 implementation: derivation is cheap and platform-stable.
 
 A round's words come from one of two counter layouts of the same cipher,
-and ``sets.round_rows`` says which rounds read which:
+and ``round_rows`` says which rounds read which:
 
 - per-round: ``RoundStream.at(t)`` re-keys one numpy Philox to the key
   (seed, stream << 48 | t) and hands out numpy's generator, whose words
@@ -30,7 +30,11 @@ its round, lies in [0, 2^48) too, and a round-major counter is at most
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from ._ziggurat import FI, INV_R, KI, R, WI
 
 LEARNER_STREAM = 0
 ADVERSARY_STREAM = 1
@@ -103,3 +107,213 @@ class RoundStream:
         self._major["state"]["counter"][0] = rounds[0] // rounds.step * blocks
         self._bitgen.state = self._major
         return self._bitgen.random_raw(4 * blocks * len(rounds)).reshape(len(rounds), 4 * blocks)
+
+
+# round_rows' cut between the round-major decode and numpy's per-round generator. The cut
+# is part of what a round's draws are: moving it changes the traces. Timed over 4096 rounds
+# (2 cores, numpy 2.4.6, two runs), the decode costs 0.07-0.09x numpy's per-round draws at 4
+# words a round, 0.19x at 16, 0.36-0.42x at 32 and 0.48-0.55x at 40, but 2.5-2.6x at 340 words
+# (20 samples in d = 16) and 3.6-3.7x at 384 (64 in d = 5). One round alone costs about 30 us,
+# or 75-150 us when it misses the fast path (numpy's per-round draws: 12-20 us). Chunks of 8192
+# blocks ran fastest (2048, 32768 and unchunked tried) and keep each pass's words at 256 KiB.
+_VECTOR_MAX_WORDS = 32  # widest narrow round, in raw 64-bit words
+_VECTOR_CHUNK_BLOCKS = 8192  # round-major Philox blocks per pass
+
+
+def unit_ball_rows(z: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Uniform unit-ball points from standard normal rows z and uniforms u: z/||z|| x u^(1/d)."""
+    norms = np.sqrt(np.einsum("ij,ij->i", z, z))
+    norms[norms == 0.0] = 1.0
+    return z * (u ** (1.0 / z.shape[1]) / norms)[:, None]
+
+
+def unit_sphere_rows(z: np.ndarray) -> np.ndarray:
+    """Uniform unit-sphere points from standard normal rows z: z/||z||."""
+    norms = np.sqrt(np.einsum("ij,ij->i", z, z))
+    norms[norms == 0.0] = 1.0
+    return z / norms[:, None]
+
+
+# the fast path's tables indexed by a word's low 9 bits, its layer i and sign bit 8: +-WI[i], and KI[i] as int64
+_SIGNED_WI = np.concatenate((WI, -WI))
+_KI_TWICE = np.tile(KI.view(np.int64), 2)
+
+
+def _fast_normals(words: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Decode (n, k) raw words into ``out`` by the ziggurat's fast path; True for each word that misses.
+
+    Word w's layer is i = w & 0xff and its value r * WI[i], with
+    r = (w >> 9) & (2^52 - 1), negated when bit 8 is set; r >= KI[i] misses.
+    The product with -WI[i] is the negated one bit for bit, and r = 0 gives -0.0.
+    """
+    idx = (words & np.uint64(0x1FF)).astype(np.intp)
+    rabs = ((words >> np.uint64(9)) & np.uint64((1 << 52) - 1)).view(np.int64)
+    np.multiply(rabs, _SIGNED_WI[idx], out=out)
+    return rabs >= _KI_TWICE[idx]  # int64 against uint64 would compare as float64
+
+
+def _doubles(words: np.ndarray) -> np.ndarray:
+    """numpy's uniform doubles (w >> 11) * 2^-53 from raw words."""
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+_TIE = 2.0**-40  # relative gap below which a wedge test is settled by libm's exp
+
+
+def _wedge_accepts(layer: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """numpy's wedge test for misses x in layers i > 0: FI[i] + (FI[i-1] - FI[i]) * u < exp(-x*x/2).
+
+    np.exp may differ by an ulp from libm's exp, which numpy's C code calls,
+    so tests within ``_TIE`` of a tie are settled by ``math.exp``, libm's.
+    """
+    lhs = (FI[layer - 1] - FI[layer]) * u + FI[layer]
+    rhs = np.exp(-0.5 * x * x)
+    accept = lhs < rhs
+    for i in np.flatnonzero(np.abs(lhs - rhs) <= _TIE * rhs):
+        accept[i] = float(lhs[i]) < math.exp(-0.5 * float(x[i]) * float(x[i]))
+    return accept
+
+
+def _missed_draws(words: np.ndarray, vals: np.ndarray, miss: np.ndarray, normals: int, uniforms: int):
+    """(normals, uniforms, short) of rounds with a fast-path miss, decoded from their raw words ``words``.
+
+    ``vals`` and ``miss`` are ``_fast_normals`` of the first words. Each
+    round's draws follow numpy's ``random_standard_normal`` (Marsaglia & Tsang
+    2000). A normal is the next word's fast-path value unless that word
+    misses. A miss in layer i > 0 reads the next word as a uniform for the
+    wedge test (``_wedge_accepts``) and, if rejected, draws the normal again
+    from the word after. A miss in layer 0 draws from the tail, two uniforms
+    an attempt, with ``math.log1p`` as numpy's C code does. The uniforms
+    follow the last normal. The outcome of every miss is found for all rounds
+    at once; then the rounds step through their misses in lockstep, one miss
+    each a step, and a miss read as a test's uniform is passed over.
+    ``short`` indexes the rounds that need more words than ``words`` holds;
+    their draws are not valid.
+    """
+    m, width = words.shape
+    rest = np.empty((m, width - vals.shape[1]))
+    miss = np.hstack((miss, _fast_normals(words[:, vals.shape[1]:], rest)))
+    vals = np.hstack((vals, rest))
+    flat_words, flat_vals = words.ravel(), vals.ravel()
+    at = np.flatnonzero(miss)  # flat indices; 2-d fancy indexing is several times slower
+    mr, mq = np.divmod(at, width)
+    # each miss's outcome were it a normal's draw: accepted or not, and the word after its test, or
+    # ``past`` if the test runs past the words
+    past = 2 * width
+    layer = (flat_words[at] & np.uint64(0xFF)).astype(np.intp)
+    accept, after = np.zeros(len(at), dtype=bool), np.where(mq + 1 < width, mq + 2, past)
+    wedge = np.flatnonzero((layer > 0) & (after < past))
+    accept[wedge] = _wedge_accepts(layer[wedge], flat_vals[at[wedge]], _doubles(flat_words[at[wedge] + 1]))
+    for i in np.flatnonzero(layer == 0).tolist():
+        r, q, after[i] = int(mr[i]), int(mq[i]), past
+        for a in range(q + 1, width - 1, 2):
+            xx = -INV_R * math.log1p(-(int(words[r, a]) >> 11) * 2.0**-53)
+            yy = -math.log1p(-(int(words[r, a + 1]) >> 11) * 2.0**-53)
+            if yy + yy > xx * xx:  # the sign is bit 8 of the miss's r, bit 17 of its word
+                vals[r, q] = -(R + xx) if int(words[r, q]) >> 17 & 1 else R + xx
+                accept[i], after[i] = True, a + 2
+                break
+    skip = after - mq - accept  # how far the normal after a drawn miss moves: past the test's words
+    # walk every round through its misses in order, one miss each a step: p is the next word to read and
+    # count the normals drawn so far; a miss before p was read as a test's uniform, one at or past the
+    # last normal's word is not drawn
+    p, count = np.zeros((2, m), dtype=np.intp)
+    step = np.zeros((normals + 1, m), dtype=np.intp)  # how far each normal's word moves from the last one's
+    rank = np.arange(len(mr)) - np.searchsorted(mr, mr)  # a miss's place among its round's misses
+    order = np.argsort(rank, kind="stable")
+    bounds = np.searchsorted(rank[order], np.arange(rank.max(initial=0) + 2))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        i = order[lo:hi]
+        r = mr[i]
+        run = mq[i] - p[r]
+        drawn = (run >= 0) & (run < normals - count[r])
+        i, r = i[drawn], r[drawn]
+        count[r] += run[drawn] + accept[i]  # a rejected miss draws its normal again from the word after
+        step[count[r], r] += skip[i]
+        p[r] = after[i]
+    first_uniform = p + normals - count
+    rows = np.arange(0, m * width, width)
+    for k in range(1, normals):  # np.cumsum along either axis is several times slower here
+        step[k] += step[k - 1]
+    at = np.minimum(np.arange(normals)[:, None] + step[:normals], width - 1)
+    z = flat_vals[at.T + rows[:, None]]
+    u = _doubles(flat_words[np.minimum(first_uniform[:, None] + np.arange(uniforms), width - 1) + rows[:, None]])
+    return z, u, np.flatnonzero(first_uniform + uniforms > width)
+
+
+def round_rows(stream, rounds: range, count: int, dim: int, *, ball: bool) -> np.ndarray:
+    """(len(rounds), count, dim) unit-ball (or unit-sphere) rows for the given rounds of a RoundStream.
+
+    Each round draws count * dim standard normals, then count uniforms for
+    the ball, and turns them into rows by one row-wise transform over the
+    whole block, as ``sample_unit_ball_batch`` (or
+    ``sample_unit_sphere_batch``) does. ``rounds`` steps up; round t's draws
+    depend on t and that step only, never on the other rounds of the call.
+    Where a round's words come from depends on its width, count * dim
+    normals plus the uniforms, in raw 64-bit words. The cut at
+    ``_VECTOR_MAX_WORDS`` (32) is part of what a round's draws are:
+
+    - A narrow round, of at most 32 words, reads B = (words + 1) // 4 + 1
+      round-major Philox blocks (``stream.words``; two spare words at
+      least), all rounds of a chunk of about ``_VECTOR_CHUNK_BLOCKS``
+      blocks in one call. It decodes them as numpy does: a normal by the
+      fast path of numpy's 256-layer ziggurat (Marsaglia & Tsang 2000;
+      tables in ``_ziggurat``), a uniform as (w >> 11) * 2^-53. A round with
+      a normal outside the fast path (the tail layer, or a wedge test; about
+      1 round in 5 at d = 16) is decoded again from its words by
+      ``_missed_draws``. The few rounds whose walk needs more words than
+      their blocks hold (under 1% of rounds up to 16 words, up to 6% at 30)
+      read on from the first words of their per-round generator,
+      ``stream.at(t)``. So a narrow round's draws are numpy's
+      ``standard_normal`` and ``random`` on a generator set to its first
+      round-major counter, whenever its walk stays within its blocks.
+    - A wider round draws from ``stream.at(t)`` by numpy's own generator:
+      numpy's C ziggurat beats the decode there.
+
+    A perturbed leader's rounds are narrow when samples * (d + 1) is at most
+    32 (samples = 1 up to d = 31), and so are the stochastic adversaries'
+    rows up to d = 31 (ball) and d = 32 (sphere), whether a call draws one
+    round or a table of thousands.
+    """
+    z = np.empty((len(rounds), count, dim))
+    u = np.empty(z.shape[:2])
+    normals = count * dim
+    words = normals + count * ball
+    if words <= _VECTOR_MAX_WORDS:
+        blocks = (words + 1) // 4 + 1  # two spare words at least: with fewer, 2-26% of rounds run out of words
+        passes = max(1, round(len(rounds) * blocks / _VECTOR_CHUNK_BLOCKS))
+        flat = z.reshape(len(rounds), normals)
+        missed, spare, hits = [], [], []
+        for k in range(passes):
+            lo, hi = len(rounds) * k // passes, len(rounds) * (k + 1) // passes
+            w = stream.words(rounds[lo:hi], blocks)
+            part = slice(lo, hi)
+            hit = _fast_normals(w[:, :normals], flat[part])
+            rows = np.flatnonzero(hit.any(axis=1))
+            if ball:
+                u[part] = _doubles(w[:, normals:words])
+            missed.append(lo + rows)
+            spare.append(w[rows])
+            hits.append(hit[rows])
+        missed = np.concatenate(missed)
+        if len(missed):
+            w, vals, hit = np.concatenate(spare), flat[missed], np.concatenate(hits)
+            z_missed, u_missed, short = _missed_draws(w, vals, hit, normals, count * ball)
+            more = w.shape[1]
+            while len(short):  # read on from the first per-round words: 4B of them, then twice as many each time
+                t = [rounds[i] for i in missed[short].tolist()]
+                extra = np.stack([stream.at(r).bit_generator.random_raw(more) for r in t])
+                z_missed[short], u_missed[short], again = _missed_draws(
+                    np.hstack((w[short], extra)), vals[short], hit[short], normals, count * ball)
+                short, more = short[again], 2 * more
+            flat[missed] = z_missed
+            if ball:
+                u[missed] = u_missed
+    else:
+        for i, t in enumerate(rounds):
+            rng = stream.at(t)
+            rng.standard_normal(out=z[i])
+            if ball:
+                rng.random(out=u[i])
+    flat = z.reshape(-1, dim)
+    return (unit_ball_rows(flat, u.ravel()) if ball else unit_sphere_rows(flat)).reshape(z.shape)

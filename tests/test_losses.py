@@ -27,7 +27,7 @@ from pfol import (
     smooth_inequality_audit,
 )
 from pfol.adversaries import emit_lockstep
-from pfol.sets import round_rows
+from pfol.rng import round_rows
 
 from conftest import CallableLoss
 

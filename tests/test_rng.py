@@ -11,10 +11,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from pfol import RoundStream, round_rng, sets
+import pfol.rng
+from pfol import RoundStream, round_rng
 from pfol._ziggurat import FI, INV_R, KI, R, WI
-from pfol.rng import _key
-from pfol.sets import round_rows, unit_ball_rows, unit_sphere_rows
+from pfol.rng import _key, round_rows, unit_ball_rows, unit_sphere_rows
 
 OUT_OF_RANGE = r"round index 281474976710656 out of the supported range \[0, 2\^48\)"
 
@@ -152,7 +152,7 @@ def reference_rows(seed, stream, rounds, count, dim, *, ball):
     """
     normals, uniforms = count * dim, count * ball
     blocks = (normals + uniforms + 1) // 4 + 1
-    narrow = normals + uniforms <= sets._VECTOR_MAX_WORDS
+    narrow = normals + uniforms <= pfol.rng._VECTOR_MAX_WORDS
     major = MajorGenerator(seed, stream)
     z, u, short = np.empty((len(rounds), count, dim)), np.empty((len(rounds), count)), []
     for i, t in enumerate(rounds):
@@ -198,12 +198,12 @@ def test_fast_normals_equal_the_where_decode_on_crafted_words():
     for shape in ((-1, 1), (-1, 4)):
         w = words[:len(words) // 4 * 4].reshape(shape)
         out = np.full(w.shape, np.nan)
-        misses = sets._fast_normals(w, out)
+        misses = pfol.rng._fast_normals(w, out)
         want, want_misses = where_decode(w)
         assert out.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
         np.testing.assert_array_equal(misses, want_misses)
     out = np.empty((1, 2))
-    sets._fast_normals(np.array([[0x100, 0x105]], dtype=np.uint64), out)  # r = 0 with the sign bit set
+    pfol.rng._fast_normals(np.array([[0x100, 0x105]], dtype=np.uint64), out)  # r = 0 with the sign bit set
     assert (out == 0).all() and np.signbit(out).all()
 
 
@@ -256,7 +256,7 @@ def test_round_rows_equal_numpy(seed, ball, count, dim):
     got = round_rows(fast := CountingStream(seed, stream), rounds, count, dim, ball=ball)
     want, short = reference_rows(seed, stream, rounds, count, dim, ball=ball)
     assert got.tobytes() == want.tobytes()
-    if count * (dim + ball) > sets._VECTOR_MAX_WORDS:  # wide rounds stay on numpy's per-round generator
+    if count * (dim + ball) > pfol.rng._VECTOR_MAX_WORDS:  # wide rounds stay on numpy's per-round generator
         assert fast.calls == list(rounds)
         return
     layers = np.concatenate(fast_path_misses(seed, stream, rounds, count * dim))
@@ -275,7 +275,7 @@ def test_round_rows_decode_the_rare_branches():
     want, short = reference_rows(seed, stream, rounds, 2, 16, ball=False)
     assert got.tobytes() == want.tobytes()
     words = RoundStream(seed, stream).words(rounds, 9)
-    missed = np.flatnonzero(sets._fast_normals(words[:, :32], np.empty((len(rounds), 32))).any(axis=1))
+    missed = np.flatnonzero(pfol.rng._fast_normals(words[:, :32], np.empty((len(rounds), 32))).any(axis=1))
     per_round = [round_rng(seed, stream, rounds[i]).bit_generator.random_raw(64) for i in missed]
     taken = [ziggurat_walk(np.concatenate((words[i], more)).tolist(), 32, 0)[2] for i, more in zip(missed, per_round)]
     assert any(t["tail_rejects"] for t in taken) and any(t["tails"] >= 2 for t in taken)
@@ -381,7 +381,7 @@ def test_round_rows_cut_round_major_words_into_near_equal_chunks(rounds):
             return super().words(batch, blocks)
 
     round_rows(RecordingStream(1, 1), range(1, rounds + 1), 1, 16, ball=True)  # 5 blocks a round
-    assert len(sizes) == max(1, round(rounds * 5 / sets._VECTOR_CHUNK_BLOCKS))
+    assert len(sizes) == max(1, round(rounds * 5 / pfol.rng._VECTOR_CHUNK_BLOCKS))
     assert max(sizes) - min(sizes) <= 5 and sum(sizes) == rounds * 5  # at most one round apart
 
 
@@ -423,13 +423,13 @@ def test_wedge_near_ties_are_settled_by_libm_exp(monkeypatch):
     want = np.array([a < math.exp(-0.5 * b * b) for a, b in zip(lhs.tolist(), x.tolist())])
     assert want.any() and not want.all()
     assert (lhs == [math.exp(-0.5 * b * b) for b in x.tolist()]).any()  # exact ties, which reject
-    np.testing.assert_array_equal(sets._wedge_accepts(layer, x, u), want)
+    np.testing.assert_array_equal(pfol.rng._wedge_accepts(layer, x, u), want)
     # an np.exp off by 2^-44 relative (inside the tie band) must not change any outcome
     exp = np.exp
     monkeypatch.setattr(np, "exp", lambda a: exp(a) * (1 + 2.0**-44))
-    np.testing.assert_array_equal(sets._wedge_accepts(layer, x, u), want)
+    np.testing.assert_array_equal(pfol.rng._wedge_accepts(layer, x, u), want)
     monkeypatch.setattr(np, "exp", lambda a: exp(a) * (1 - 2.0**-44))
-    np.testing.assert_array_equal(sets._wedge_accepts(layer, x, u), want)
+    np.testing.assert_array_equal(pfol.rng._wedge_accepts(layer, x, u), want)
 
 
 def test_ziggurat_tables_match_installed_numpy():
