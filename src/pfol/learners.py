@@ -15,12 +15,9 @@ Perturbations never depend on the losses, so ``play`` draws them ahead:
 one ``round_rows`` call fills the next r = BLOCK_ROWS // samples (at least
 1) refresh rounds, each round's rows from that round's own words, from the
 first refresh on and no refresh past the game's last. ``act`` draws only
-the refresh it plays, through the same ``round_rows``. Round t's
-perturbations depend on the seed, t, the block and the round's width of
-samples * (d + 1) words alone, never on the draw length or the rounds drawn
-before it, and every trace replays as if each round had been drawn alone.
-A round of at most 32 words reads round-major Philox words, a wider one
-numpy's per-round generator; ``round_rows``' docstring says how.
+the refresh it plays, through the same ``round_rows``. A round's draws
+never depend on the call that draws it (``pfol.rng`` says which words they
+read), so every trace replays as if each round had been drawn alone.
 
 Learners follow a strict act/observe protocol: ``act`` returns the action
 for the current round, ``observe`` feeds back the gradient of the revealed
@@ -200,11 +197,8 @@ class PerturbedLeader(OnlineLearner):
     first refresh (block > 1 only) it plays the oracle answer on the first
     basis direction, asked for on the first round. A game thus makes
     samples * floor(T/block) calls, plus one for block > 1. Round t's
-    perturbations are ``round_rows``' draws of round t, draw t // block:
-    ``perturbed_leader_points``' draws on numpy's per-round generator when
-    samples * (d + 1) exceeds 32 words, else on numpy's generator at the
-    round's first round-major counter while they stay within its blocks
-    (see the module docstring).
+    perturbations are ``round_rows``' draws of round t, draw t // block
+    (``pfol.rng`` says which words they read).
     """
 
     def __init__(self, set_: FeasibleSet, *, delta: float, samples: int = 1, block: int = 1, seed: int = 0):

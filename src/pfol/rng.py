@@ -1,13 +1,14 @@
-"""Deterministic random-stream derivation.
+"""Deterministic random-stream derivation and the per-round draw.
 
 One master seed fans out into independent random words keyed by
 (seed, stream, round). Each round owns its words, so a round may consume
 any amount of randomness without shifting what any other round sees.
 Streams are Philox4x64-10 (Salmon et al., SC'11), numpy's C
-implementation: derivation is cheap and platform-stable.
+implementation: derivation is cheap and platform-stable. This module is
+the one place that decides which words a round reads and how they become
+normals and uniforms.
 
-A round's words come from one of two counter layouts of the same cipher,
-and ``round_rows`` says which rounds read which:
+A round's words come from one of two counter layouts of the same cipher:
 
 - per-round: ``RoundStream.at(t)`` re-keys one numpy Philox to the key
   (seed, stream << 48 | t) and hands out numpy's generator, whose words
@@ -17,6 +18,36 @@ and ``round_rows`` says which rounds read which:
   i = t // step of a call stepping by ``step``, owns the ``blocks``
   counters i * blocks + 1, ..., (i + 1) * blocks, each with its top word
   set to 1.
+
+``round_rows`` draws a round's count * dim standard normals, then count
+uniforms for the ball, and turns them into unit-ball (or unit-sphere)
+rows. Which layout a round reads follows from its width, normals plus
+uniforms in raw 64-bit words; the cut at ``_VECTOR_MAX_WORDS`` (32) is
+part of what a round's draws are:
+
+- A narrow round, of at most 32 words, owns B = (words + 1) // 4 + 1
+  round-major blocks (two spare words at least). A call of many rounds
+  reads them in chunks of about ``_VECTOR_CHUNK_BLOCKS`` blocks, one
+  ``random_raw`` call each, and decodes them as numpy does: a normal by
+  the fast path of numpy's 256-layer ziggurat (Marsaglia & Tsang 2000;
+  tables in ``_ziggurat``), a uniform as (w >> 11) * 2^-53. A round with a
+  normal outside the fast path (the tail layer, or a wedge test; about 1
+  round in 5 at d = 16) is decoded again from its words by
+  ``_missed_draws``. The few rounds whose walk needs more words than their
+  blocks hold (under 1% of rounds up to 16 words, up to 6% at 30) read on
+  from the first words of their per-round generator. A call of one round
+  draws through numpy's generator set to the round's first round-major
+  counter instead, and falls back to the decode when that reads past its
+  blocks. So a narrow round's draws are numpy's ``standard_normal`` and
+  ``random`` on a generator at its first round-major counter whenever they
+  stay within its blocks, whether a call draws it alone or in a table of
+  thousands.
+- A wider round draws through numpy's generator at ``RoundStream.at(t)``:
+  numpy's C ziggurat beats the decode there.
+
+A perturbed leader's rounds are narrow when samples * (d + 1) is at most
+32 (samples = 1 up to d = 31), and so are the stochastic adversaries'
+rows up to d = 31 (ball) and d = 32 (sphere).
 
 The two layouts never read the same words. The keys can coincide (the
 round-major key of stream s is the per-round key of round s of stream 0),
@@ -40,10 +71,11 @@ LEARNER_STREAM = 0
 ADVERSARY_STREAM = 1
 
 _MASK64 = (1 << 64) - 1
+ROUND_LIMIT = 1 << 48  # a stream keys rounds 0, 1, ..., ROUND_LIMIT - 1
 
 
 def _check_round(t: int) -> None:
-    if not 0 <= t < (1 << 48):
+    if not 0 <= t < ROUND_LIMIT:
         raise ValueError(f"round index {t} out of the supported range [0, 2^48)")
 
 
@@ -67,14 +99,16 @@ class RoundStream:
 
     ``at(t)`` re-keys one shared Philox in place and returns a generator whose
     output is bit-identical to ``round_rng(seed, stream, t)``. ``words`` sets
-    the same Philox to the round-major layout (see the module docstring).
-    The stream keeps one state dict per layout and rewrites only its round
-    word or first counter; setting the state copies it into the generator
-    and resets the counter and buffer. The dicts hold Python ints, which the
-    setter reads faster than numpy scalars. The returned generator is only
-    valid until the next ``at`` or ``words`` call, so a RoundStream must
-    never be shared between concurrent consumers; one instance per logical
-    stream, exactly like a plain generator.
+    the same Philox to the round-major layout (see the module docstring), and
+    ``round_rows`` sets it to one round's first round-major counter to draw
+    a lone round through the generator. The stream keeps one state dict per
+    layout and rewrites only its round word or first counter; setting the
+    state copies it into the generator and resets the counter and buffer.
+    The dicts hold Python ints, which the setter reads faster than numpy
+    scalars. The returned generator is only valid until the next ``at`` or
+    ``words`` call, so a RoundStream must never be shared between
+    concurrent consumers; one instance per logical stream, exactly like a
+    plain generator.
     """
 
     def __init__(self, seed: int, stream: int):
@@ -113,9 +147,10 @@ class RoundStream:
 # is part of what a round's draws are: moving it changes the traces. Timed over 4096 rounds
 # (2 cores, numpy 2.4.6, two runs), the decode costs 0.07-0.09x numpy's per-round draws at 4
 # words a round, 0.19x at 16, 0.36-0.42x at 32 and 0.48-0.55x at 40, but 2.5-2.6x at 340 words
-# (20 samples in d = 16) and 3.6-3.7x at 384 (64 in d = 5). One round alone costs about 30 us,
-# or 75-150 us when it misses the fast path (numpy's per-round draws: 12-20 us). Chunks of 8192
-# blocks ran fastest (2048, 32768 and unchunked tried) and keep each pass's words at 256 KiB.
+# (20 samples in d = 16) and 3.6-3.7x at 384 (64 in d = 5). One round alone would cost about
+# 30 us, or 75-150 us when it misses the fast path, so a lone round draws through numpy's
+# generator (12-25 us with the row transform). Chunks of 8192 blocks ran fastest (2048, 32768
+# and unchunked tried) and keep each pass's words at 256 KiB.
 _VECTOR_MAX_WORDS = 32  # widest narrow round, in raw 64-bit words
 _VECTOR_CHUNK_BLOCKS = 8192  # round-major Philox blocks per pass
 
@@ -241,46 +276,46 @@ def _missed_draws(words: np.ndarray, vals: np.ndarray, miss: np.ndarray, normals
     return z, u, np.flatnonzero(first_uniform + uniforms > width)
 
 
+def _drawn_alone(stream, rounds: range, blocks: int, z: np.ndarray, u: np.ndarray, ball: bool) -> bool:
+    """Draw one narrow round into z (and u) by numpy's generator at its first round-major counter; False if it read past its blocks.
+
+    Within its blocks these are the decode's draws, numpy's walk on the same
+    words; past them the decode reads on from the per-round words instead.
+    """
+    _check_round(rounds[0])
+    first = rounds[0] // rounds.step * blocks
+    stream._major["state"]["counter"][0] = first
+    stream._bitgen.state = stream._major
+    stream._gen.standard_normal(out=z)
+    if ball:
+        stream._gen.random(out=u)
+    return stream._bitgen.state["state"]["counter"][0] <= first + blocks
+
+
 def round_rows(stream, rounds: range, count: int, dim: int, *, ball: bool) -> np.ndarray:
     """(len(rounds), count, dim) unit-ball (or unit-sphere) rows for the given rounds of a RoundStream.
 
-    Each round draws count * dim standard normals, then count uniforms for
-    the ball, and turns them into rows by one row-wise transform over the
-    whole block, as ``sample_unit_ball_batch`` (or
-    ``sample_unit_sphere_batch``) does. ``rounds`` steps up; round t's draws
-    depend on t and that step only, never on the other rounds of the call.
-    Where a round's words come from depends on its width, count * dim
-    normals plus the uniforms, in raw 64-bit words. The cut at
-    ``_VECTOR_MAX_WORDS`` (32) is part of what a round's draws are:
-
-    - A narrow round, of at most 32 words, reads B = (words + 1) // 4 + 1
-      round-major Philox blocks (``stream.words``; two spare words at
-      least), all rounds of a chunk of about ``_VECTOR_CHUNK_BLOCKS``
-      blocks in one call. It decodes them as numpy does: a normal by the
-      fast path of numpy's 256-layer ziggurat (Marsaglia & Tsang 2000;
-      tables in ``_ziggurat``), a uniform as (w >> 11) * 2^-53. A round with
-      a normal outside the fast path (the tail layer, or a wedge test; about
-      1 round in 5 at d = 16) is decoded again from its words by
-      ``_missed_draws``. The few rounds whose walk needs more words than
-      their blocks hold (under 1% of rounds up to 16 words, up to 6% at 30)
-      read on from the first words of their per-round generator,
-      ``stream.at(t)``. So a narrow round's draws are numpy's
-      ``standard_normal`` and ``random`` on a generator set to its first
-      round-major counter, whenever its walk stays within its blocks.
-    - A wider round draws from ``stream.at(t)`` by numpy's own generator:
-      numpy's C ziggurat beats the decode there.
-
-    A perturbed leader's rounds are narrow when samples * (d + 1) is at most
-    32 (samples = 1 up to d = 31), and so are the stochastic adversaries'
-    rows up to d = 31 (ball) and d = 32 (sphere), whether a call draws one
-    round or a table of thousands.
+    ``rounds`` steps up; round t's draws depend on t and that step only,
+    never on the other rounds of the call. The module docstring says which
+    words a round reads and how they are decoded. The rows come from one
+    row-wise transform over the whole block, as ``sample_unit_ball_batch``
+    (or ``sample_unit_sphere_batch``) makes them from a generator's draws.
+    A lone narrow round's draws equal the decode's by construction: within
+    its blocks both are numpy's walk on the same words, and past them the
+    lone round takes the decode.
     """
     z = np.empty((len(rounds), count, dim))
     u = np.empty(z.shape[:2])
     normals = count * dim
     words = normals + count * ball
-    if words <= _VECTOR_MAX_WORDS:
-        blocks = (words + 1) // 4 + 1  # two spare words at least: with fewer, 2-26% of rounds run out of words
+    blocks = (words + 1) // 4 + 1  # two spare words at least: with fewer, 2-26% of rounds run out of words
+    if words > _VECTOR_MAX_WORDS:
+        for i, t in enumerate(rounds):
+            rng = stream.at(t)
+            rng.standard_normal(out=z[i])
+            if ball:
+                rng.random(out=u[i])
+    elif len(rounds) != 1 or not _drawn_alone(stream, rounds, blocks, z[0], u[0], ball):
         passes = max(1, round(len(rounds) * blocks / _VECTOR_CHUNK_BLOCKS))
         flat = z.reshape(len(rounds), normals)
         missed, spare, hits = [], [], []
@@ -309,11 +344,5 @@ def round_rows(stream, rounds: range, count: int, dim: int, *, ball: bool) -> np
             flat[missed] = z_missed
             if ball:
                 u[missed] = u_missed
-    else:
-        for i, t in enumerate(rounds):
-            rng = stream.at(t)
-            rng.standard_normal(out=z[i])
-            if ball:
-                rng.random(out=u[i])
     flat = z.reshape(-1, dim)
     return (unit_ball_rows(flat, u.ravel()) if ball else unit_sphere_rows(flat)).reshape(z.shape)
