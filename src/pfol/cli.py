@@ -8,8 +8,9 @@ config's guarantee. Configs are JSON files mirroring ExperimentConfig; only
 that has one. ``run`` plays ``--seed``, else the config's first seed, and
 writes its trace to ``--out`` (default ``trace.csv``).
 
-Exit codes: 0 success, 1 failed check or aborted run, 2 config error or an
-output path that cannot be written.
+Exit codes: 0 success, 1 failed check or aborted run (a game whose arrays
+do not fit in memory too), 2 config error or an output path that cannot be
+written.
 """
 
 from __future__ import annotations
@@ -200,7 +201,7 @@ def cli_main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ProtocolError, FloatingPointError, ValueError) as exc:
+    except (ProtocolError, FloatingPointError, ValueError, MemoryError) as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
         return 1
 

@@ -50,6 +50,7 @@ from .learners import (
     default_delta,
 )
 from .losses import row_dots
+from .rng import ROUND_LIMIT
 from .sets import FeasibleSet, set_from_json
 
 __all__ = [
@@ -118,6 +119,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown learner {self.learner!r}; supported: {tuple(LEARNER_KNOBS)}")
         for name in ("T", "m") + (() if self.k == "auto" else ("k",)):
             _check_count(name, getattr(self, name))
+        if self.T >= ROUND_LIMIT:
+            raise ConfigError(f"T must be below 2^48, the rounds a seed's random streams key, got {self.T}")
         if self.fw_budget is not None:
             _check_count("fw_budget", self.fw_budget)
         if isinstance(self.delta, str):

@@ -386,3 +386,20 @@ def test_vary_outside_sweep_is_config_error(tmp_path, capsys, command, vary):
     captured = capsys.readouterr()
     assert captured.err.startswith("config error: 'vary' is read only by pfol sweep") and not captured.out
     assert not out.exists()
+
+
+def test_a_horizon_past_the_round_range_is_a_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, dict(CONFIG, T=2**48))
+    assert cli_main(["run", "--config", path, "--out", str(tmp_path / "t.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: T must be below 2^48") and "Traceback" not in err
+
+
+def test_a_game_too_large_for_memory_aborts_without_a_traceback(tmp_path, capsys):
+    # the (2^47, 2) float64 adversary table is 2 PiB, beyond a 47-bit address space, so its allocation fails at once
+    config = dict(CONFIG, T=2**47, m=1, set={"kind": "ball", "dim": 2, "radius": 1.0},
+                  adversary={"kind": "quadratic_stochastic", "center_scale": 1.0})
+    path = write_config(tmp_path, config)
+    assert cli_main(["run", "--config", path, "--out", str(tmp_path / "t.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("run aborted: Unable to allocate") and "Traceback" not in err
