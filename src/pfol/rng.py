@@ -277,10 +277,10 @@ def _missed_draws(words: np.ndarray, vals: np.ndarray, miss: np.ndarray, normals
 
 
 def _drawn_alone(stream, rounds: range, blocks: int, z: np.ndarray, u: np.ndarray, ball: bool) -> bool:
-    """Draw one narrow round into z (and u) by numpy's generator at its first round-major counter; False if it read past its blocks.
+    """Draw the one narrow round of ``rounds`` into z (and u) by numpy's generator; False if it read past its blocks.
 
-    Within its blocks these are the decode's draws, numpy's walk on the same
-    words; past them the decode reads on from the per-round words instead.
+    The generator starts at the round's first round-major counter, where the
+    decode would read the round's words (see ``round_rows``).
     """
     _check_round(rounds[0])
     first = rounds[0] // rounds.step * blocks

@@ -420,6 +420,7 @@ def brute_force_argmax(vertices: Sequence, y) -> np.ndarray:
 # uniform samplers
 # ---------------------------------------------------------------------------
 
+
 def sample_unit_ball_batch(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     """count i.i.d. points uniform on {||v|| <= 1}: Gaussian direction x U^(1/d)."""
     z = rng.standard_normal((count, dim))
