@@ -4,10 +4,10 @@ An adversary emits round t's loss as its parameter vector: the centre c_t of
 f_t(x) = 0.5 ||x - c_t||^2 (quadratic families) or the direction g_t of
 f_t(x) = <g_t, x> (linear ones). The per-round protocol is ``emit(t)`` then
 ``observe(action)``; only the adaptive families keep the running action sum
-that their rows read. The perturbed-leader engine (``PerturbedLeader.play``)
-plays the games of S seeds side by side from refresh to refresh, and takes
-the rows of an adaptive family's n rounds t..t+n-1 from ``emit_lockstep``:
-each game plays one action in all n rounds, and its running action sums
+that their rows read. The game engines (``pfol.learners`` describes them)
+take the rows of an adaptive family's n rounds t..t+n-1 of S games side by
+side from ``emit_lockstep``: each game plays one action in all n rounds,
+and its running action sums
 come from ``np.cumsum``, bit for bit the rows of n rounds of ``emit`` and
 ``observe`` per game, on action sums the caller keeps. Both reach an
 adaptive family's rows through one ``_aim`` of mean actions.
@@ -285,7 +285,7 @@ def make_adversary(spec: dict, *, horizon: int, seed: int, norm_bound: float, di
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"adversary spec must be an object with a 'kind' field, got {spec!r}")
     kind = spec["kind"]
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ConfigError(f"unknown adversary kind {kind!r}; supported: {sorted(_KINDS)}")
     if fixed := sorted({"horizon", "seed", "norm_bound", "dim"} & set(spec)):
         raise ConfigError(f"adversary spec may not set {fixed}: the run's T is the horizon, its seed the seed, "

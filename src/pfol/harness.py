@@ -4,8 +4,9 @@ A run is fully described by (ExperimentConfig, seed) and replays to identical
 CSV bytes. One game engine serves every learner and adversary:
 ``_play_games`` builds a config's learners and adversaries for a batch of
 seeds and makes one call to their class's ``play``, which plays the seeds
-side by side, each game bit for bit its game of act and observe (the
-learners module says how). ``run_game`` plays it with one seed.
+side by side, each game bit for bit its game of act and observe. The
+docstring of ``pfol.learners`` is the one description of those engines.
+``run_game`` plays one with one seed.
 
 A trace's oracle-call column is the config's call schedule
 (``_oracle_schedule``), and the instrumented set's count must equal the
@@ -115,7 +116,7 @@ class ExperimentConfig:
     fw_budget: int | None = None
 
     def validate(self) -> None:
-        if self.learner not in LEARNER_KNOBS:
+        if not isinstance(self.learner, str) or self.learner not in LEARNER_KNOBS:
             raise ConfigError(f"unknown learner {self.learner!r}; supported: {tuple(LEARNER_KNOBS)}")
         for name in ("T", "m") + (() if self.k == "auto" else ("k",)):
             _check_count(name, getattr(self, name))
@@ -230,9 +231,10 @@ def _adversary(config: ExperimentConfig, set_: FeasibleSet, seed: int) -> Advers
 def _resolve(config: ExperimentConfig) -> _Problem:
     """Validate and resolve a config; the set is parsed here and nowhere else, and the adversary certifies G, beta.
 
-    A perturbed leader whose expected-regret bound is not finite (a delta,
-    given or resolved, out of range for the set and the adversary) is a
-    ConfigError: no game of it could check against the bound.
+    A perturbed leader whose auto delta underflows to 0 (G too large), or
+    whose expected-regret bound is not finite (a delta, given or resolved,
+    out of range for the set and the adversary), is a ConfigError: no game
+    of it could check against the bound.
     """
     config.validate()
     set_ = set_from_json(config.set)
@@ -240,6 +242,8 @@ def _resolve(config: ExperimentConfig) -> _Problem:
     G, beta = adversary.constants()
     k = resolve_block(config, beta)
     problem = _Problem(set_, G, beta, k, resolve_delta(config, G, set_.dim, k), leader_shape(config, k))
+    if problem.delta is not None and not problem.delta > 0:  # an auto delta underflows when G*sqrt(d*T) overflows
+        raise ConfigError(f"the auto delta is {problem.delta!r} at G={G!r}: choose a smaller set or adversary scale")
     if problem.leader_shape is not None and not math.isfinite(bound := _expected_bound(config, problem)):
         raise ConfigError(f"delta={problem.delta!r} gives the regret bound {bound!r}, which is not finite: "
                           f"choose a delta that suits the set's size and the adversary's scale")

@@ -11,14 +11,6 @@ from words keyed by (seed, round), so trajectories replay bit-identically
 and the amount of randomness one round consumes never shifts any other
 round.
 
-Perturbations never depend on the losses, so ``play`` draws them ahead:
-one ``round_rows`` call fills the next r = BLOCK_ROWS // samples (at least
-1) refresh rounds, each round's rows from that round's own words, from the
-first refresh on and no refresh past the game's last. ``act`` draws only
-the refresh it plays, through the same ``round_rows``. A round's draws
-never depend on the call that draws it (``pfol.rng`` says which words they
-read), so every trace replays as if each round had been drawn alone.
-
 Learners follow a strict act/observe protocol: ``act`` returns the action
 for the current round, ``observe`` feeds back the gradient of the revealed
 loss at that action and advances the round. The game engine evaluates that
@@ -28,19 +20,34 @@ can be asserted exactly.
 
 Every learner class plays the games of S seeds side by side through its
 ``play(learners, adversaries, T)``, each game bit for bit its game of
-``act`` and ``observe``. The base ``OnlineLearner.play``, which the
-baselines ``OGD`` and ``OFW`` use, has every learner act and observe each
-round; the rows come from the adversaries' tables or from one
-``emit_lockstep`` of all S games. ``PerturbedLeader.play`` steps from
-refresh to refresh without the per-round protocol. Against gradients fixed
-before the game (``linear_stochastic`` tables) a refresh reads only its
-perturbations and the sum of the earlier gradients, so every refresh of a
-draw block is one oracle batch through the same refresh step
-(``_refresh``) as ``act``. Against any other stream each refresh is one
-oracle batch of every seed's samples, followed by the rounds of its
-constant-action segment: ``block`` rounds whose rows come from the tables
-or from ``emit_lockstep``, and whose gradients are added in ``observe``'s
-order. An unblocked leader's segments are single rounds.
+``act`` and ``observe``, with the same draws and oracle calls. The base
+``OnlineLearner.play``, which the baselines ``OGD`` and ``OFW`` use, has
+every learner act and observe each round; the rows come from the
+adversaries' tables or from one ``emit_lockstep`` of all S games.
+
+``PerturbedLeader.play`` is the engine of both paper learners: one loop
+over the refreshes, without the per-round protocol. Perturbations never
+depend on the losses, so it draws them ahead: at refresh 1, 1 + r,
+1 + 2r, ... (r = BLOCK_ROWS // samples, at least 1) every leader's
+``_draw`` fills the next r refreshes, or as many as are left, each round's
+rows from that round's own words; no refresh past the game's last is
+drawn. ``act`` draws only the refresh it plays. A round's draws never
+depend on the call that draws it (``pfol.rng`` says which words they
+read), so every trace replays as if each round had been drawn alone. What
+a refresh asks of the oracle depends on the stream:
+
+- Against gradients fixed before the game (``linear_stochastic`` tables) a
+  refresh reads only its perturbations and the sum of the earlier
+  gradients, so the loop answers a whole draw block in one oracle batch
+  through the same refresh step (``_refresh``) as ``act``, against the
+  tables' prefix sums, and steps on by r.
+- Against any other stream each refresh is one oracle batch of every
+  seed's samples, followed by the rounds of its constant-action segment:
+  ``block`` rounds whose rows come from the tables or from
+  ``emit_lockstep``, and whose gradients are added in ``observe``'s order
+  to the contiguous (S, d) gradient sum. The start point's rounds before
+  the first refresh are segment 0, and an unblocked leader's segments are
+  single rounds.
 """
 
 from __future__ import annotations
@@ -257,79 +264,57 @@ class PerturbedLeader(OnlineLearner):
         Game s is bit for bit T rounds of ``leaders[s].act``,
         ``adversaries[s].emit``, ``observe`` and ``adversaries[s].observe``,
         with the same draws and oracle calls. The leaders share one set,
-        samples, block and delta, and the adversaries one family. Each leader
-        draws its own perturbations (``_draw``) into one shared block, on a
-        schedule that depends only on the refresh. Against gradients fixed
-        before the game (linear streams' tables) a refresh reads only its
-        perturbations and the sum of the earlier gradients, so every refresh
-        of a draw block is one oracle batch. Otherwise each refresh is one
-        oracle batch of every game's samples (``_refresh``), followed by the
-        rows of its constant-action segment (a slice of the tables, or
-        ``emit_lockstep`` on the (S, d) action sums) and their gradient sums.
-        The leaders end as after round T; the adversaries observe nothing.
+        samples, block and delta, and the adversaries one family. The module
+        docstring describes the loop. The leaders end as after round T; the
+        adversaries observe nothing.
         """
         params = _game_rows(leaders, adversaries, T)
         lead, S, d, block = leaders[0], len(leaders), leaders[0]._set.dim, leaders[0].block
         adaptive, quadratic = adversaries[0].adaptive, adversaries[0].quadratic
-        refreshes, rows = T // block, np.empty(0)
+        fixed, refreshes, ahead = not (adaptive or quadratic), T // block, max(1, BLOCK_ROWS // lead.samples)
         points = np.empty((S, refreshes + 1, d))  # points[:, r]: played from refresh r on
         if block > 1:
             points[:, 0] = [leader._start() for leader in leaders]
-        if not (adaptive or quadratic):  # gradients fixed before the game
+        if fixed:
             sums = np.zeros((S, T + 1, d))  # sums[:, t-1]: before round t, added in ``_observe``'s order
             sums[:, 1:] = params
             sums = sums.cumsum(axis=1)
-            for refresh in range(1, refreshes + 1, max(1, BLOCK_ROWS // lead.samples)):
-                rows = cls._draw_all(leaders, refresh, rows, refreshes)
-                drawn = np.arange(refresh, refresh + len(rows))
-                points[:, drawn] = lead._refresh(rows.transpose(1, 2, 0, 3), sums[:, drawn * block - 1])
             cum_grads = sums[:, -1].copy()
         else:
-            cum_grads, action_sums, first = np.zeros((S, d)), None, 1  # rows[i]: refresh first + i
+            cum_grads, action_sums = np.zeros((S, d)), None
             segment = np.empty((S, block + 1, d))  # a refresh's gradient sum, then its segment's gradients
-            for refresh in range(block == 1, refreshes + 1):
-                t, last = refresh * block or 1, min(T, refresh * block + block - 1)
-                if refresh:
-                    if refresh - first == len(rows):
-                        rows, first = cls._draw_all(leaders, refresh, rows, refreshes), refresh
-                    x = points[:, refresh] = lead._refresh(rows[refresh - first], cum_grads)
+        for refresh in range(1 if fixed else int(block == 1), refreshes + 1, ahead if fixed else 1):
+            if refresh and (refresh - 1) % ahead == 0:  # the next draw block: rows[i] is refresh refresh + i
+                rows = np.empty((min(ahead, refreshes + 1 - refresh), lead.samples, S, d))
+                for s, leader in enumerate(leaders):
+                    leader._draw(refresh, rows[:, :, s])
+            if fixed:
+                drawn = np.arange(refresh, refresh + len(rows))
+                points[:, drawn] = lead._refresh(rows.transpose(1, 2, 0, 3), sums[:, drawn * block - 1])
+                continue
+            t, last = refresh * block or 1, min(T, refresh * block + block - 1)
+            # segment 0 is the start point's rounds
+            x = points[:, refresh] = lead._refresh(rows[(refresh - 1) % ahead], cum_grads) if refresh else points[:, 0]
+            n = last + 1 - t
+            if adaptive:
+                params[:, t - 1:last], action_sums = emit_lockstep(adversaries, t, n, x, action_sums)
+            if n == 1:
+                p = params[:, t - 1]
+                cum_grads += x - p if quadratic else p
+            else:  # [sum, gradients...] added one round at a time, as ``observe`` adds them
+                seg, p = segment[:, :n + 1], params[:, t - 1:last]
+                seg[:, 0] = cum_grads
+                if quadratic:
+                    np.subtract(x[:, None], p, out=seg[:, 1:])
                 else:
-                    x = points[:, 0]
-                n = last + 1 - t
-                if adaptive:
-                    params[:, t - 1:last], action_sums = emit_lockstep(adversaries, t, n, x, action_sums)
-                if n == 1:
-                    p = params[:, t - 1]
-                    cum_grads += x - p if quadratic else p
-                else:  # [sum, gradients...] added one round at a time, as ``observe`` adds them
-                    seg, p = segment[:, :n + 1], params[:, t - 1:last]
-                    seg[:, 0] = cum_grads
-                    if quadratic:
-                        np.subtract(x[:, None], p, out=seg[:, 1:])
-                    else:
-                        seg[:, 1:] = p
-                    # np.add.reduce adds rows in order for d >= 2, but sums a single column pairwise
-                    cum_grads = np.add.reduce(seg, axis=1) if d > 1 else seg.cumsum(axis=1)[:, -1]
+                    seg[:, 1:] = p
+                # np.add.reduce adds rows in order for d >= 2, but sums a single column pairwise
+                cum_grads = np.add.reduce(seg, axis=1) if d > 1 else seg.cumsum(axis=1)[:, -1]
         # an unblocked leader plays refresh t's point in round t
         actions = points[:, 1:] if block == 1 else np.take(points, np.arange(1, T + 1) // block, axis=1)
         for s, leader in enumerate(leaders):
             leader._cum_grad, leader._current, leader.round = cum_grads[s], actions[s, -1], T + 1
         return actions, params
-
-    @staticmethod
-    def _draw_all(leaders, refresh: int, rows: np.ndarray, last: int) -> np.ndarray:
-        """Every leader's ``_draw`` at ``refresh``, up to refresh ``last``, into one (ahead, samples, S, d) block.
-
-        The block holds as many refreshes as the cap allows. It is ``rows`` if
-        that fits, as ``play`` no longer needs its earlier rows.
-        """
-        lead = leaders[0]
-        ahead = min(max(1, BLOCK_ROWS // lead.samples), last + 1 - refresh)
-        if len(rows) != ahead:
-            rows = np.empty((ahead, lead.samples, len(leaders), lead._set.dim))
-        for s, leader in enumerate(leaders):
-            leader._draw(refresh, rows[:, :, s])
-        return rows
 
 
 class OGD(OnlineLearner):

@@ -56,10 +56,16 @@ def _frozen(arr, name: str) -> np.ndarray:
 
 
 def _check_norm(set_: "FeasibleSet") -> None:
-    """Raise ValueError if the set's norm bound overflows, as finite entries near the float limit can."""
+    """Raise ValueError if the set's norm bound overflows, as finite entries near the float limit can, or is 0.
+
+    A set of the origin alone (or of no coordinates) has norm bound 0, which
+    the learners' step sizes divide by.
+    """
     with np.errstate(over="ignore"):
         if not np.isfinite(set_.norm_bound):
             raise ValueError(f"{set_.kind} norm bound overflows; its entries must have a finite norm")
+    if set_.norm_bound == 0:
+        raise ValueError(f"{set_.kind} norm bound is 0: the set must hold a point other than the origin")
 
 
 def _check_sized(set_: "FeasibleSet", size: str) -> None:
@@ -451,7 +457,7 @@ def set_from_json(spec: dict) -> FeasibleSet:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"set spec must be an object with a 'kind' field, got {spec!r}")
     kind = spec["kind"]
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ConfigError(f"unknown set kind {kind!r}; supported: {sorted(_KINDS)}")
     try:
         return _KINDS[kind](**{name: value for name, value in spec.items() if name != "kind"})

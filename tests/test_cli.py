@@ -10,6 +10,7 @@ import pytest
 import pfol.cli
 from pfol import harness
 from pfol.cli import cli_main
+from pfol.errors import ConfigError
 
 CONFIG = {
     "learner": "sampled_fpl",
@@ -403,3 +404,69 @@ def test_a_game_too_large_for_memory_aborts_without_a_traceback(tmp_path, capsys
     assert cli_main(["run", "--config", path, "--out", str(tmp_path / "t.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("run aborted: Unable to allocate") and "Traceback" not in err
+
+
+
+def refused(tmp_path, capsys, config, command):
+    """The stderr of ``command`` on ``config``, after checking that it exits 2 without a traceback."""
+    path = write_config(tmp_path, config)
+    out = {"run": ["--out", str(tmp_path / "t.csv")], "bound-check": ["--jobs", "1"],
+           "sweep": ["--out", str(tmp_path / "s.json"), "--jobs", "1"]}[command]
+    assert cli_main([command, "--config", path, *out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("command", ["run", "bound-check"])
+@pytest.mark.parametrize("spec,message", [
+    ({"set": {"kind": ["ball"]}}, "unknown set kind ['ball']"),
+    ({"adversary": {"kind": {"kind": "linear_adaptive"}}}, "unknown adversary kind {'kind': 'linear_adaptive'}"),
+    ({"learner": ["ogd"], "m": 1}, "unknown learner ['ogd']"),
+], ids=["set", "adversary", "learner"])
+def test_a_name_that_is_not_a_string_is_a_config_error(tmp_path, capsys, spec, message, command):
+    assert message in refused(tmp_path, capsys, {**CONFIG, **spec}, command)
+
+
+def test_sweep_refuses_a_learner_name_that_is_not_a_string(tmp_path, capsys):
+    config = dict(CONFIG, learner=["ogd"], m=1, vary={"T": [8]})
+    assert "unknown learner ['ogd']" in refused(tmp_path, capsys, config, "sweep")
+
+
+# G*sqrt(d*T) overflows, so the auto delta, 2 over it, is 0
+UNDERFLOWING_DELTA = {
+    "center_scale": {"adversary": {"kind": "quadratic_adaptive", "center_scale": 1e308}},
+    "direction_norm": {"adversary": {"kind": "linear_stochastic", "direction_norm": 1e308}},
+    "ospf-linear_adaptive": {"learner": "ospf", "k": "auto", "m": 1,
+                             "adversary": {"kind": "linear_adaptive", "direction_norm": 1e308}},
+    "radius": {"set": {"kind": "ball", "dim": 2, "radius": 1e308},
+               "adversary": {"kind": "quadratic_stochastic", "center_scale": 1.0}},
+}
+
+
+@pytest.mark.parametrize("command", ["run", "bound-check"])
+@pytest.mark.parametrize("spec", list(UNDERFLOWING_DELTA.values()), ids=list(UNDERFLOWING_DELTA))
+def test_an_auto_delta_that_underflows_to_0_is_a_config_error(tmp_path, capsys, spec, command):
+    config = {**CONFIG, **spec}
+    assert "the auto delta is 0.0 at G=" in refused(tmp_path, capsys, config, command)
+    with pytest.raises(ConfigError, match="auto delta"):
+        harness.theoretical_bound(harness.ExperimentConfig.from_json({**config, "seeds": [0]}))
+    # a sweep records the cell and goes on
+    path = write_config(tmp_path, dict(config, vary={"T": [8]}))
+    assert cli_main(["sweep", "--config", path, "--out", str(tmp_path / "s.json"), "--jobs", "1"]) == 0
+    [cell] = json.loads((tmp_path / "s.json").read_text())
+    assert cell["errors"] and "auto delta" in cell["errors"][0]
+
+
+ORIGIN_ONLY = {
+    "ofw-box": ("ofw", {"kind": "box", "lower": [0.0, 0.0], "upper": [0.0, 0.0]}, "box norm bound is 0"),
+    "ofw-polytope": ("ofw", {"kind": "polytope", "vertices": [[0.0, 0.0], [0.0, 0.0]]}, "polytope norm bound is 0"),
+    "ogd-empty-box": ("ogd", {"kind": "box", "lower": [], "upper": []}, "box norm bound is 0"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "bound-check"])
+@pytest.mark.parametrize("learner,spec,message", list(ORIGIN_ONLY.values()), ids=list(ORIGIN_ONLY))
+def test_a_set_of_the_origin_alone_is_a_config_error(tmp_path, capsys, learner, spec, message, command):
+    config = dict(CONFIG, learner=learner, m=1, set=spec)
+    assert message in refused(tmp_path, capsys, config, command)

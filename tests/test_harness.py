@@ -268,6 +268,14 @@ def route_cases():
         for T in (7, 8200):
             yield f"ball-fixed/{learner_name}/T{T}", ExperimentConfig(
                 set=BALL5, adversary=FIXED_DIRECTION, T=T, **knobs)
+    # in d = 1 the refresh step sums 8 or more samples pairwise, not one by one; 700 rounds take m = 8 past its
+    # 512 refreshes a draw, and end inside ospf's 44th block
+    d1_learners = {"sampled_fpl-m8": {"learner": "sampled_fpl", "m": 8},
+                   "sampled_fpl-m64": {"learner": "sampled_fpl", "m": 64}, "ospf-k16": {"learner": "ospf", "k": 16}}
+    for learner_name, knobs in d1_learners.items():
+        for name, adversary in (("ball1", {"kind": "linear_stochastic", "direction_norm": 2.5}),
+                                ("ball1-fixed", {"kind": "linear_stochastic", "direction": [0.7]})):
+            yield f"{name}/{learner_name}/T700", ExperimentConfig(set=BALL1, adversary=adversary, T=700, **knobs)
 
 
 def hand_played(config, seed):

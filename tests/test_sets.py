@@ -453,6 +453,9 @@ class TestValidationAndJson:
         (lambda: Polytope(vertices=[[0.0, np.nan]]), "finite"),
         (lambda: Polytope(vertices=[[1e200, 0.0], [0.0, 1e200]]), "polytope norm bound overflows"),
         (lambda: Box(lower=[-1e308, -1e308], upper=[1e308, 1e308]), "box norm bound overflows"),
+        (lambda: Box(lower=[0.0, 0.0], upper=[0.0, 0.0]), "box norm bound is 0"),
+        (lambda: Box(lower=[], upper=[]), "box norm bound is 0"),
+        (lambda: Polytope(vertices=[[0.0, 0.0], [-0.0, 0.0]]), "polytope norm bound is 0"),
         (lambda: brute_force_argmax([[1.0, 0.0]], [1.0, 0.0, 0.0]), "shape"),
         (lambda: brute_force_argmax([[1.0, 0.0]], [np.nan, 0.0]), "NaN or Inf"),
         (lambda: set_from_json(["ball"]), "must be an object"),
@@ -473,7 +476,7 @@ class TestValidationAndJson:
     ], ids=["ball_radius_inf", "ball_radius_nan", "box_2d", "box_unequal", "box_inf", "box_crossed",
             "simplex_dim_0", "simplex_scale_0", "simplex_scale_inf", "l1_dim_0", "l1_radius_negative",
             "l1_radius_inf", "polytope_empty", "polytope_3d", "polytope_nan", "polytope_norm_overflow",
-            "box_norm_overflow", "brute_force_y_shape",
+            "box_norm_overflow", "box_origin", "box_no_coordinates", "polytope_origin", "brute_force_y_shape",
             "brute_force_y_nan", "json_not_object", "json_missing_field", "json_scale_inf",
             "json_box_norm_overflow", "json_ball_unknown_key", "json_box_unknown_key", "json_simplex_unknown_key",
             "json_l1_ball_unknown_key", "json_polytope_unknown_key", "json_box_dim", "json_box_wrong_dim",
