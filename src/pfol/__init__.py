@@ -37,9 +37,6 @@ from .learners import (
     InstrumentedSet,
     OnlineLearner,
     PerturbedLeader,
-    blocking_delta,
-    blocking_params,
-    default_delta,
     perturbed_leader_points,
 )
 from .losses import LossFunction, linear_loss, quadratic_loss

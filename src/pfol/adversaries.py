@@ -219,6 +219,8 @@ class LinearStochastic(Adversary):
             self.direction_norm = float(np.linalg.norm(self.direction))
             if not np.isfinite(self.direction_norm):
                 raise ConfigError("fixed direction must have finite entries and a finite norm")
+            if not self.direction_norm > 0:  # G = 0: no loss to learn, and no auto delta
+                raise ConfigError(f"fixed direction must have a nonzero norm, got {direction!r}, whose norm is 0")
         else:
             direction_norm = 1.0 if direction_norm is None else real(direction_norm, "direction_norm")
             if not 0 < direction_norm < np.inf:

@@ -41,15 +41,7 @@ import numpy as np
 from ._csv import write_rows
 from .adversaries import Adversary, make_adversary
 from .errors import ConfigError, is_int
-from .learners import (
-    OFW,
-    OGD,
-    InstrumentedSet,
-    PerturbedLeader,
-    blocking_delta,
-    blocking_params,
-    default_delta,
-)
+from .learners import OFW, OGD, InstrumentedSet, PerturbedLeader
 from .losses import row_dots
 from .rng import ROUND_LIMIT
 from .sets import FeasibleSet, set_from_json
@@ -96,13 +88,12 @@ class ExperimentConfig:
     its samples per round ``m`` and ``delta``, ``ospf`` its block length
     ``k`` and ``delta``, the baselines none. A knob the learner does not
     read must keep its default (1, 1, "auto"), else ``validate`` refuses
-    it. ``delta`` and ``k`` accept "auto": delta resolves to the
-    theory-optimal value for the learner, and k to the horizon-based
-    blocking schedule. ``fw_budget`` is accepted and validated, and is not
-    read: the hindsight comparator is exact and needs no iteration budget.
-    It stays because the benchmark's workloads (perfbench/workloads.py) set
-    and read it. Where a trace goes is the caller's choice (``pfol run
-    --out``), not the config's.
+    it. ``delta`` and ``k`` accept "auto", which ``resolve_delta`` and
+    ``resolve_block`` resolve. ``fw_budget`` is accepted and validated, and
+    is not read: the hindsight comparator is exact and needs no iteration
+    budget. It stays because the benchmark's workloads
+    (perfbench/workloads.py) set and read it. Where a trace goes is the
+    caller's choice (``pfol run --out``), not the config's.
     """
 
     learner: str
@@ -175,12 +166,21 @@ def config_hash(config: ExperimentConfig) -> str:
 
 
 def resolve_block(config: ExperimentConfig, beta: float) -> int:
-    """Concrete block length k; 'auto' follows the horizon-based schedule."""
-    if config.k == "auto":
-        mode = "smooth" if beta > 0 else "general"
-        _, k = blocking_params(config.T, mode)
-        return k
-    return int(config.k)
+    """Concrete block length k of a config whose stream has smoothness ``beta``.
+
+    ``k: "auto"`` is max(1, round(T^(1/3))) on a smooth stream (beta > 0)
+    and 1 on a linear one. Blocks only spread the perturbed leader's
+    sampling error over smooth losses: k ~ T^(1/3) balances that term,
+    which falls like T/k, against the stability term, which grows like
+    sqrt(dTk), for T^(2/3) regret at one amortized oracle call a round. A
+    linear loss has no sampling-variance term, and a block only delays the
+    leader: on ``linear_adaptive`` regret grows with k, and on
+    ``linear_stochastic`` it is flat in k. ``resolve_delta`` prices
+    ``delta: "auto"`` on the resolved k.
+    """
+    if config.k != "auto":
+        return int(config.k)
+    return max(1, round(config.T ** (1.0 / 3.0))) if beta > 0 else 1
 
 
 def leader_shape(config: ExperimentConfig, k: int) -> tuple[int, int] | None:
@@ -195,19 +195,20 @@ def leader_shape(config: ExperimentConfig, k: int) -> tuple[int, int] | None:
 def resolve_delta(config: ExperimentConfig, G: float, dim: int, k: int) -> float | None:
     """Concrete perturbation scale, or None for learners that take none.
 
-    The blocked learner's "auto" value is ``blocking_delta``; it equals
-    ``default_delta(G*k, d, n)`` up to the last bit, and keeps its own
-    arithmetic so that traces do not move.
+    ``delta: "auto"`` balances the bias 2D/delta against the drift
+    delta*D*G^2*d*T/2: 2 / (G*sqrt(d*T)) for ``sampled_fpl``, and for the
+    blocked ``ospf`` the same on its n = ceil(T/k) block losses of gradient
+    bound G*k, computed as 2 / (G*sqrt(d)*sqrt(n)*k): the recorded traces
+    depend on that order of operations to the last bit.
     """
     if leader_shape(config, k) is None:
         return None
     if config.delta != "auto":
         return float(config.delta)
     if config.learner == "ospf":
-        n = math.ceil(config.T / k)
-        value = blocking_delta(G, dim, n, k)
+        value = 2.0 / (G * math.sqrt(dim) * math.sqrt(math.ceil(config.T / k)) * k)
     else:
-        value = default_delta(G, dim, config.T)
+        value = 2.0 / (G * math.sqrt(dim * config.T))
     logger.info("resolved delta=%.6g for learner=%s T=%d", value, config.learner, config.T)
     return value
 
@@ -599,10 +600,12 @@ def sweep(template: ExperimentConfig, vary: dict[str, list | tuple], jobs: int =
     """Cartesian product of ``vary`` values applied to the template.
 
     Every key of ``vary`` must be a config field and every value a list (or
-    tuple) of values, and ``jobs`` at least 1, else ConfigError. Every (cell, seed) game runs in one pool
-    (see ``_play_all``). A cell that does not resolve plays no game; it and
-    any failing cell contribute a summary whose ``errors`` field explains
-    what happened (with the cell's T as given), and the sweep continues.
+    tuple) of at least one value, and ``jobs`` at least 1, else ConfigError.
+    An empty ``vary`` is the product of no axes: one cell, the template.
+    Every (cell, seed) game runs in one pool (see ``_play_all``). A cell
+    that does not resolve plays no game; it and any failing cell contribute
+    a summary whose ``errors`` field explains what happened (with the cell's
+    T as given), and the sweep continues.
     Aggregation order is the grid order regardless of execution order.
     """
     template.validate()
@@ -610,10 +613,8 @@ def sweep(template: ExperimentConfig, vary: dict[str, list | tuple], jobs: int =
     for key, values in vary.items():
         if key not in ExperimentConfig.__dataclass_fields__:
             raise ConfigError(f"vary names unknown config field {key!r}")
-        if not isinstance(values, (list, tuple)):
-            raise ConfigError(f"vary[{key!r}] must be a list of values, got {values!r}")
-    if not vary:
-        return []
+        if not isinstance(values, (list, tuple)) or not values:
+            raise ConfigError(f"vary[{key!r}] must be a list of at least one value, got {values!r}")
     cells: list[tuple[dict, tuple[ExperimentConfig, _Problem] | Exception]] = []
     for combo in itertools.product(*vary.values()):
         overrides = dict(zip(vary, combo))

@@ -69,44 +69,9 @@ __all__ = [
     "OFW",
     "InstrumentedSet",
     "perturbed_leader_points",
-    "default_delta",
-    "blocking_delta",
-    "blocking_params",
 ]
 
 BLOCK_ROWS = 4096  # cap on the perturbation rows PerturbedLeader.play draws ahead at once
-
-
-def default_delta(grad_bound: float, dim: int, horizon: int) -> float:
-    """Perturbation scale 2 / (G * sqrt(d*T)) balancing bias against drift."""
-    if not (grad_bound > 0 and dim >= 1 and horizon >= 1):
-        raise ConfigError("default_delta needs G > 0, d >= 1, T >= 1")
-    return 2.0 / (grad_bound * math.sqrt(dim * horizon))
-
-
-def blocking_delta(grad_bound: float, dim: int, blocks: int, block_len: int) -> float:
-    """Perturbation scale 2 / (G * sqrt(d) * sqrt(n) * k) for the blocked game."""
-    if not (grad_bound > 0 and dim >= 1 and blocks >= 1 and block_len >= 1):
-        raise ConfigError("blocking_delta needs G > 0, d >= 1, n >= 1, k >= 1")
-    return 2.0 / (grad_bound * math.sqrt(dim) * math.sqrt(blocks) * block_len)
-
-
-def blocking_params(horizon: int, mode: str = "smooth") -> tuple[int, int]:
-    """Block count n and block length k for a horizon T, with n*k >= T.
-
-    smooth mode: k ~ T^(1/3), n ~ T^(2/3); general mode: k ~ n ~ sqrt(T).
-    The final block may be partial when k does not divide T.
-    """
-    if horizon < 1:
-        raise ConfigError("horizon must be >= 1")
-    if mode == "smooth":
-        k = max(1, round(horizon ** (1.0 / 3.0)))
-    elif mode == "general":
-        k = max(1, round(math.sqrt(horizon)))
-    else:
-        raise ConfigError(f"unknown blocking mode {mode!r}; use 'smooth' or 'general'")
-    n = math.ceil(horizon / k)
-    return n, k
 
 
 def perturbed_leader_points(set_, cum_grad: np.ndarray, delta: float,

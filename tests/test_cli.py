@@ -1,7 +1,10 @@
 """Command-line interface: subcommands, exit codes, seed and output overrides."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -470,3 +473,53 @@ ORIGIN_ONLY = {
 def test_a_set_of_the_origin_alone_is_a_config_error(tmp_path, capsys, learner, spec, message, command):
     config = dict(CONFIG, learner=learner, m=1, set=spec)
     assert message in refused(tmp_path, capsys, config, command)
+
+
+# a fixed direction of norm 0 (or whose norm underflows to 0) gives G = 0: every learner refuses it by name
+ZERO_DIRECTIONS = {"zero": [0.0, 0.0, 0.0], "underflowing": [1e-170, 0.0, 0.0]}
+ZERO_DIRECTION_LEARNERS = {
+    "sampled_fpl-delta": {"learner": "sampled_fpl", "delta": 0.5},
+    "sampled_fpl-auto": {"learner": "sampled_fpl"},
+    "ospf-delta": {"learner": "ospf", "m": 1, "k": "auto", "delta": 0.5},
+    "ospf-auto": {"learner": "ospf", "m": 1, "k": "auto"},
+    "ogd": {"learner": "ogd", "m": 1},
+    "ofw": {"learner": "ofw", "m": 1},
+}
+
+
+@pytest.mark.parametrize("command", ["run", "bound-check"])
+@pytest.mark.parametrize("direction", list(ZERO_DIRECTIONS.values()), ids=list(ZERO_DIRECTIONS))
+@pytest.mark.parametrize("knobs", list(ZERO_DIRECTION_LEARNERS.values()), ids=list(ZERO_DIRECTION_LEARNERS))
+def test_a_fixed_direction_of_norm_0_is_a_config_error(tmp_path, capsys, knobs, direction, command):
+    config = {**CONFIG, **knobs, "adversary": {"kind": "linear_stochastic", "direction": direction}}
+    assert "fixed direction must have a nonzero norm" in refused(tmp_path, capsys, config, command)
+
+
+@pytest.mark.parametrize("vary", [None, {}], ids=["missing", "empty"])
+def test_a_sweep_without_a_grid_plays_the_config_as_one_cell(tmp_path, capsys, vary):
+    spec = OSPF_BALL2 if vary is None else dict(OSPF_BALL2, vary=vary)
+    out = tmp_path / "s.json"
+    assert cli_main(["sweep", "--config", write_config(tmp_path, spec), "--out", str(out), "--jobs", "1"]) == 0
+    [cell] = json.loads(out.read_text())
+    want = json.loads(json.dumps(harness.run_experiment(harness.ExperimentConfig.from_json(OSPF_BALL2)).to_json()))
+    assert {**cell, "wall_clock_s": 0} == {**want, "wall_clock_s": 0}
+    assert "sweep complete: 1 cells (0 with errors)" in capsys.readouterr().out
+
+
+def test_a_sweep_axis_of_no_values_is_a_config_error(tmp_path, capsys):
+    config = dict(OSPF_BALL2, vary={"k": [1, 2], "T": []})
+    assert "vary['T'] must be a list of at least one value, got []" in refused(tmp_path, capsys, config, "sweep")
+
+
+def test_the_module_entry_point_runs_and_exits_2_on_a_config_error(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(pfol.__file__).parents[1]))
+    out = tmp_path / "t.csv"
+    played = subprocess.run([sys.executable, "-m", "pfol", "run", "--config",
+                             write_config(tmp_path, dict(CONFIG, T=16)), "--out", str(out)],
+                            capture_output=True, text=True, env=env)
+    assert played.returncode == 0, played.stderr
+    assert len(out.read_text().splitlines()) == 17 and "run complete" in played.stdout
+    bad = subprocess.run([sys.executable, "-m", "pfol", "run", "--config",
+                          write_config(tmp_path, dict(CONFIG, learner="adam"))],
+                         capture_output=True, text=True, env=env)
+    assert bad.returncode == 2 and bad.stderr.startswith("config error: unknown learner 'adam'")

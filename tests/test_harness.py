@@ -128,6 +128,80 @@ class TestTheoreticalBound:
                     assert comparator_correction(config) == 0.0
 
 
+# (learner, family, T, d, ball radius, scale, k, delta) -> the resolved (k, delta), bit for bit. The scale
+# is a linear family's direction_norm (G = scale, beta = 0) or a quadratic one's center_scale (G = radius +
+# scale, beta = 1). ospf's auto k on a linear stream is 1, so its delta is that of the same config with k: 1.
+RESOLVED = [
+    ("sampled_fpl", "linear_stochastic", 1, 1, 1.0, 1.0, 1, "auto", 1, 2.0),
+    ("sampled_fpl", "linear_stochastic", 1, 1, 1.0, 1.0, 1, 0.5, 1, 0.5),
+    ("sampled_fpl", "linear_stochastic", 4, 1, 1.0, 1.0, 1, "auto", 1, 1.0),
+    ("sampled_fpl", "linear_stochastic", 1000, 5, 2.0, 0.5, 1, "auto", 1, 0.0565685424949238),
+    ("sampled_fpl", "linear_stochastic", 1000, 5, 2.0, 0.5, 1, 0.5, 1, 0.5),
+    ("sampled_fpl", "linear_stochastic", 16384, 16, 0.25, 0.05, 1, "auto", 1, 0.078125),
+    ("sampled_fpl", "linear_stochastic", 16384, 16, 0.25, 0.05, 1, 0.5, 1, 0.5),
+    ("sampled_fpl", "quadratic_stochastic", 1, 1, 1.0, 1.0, 1, "auto", 1, 1.0),
+    ("sampled_fpl", "quadratic_stochastic", 1, 1, 1.0, 1.0, 1, 0.5, 1, 0.5),
+    ("sampled_fpl", "quadratic_stochastic", 1000, 5, 2.0, 0.5, 1, "auto", 1, 0.01131370849898476),
+    ("sampled_fpl", "quadratic_stochastic", 1000, 5, 2.0, 0.5, 1, 0.5, 1, 0.5),
+    ("sampled_fpl", "quadratic_stochastic", 16384, 16, 0.25, 0.05, 1, "auto", 1, 0.013020833333333334),
+    ("sampled_fpl", "quadratic_stochastic", 16384, 16, 0.25, 0.05, 1, 0.5, 1, 0.5),
+    ("ospf", "linear_stochastic", 1, 1, 1.0, 1.0, "auto", "auto", 1, 2.0),
+    ("ospf", "linear_stochastic", 1, 1, 1.0, 1.0, "auto", 0.5, 1, 0.5),
+    ("ospf", "linear_stochastic", 1, 1, 1.0, 1.0, 3, "auto", 3, 0.6666666666666666),
+    ("ospf", "linear_stochastic", 1, 1, 1.0, 1.0, 3, 0.5, 3, 0.5),
+    ("ospf", "linear_stochastic", 8, 1, 1.0, 1.0, 2, "auto", 2, 0.5),
+    ("ospf", "linear_stochastic", 1000, 5, 2.0, 0.5, "auto", "auto", 1, 0.0565685424949238),
+    ("ospf", "linear_stochastic", 1000, 5, 2.0, 0.5, "auto", 0.5, 1, 0.5),
+    ("ospf", "linear_stochastic", 1000, 5, 2.0, 0.5, 3, "auto", 3, 0.032627252282159756),
+    ("ospf", "linear_stochastic", 1000, 5, 2.0, 0.5, 3, 0.5, 3, 0.5),
+    ("ospf", "linear_stochastic", 16384, 16, 0.25, 0.05, "auto", "auto", 1, 0.078125),
+    ("ospf", "linear_stochastic", 16384, 16, 0.25, 0.05, "auto", 0.5, 1, 0.5),
+    ("ospf", "linear_stochastic", 16384, 16, 0.25, 0.05, 3, "auto", 3, 0.04510273701184395),
+    ("ospf", "linear_stochastic", 16384, 16, 0.25, 0.05, 3, 0.5, 3, 0.5),
+    ("ospf", "quadratic_stochastic", 1, 1, 1.0, 1.0, "auto", "auto", 1, 1.0),
+    ("ospf", "quadratic_stochastic", 1, 1, 1.0, 1.0, "auto", 0.5, 1, 0.5),
+    ("ospf", "quadratic_stochastic", 1, 1, 1.0, 1.0, 3, "auto", 3, 0.3333333333333333),
+    ("ospf", "quadratic_stochastic", 1, 1, 1.0, 1.0, 3, 0.5, 3, 0.5),
+    ("ospf", "quadratic_stochastic", 1000, 5, 2.0, 0.5, "auto", "auto", 10, 0.003577708763999663),
+    ("ospf", "quadratic_stochastic", 1000, 5, 2.0, 0.5, "auto", 0.5, 10, 0.5),
+    ("ospf", "quadratic_stochastic", 1000, 5, 2.0, 0.5, 3, "auto", 3, 0.006525450456431951),
+    ("ospf", "quadratic_stochastic", 1000, 5, 2.0, 0.5, 3, 0.5, 3, 0.5),
+    ("ospf", "quadratic_stochastic", 16384, 16, 0.25, 0.05, "auto", "auto", 25, 0.0026028960314767677),
+    ("ospf", "quadratic_stochastic", 16384, 16, 0.25, 0.05, "auto", 0.5, 25, 0.5),
+    ("ospf", "quadratic_stochastic", 16384, 16, 0.25, 0.05, 3, "auto", 3, 0.007517122835307327),
+    ("ospf", "quadratic_stochastic", 16384, 16, 0.25, 0.05, 3, 0.5, 3, 0.5),
+]
+
+
+class TestResolution:
+    @pytest.mark.parametrize("learner,family,T,d,radius,scale,k,delta,want_k,want_delta", RESOLVED)
+    def test_resolved_k_and_delta_are_pinned_bit_for_bit(self, learner, family, T, d, radius, scale, k, delta,
+                                                        want_k, want_delta):
+        parameter = "direction_norm" if family.startswith("linear") else "center_scale"
+        knobs = {"k": k} if learner == "ospf" else {"m": 4}
+        problem = harness._resolve(ExperimentConfig(
+            learner=learner, set={"kind": "ball", "dim": d, "radius": radius},
+            adversary={"kind": family, parameter: scale}, T=T, delta=delta, **knobs))
+        assert (problem.k, problem.delta) == (want_k, want_delta)
+
+    @pytest.mark.parametrize("T,smooth", [(1, 1), (2, 1), (7, 2), (1000, 10), (2**10, 10), (2**12, 16),
+                                          (2**14, 25), (999_983, 100)])
+    def test_auto_k_is_the_cube_root_on_smooth_streams_and_1_on_linear_ones(self, T, smooth):
+        config = cfg(learner="ospf", T=T, k="auto")
+        assert resolve_block(config, beta=1.0) == smooth
+        assert resolve_block(config, beta=0.5) == smooth
+        assert resolve_block(config, beta=0.0) == 1
+
+    @pytest.mark.parametrize("adversary", [LIN_STOCH, {"kind": "linear_adaptive"}], ids=["stochastic", "adaptive"])
+    def test_auto_k_on_a_linear_stream_plays_the_k_1_game(self, adversary, tmp_path):
+        files = []
+        for k in ("auto", 1):
+            path = tmp_path / f"{k}.csv"
+            trace_to_csv(run_game(cfg(learner="ospf", adversary=adversary, T=300, k=k), 3), path)
+            files.append(path.read_bytes())
+        assert files[0] == files[1]
+
+
 class TestFitExponent:
     def test_exact_power_laws(self):
         T = [10, 100, 1000, 10_000, 100_000]
@@ -211,7 +285,7 @@ class TestRunGame:
     def test_ospf_auto_block_resolution(self):
         config = cfg(learner="ospf", T=1000, k="auto")
         assert resolve_block(config, beta=1.0) == 10
-        assert resolve_block(config, beta=0.0) == 32
+        assert resolve_block(config, beta=0.0) == 1
         trace = run_game(config, 0)
         assert trace.oracle_calls[-1] == 10 * (1000 // 10) + 1
 
@@ -727,8 +801,11 @@ class TestRunExperimentAndSweep:
             {"T": 8, "m": 1}, {"T": 8, "m": 2}, {"T": 16, "m": 1}, {"T": 16, "m": 2}]
 
     def test_sweep_empty_grid(self):
-        assert sweep(cfg(), {}) == []
-        assert sweep(cfg(), {"T": []}) == []
+        # no axes: one cell, the template; an axis of no values: no grid at all
+        [cell] = sweep(cfg(), {})
+        assert replace(cell, wall_clock_s=0.0) == replace(run_experiment(cfg()), wall_clock_s=0.0)
+        with pytest.raises(ConfigError, match="vary\\['T'\\] must be a list of at least one value"):
+            sweep(cfg(), {"T": []})
 
     def test_sweep_single_cell(self):
         out = sweep(cfg(T=8), {"m": [2]})

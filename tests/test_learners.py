@@ -1,4 +1,4 @@
-"""Learner step rules, budgets, determinism, and parameter schedules."""
+"""Learner step rules, budgets, determinism, and parameter checks."""
 
 import numpy as np
 import pytest
@@ -17,9 +17,6 @@ from pfol import (
     Polytope,
     ProtocolError,
     Simplex,
-    blocking_delta,
-    blocking_params,
-    default_delta,
     euclidean_project,
     expected_fpl_point_mc,
     linear_argmax,
@@ -294,46 +291,12 @@ class TestOFW:
 
 
 class TestParameterSchedules:
-    def test_default_delta_values(self):
-        assert default_delta(1.0, 1, 4) == 1.0
-        assert default_delta(2.0, 4, 100) == pytest.approx(0.05, rel=1e-15)
-
-    def test_blocking_delta_value(self):
-        assert blocking_delta(1.0, 1, 4, 2) == pytest.approx(0.5, rel=1e-15)
-
-    def test_invalid_inputs_rejected(self):
-        with pytest.raises(ConfigError):
-            default_delta(0.0, 1, 4)
-        with pytest.raises(ConfigError):
-            default_delta(1.0, 0, 4)
-        with pytest.raises(ConfigError):
-            blocking_delta(1.0, 1, 0, 2)
-
-    def test_blocking_params_examples(self):
-        assert blocking_params(1000, "smooth") == (100, 10)
-        assert blocking_params(16, "general") == (4, 4)
-        assert blocking_params(1, "smooth") == (1, 1)
-        assert blocking_params(1, "general") == (1, 1)
-
-    def test_blocking_params_cover_horizon(self):
-        for T in [1, 2, 3, 7, 10, 100, 1023, 1024, 65536, 999_983]:
-            for mode in ("smooth", "general"):
-                n, k = blocking_params(T, mode)
-                assert n * k >= T
-                assert n >= 1 and k >= 1
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ConfigError):
-            blocking_params(10, "strict")
-
     @pytest.mark.parametrize("build,match", [
-        (lambda: blocking_params(0), "horizon must be >= 1"),
-        (lambda: blocking_params(-3, "general"), "horizon must be >= 1"),
         (lambda: OGD(BALL, grad_bound=0.0), "grad_bound must be positive"),
         (lambda: OGD(BALL, grad_bound=np.nan), "grad_bound must be positive"),
         (lambda: OFW(BALL, grad_bound=-1.0), "grad_bound must be positive"),
         (lambda: OFW(BALL, grad_bound=0.0), "grad_bound must be positive"),
-    ], ids=["blocking_T_0", "blocking_T_negative", "ogd_G_0", "ogd_G_nan", "ofw_G_negative", "ofw_G_0"])
+    ], ids=["ogd_G_0", "ogd_G_nan", "ofw_G_negative", "ofw_G_0"])
     def test_bad_parameters_are_config_errors(self, build, match):
         with pytest.raises(ConfigError, match=match):
             build()
